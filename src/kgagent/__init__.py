@@ -25,6 +25,7 @@ from .embedding import (
     EmbeddingError,
     EmbeddingProviderError,
     HttpEmbedder,
+    QuestionScorer,
     cosine,
     deterministic_test_provider,
     score_candidate,

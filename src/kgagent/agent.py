@@ -23,7 +23,7 @@ from .action import (
     parse_answer,
     render_action,
 )
-from .embedding import EmbeddingCache, EmbeddingProvider, EmbeddingProviderError
+from .embedding import EmbeddingCache, EmbeddingProvider, EmbeddingProviderError, QuestionScorer
 from .kg import EntityId, KnowledgeGraph, Triple
 from .llm import CompletionRequest, LLMError, LLMProvider
 from .memory import Memory, integrate
@@ -191,6 +191,8 @@ def run(
     facts: list[str] = []
     history = ActionHistory()
     rng = Random(config.random_seed)
+    # embeds the question on first use, so no_observation never embeds
+    scorer = QuestionScorer(question, providers.embedder, providers.cache)
     trace = AgentTrace(question=question, seed_entities=list(entities))
     deadline = (
         time.monotonic() + config.question_timeout if config.question_timeout else None
@@ -207,7 +209,7 @@ def run(
             else:
                 observation = observe(
                     kg, question, entities, config.observation,
-                    providers.embedder, providers.cache,
+                    providers.embedder, providers.cache, scorer=scorer,
                 )
             action, attempts, fallback = choose_action(
                 providers.llm,
@@ -272,7 +274,7 @@ def run(
                 elif strategy == "similarity":
                     result = reflect_similarity(
                         question, outcome, kg, config.reflection,
-                        providers.embedder, providers.cache,
+                        providers.embedder, providers.cache, scorer=scorer,
                     )
                 elif strategy == "random":
                     result = reflect_random(outcome, config.reflection, rng)
@@ -333,13 +335,7 @@ def render_case(trace: AgentTrace, kg: KnowledgeGraph) -> str:
         if record.reflection_response is not None:
             lines.append(_substitute_labels(record.reflection_response, kg))
         if record.reflected:
-            lines.append(
-                "Reflected: "
-                + ", ".join(
-                    f"({kg.label_of(t.head)}, {kg.label_of(t.relation)}, {kg.label_of(t.tail)})"
-                    for t in record.reflected
-                )
-            )
+            lines.append("Reflected: " + ", ".join(map(kg.render_triple, record.reflected)))
         if record.facts:
             lines.extend(record.facts)
     if trace.answers:

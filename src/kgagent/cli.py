@@ -149,11 +149,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     triples = kg.get_neighbors(args.entity, limit=args.limit)
     print(f"{args.entity} ({kg.label_of(args.entity)}): {len(triples)} triples")
     for triple in triples:
-        print(
-            f"  {triple.to_tsv()}\t"
-            f"({kg.label_of(triple.head)}, {kg.label_of(triple.relation)}, "
-            f"{kg.label_of(triple.tail)})"
-        )
+        print(f"  {triple.to_tsv()}\t{kg.render_triple(triple)}")
     return 0
 
 

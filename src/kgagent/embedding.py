@@ -13,7 +13,7 @@ import hashlib
 import struct
 import threading
 import time
-from math import fsum, isfinite, sqrt
+from math import ceil, fsum, isfinite, sqrt
 from operator import mul
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
@@ -40,11 +40,17 @@ class EmbeddingProvider(Protocol):
 def cosine(a: Iterable[float], b: Iterable[float]) -> float:
     """dot(a, b) / (|a| * |b|), in [-1, 1] up to rounding."""
     a = tuple(a)
-    b = tuple(b)
+    return _cosine(a, _norm(a), tuple(b))
+
+
+def _norm(vector: Vector) -> float:
+    return sqrt(fsum(map(mul, vector, vector)))
+
+
+def _cosine(a: Vector, norm_a: float, b: Vector) -> float:
     if len(a) != len(b):
         raise EmbeddingError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    norm_a = sqrt(fsum(x * x for x in a))
-    norm_b = sqrt(fsum(x * x for x in b))
+    norm_b = _norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         raise EmbeddingError("zero-norm vector")
     return fsum(map(mul, a, b)) / (norm_a * norm_b)
@@ -85,8 +91,8 @@ def embed_text(
         raise EmbeddingProviderError(
             f"embedding failed after {attempts} attempts: {last_error}"
         ) from last_error
-    vector = tuple(float(x) for x in raw)
-    if not vector or not all(isfinite(x) for x in vector):
+    vector = tuple(map(float, raw))
+    if not vector or not all(map(isfinite, vector)):
         raise EmbeddingError("provider returned a non-finite or empty vector")
     if cache is not None:
         cache.put(text, vector)
@@ -103,14 +109,42 @@ def score_candidate(
     backoff: float = 0.5,
 ) -> float:
     """Cosine between the question vector and the embedded relation+tail text."""
-    vector = embed_text(
-        combined_text(relation_label, tail_label),
-        provider,
-        cache,
-        attempts=attempts,
-        backoff=backoff,
-    )
-    return cosine(question_vector, vector)
+    text = combined_text(relation_label, tail_label)
+    return cosine(question_vector, embed_text(text, provider, cache, attempts, backoff))
+
+
+class QuestionScorer:
+    """Cosine scores of texts against one question, each text scored once.
+
+    The question is embedded on first use and its norm computed once; each
+    text is embedded through embed_text on its first score and memoized. A
+    score equals cosine(question vector, text vector) bit for bit. A scorer
+    serves one question and is not shared between threads.
+    """
+
+    def __init__(
+        self, question: str, provider: EmbeddingProvider, cache: "EmbeddingCache | None" = None
+    ) -> None:
+        self.question = question
+        self.provider = provider
+        self.cache = cache
+        self._question: tuple[Vector, float] | None = None
+        self._scores: dict[str, float] = {}
+
+    def question_vector(self) -> Vector:
+        """The question's embedding; the first call embeds it."""
+        if self._question is None:
+            vector = embed_text(self.question, self.provider, self.cache)
+            self._question = (vector, _norm(vector))
+        return self._question[0]
+
+    def score(self, text: str) -> float:
+        score = self._scores.get(text)
+        if score is None:
+            question = self.question_vector()
+            vector = embed_text(text, self.provider, self.cache)
+            score = self._scores[text] = _cosine(question, self._question[1], vector)
+        return score
 
 
 class DeterministicEmbedder:
@@ -120,29 +154,25 @@ class DeterministicEmbedder:
     normalization uses only correctly rounded IEEE operations.
     """
 
+    _WORDS = struct.Struct("<8q")  # one 64-byte digest -> eight signed 64-bit ints
+
     def __init__(self, seed: int = 0, dimension: int = 64) -> None:
         if dimension < 2:
             raise ValueError("dimension must be >= 2")
         self.seed = seed
         self.dimension = dimension
-        self._key = seed.to_bytes(8, "little", signed=True)
+        key = seed.to_bytes(8, "little", signed=True)
+        # one digest per eight components, keyed by seed and counter
+        self._keys = [key + counter.to_bytes(4, "little") for counter in range(ceil(dimension / 8))]
 
     def embed(self, text: str) -> Vector:
         data = text.encode("utf-8")
         components: list[float] = []
-        counter = 0
-        while len(components) < self.dimension:
-            digest = hashlib.blake2b(
-                data, key=self._key + counter.to_bytes(4, "little"), digest_size=64
-            ).digest()
-            for offset in range(0, 64, 8):
-                components.append(
-                    float(int.from_bytes(digest[offset : offset + 8], "little", signed=True))
-                )
-                if len(components) == self.dimension:
-                    break
-            counter += 1
-        norm = sqrt(fsum(x * x for x in components))
+        for key in self._keys:
+            digest = hashlib.blake2b(data, key=key, digest_size=64).digest()
+            components.extend(map(float, self._WORDS.unpack(digest)))
+        del components[self.dimension :]
+        norm = _norm(components)
         if norm == 0.0:  # unreachable in practice; keep the contract total
             components[0] = 1.0
             norm = 1.0

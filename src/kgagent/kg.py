@@ -72,6 +72,12 @@ class KnowledgeGraph:
         """Human-readable label, falling back to the raw id."""
         return self.labels.get(identifier, identifier)
 
+    def render_triple(self, triple: Triple) -> str:
+        """Labeled "(head, relation, tail)"."""
+        label = self.labels.get
+        head, relation, tail = triple.head, triple.relation, triple.tail
+        return f"({label(head, head)}, {label(relation, relation)}, {label(tail, tail)})"
+
     def get_neighbors(self, entity: EntityId, limit: int | None = None) -> list[Triple]:
         """Triples with the given entity as head, in load order.
 

@@ -225,7 +225,7 @@ class HttpChatProvider:
                         f"completion rejected with status {response.status_code}: "
                         f"{response.text[:200]}"
                     )
-                return response.json()["choices"][0]["message"]["content"]
+                return _completion_content(response.json())
             except requests.RequestException as exc:
                 last_error = exc
                 if attempt + 1 < config.retries:
@@ -233,3 +233,14 @@ class HttpChatProvider:
         raise LLMProviderError(
             f"completion failed after {config.retries} attempts: {last_error}"
         ) from last_error
+
+
+def _completion_content(body) -> str:
+    """The reply text of a chat completion body; a malformed body is not retried."""
+    try:
+        content = body["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise LLMProviderError(f"malformed completion body: {exc!r}") from exc
+    if not isinstance(content, str):
+        raise LLMProviderError(f"completion content is {type(content).__name__}, not str")
+    return content

@@ -46,9 +46,6 @@ class Memory:
     def is_empty(self) -> bool:
         return not self.paths
 
-    def copy(self) -> "Memory":
-        return Memory([MemoryPath(list(path.links)) for path in self.paths])
-
 
 def integrate(memory: Memory, reflected: Iterable[Triple]) -> Memory:
     """Fold reflected triples into the path network, in order.
@@ -70,15 +67,7 @@ def integrate(memory: Memory, reflected: Iterable[Triple]) -> Memory:
 
 def render_memory(memory: Memory, kg: KnowledgeGraph) -> str:
     """One line per path; links rendered with labels and joined by " -> "."""
-    lines = []
-    for path in memory.paths:
-        lines.append(
-            " -> ".join(
-                f"({kg.label_of(t.head)}, {kg.label_of(t.relation)}, {kg.label_of(t.tail)})"
-                for t in path.links
-            )
-        )
-    return "\n".join(lines)
+    return "\n".join(" -> ".join(map(kg.render_triple, path.links)) for path in memory.paths)
 
 
 def serialize_memory(memory: Memory) -> str:

@@ -1,22 +1,27 @@
 """Recursive update/refine observation over the knowledge graph.
 
-Each seed entity is walked independently for up to depth_limit turns. A turn
-collects the out-edges of the current frontier, scores every candidate
-against the question embedding, appends the top_n best (skipping triples the
-subgraph already holds), and promotes the tails of the top refine_percent of
-that selection to the next frontier, never revisiting an entity for the same
-seed. The selection is ranked before deduplication so that seeds stay
-independent of each other.
+Each seed entity is walked independently for up to depth_limit turns (or,
+with global_pool, all seeds share one walk). A turn collects the out-edges of
+the current frontier, scores every candidate against the question embedding,
+appends the top_n best (skipping triples the subgraph already holds), and
+promotes the tails of the top refine_percent of that selection to the next
+frontier, never revisiting an entity for the same seed. The selection is
+ranked before deduplication so that seeds stay independent of each other.
+
+Scores come from a QuestionScorer: the question is embedded once per agent
+run, and each distinct "relation tail" text is scored once per question, so
+repeated turns and observe calls reuse the same floats bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from math import ceil
 from typing import Iterable
 
-from .embedding import EmbeddingCache, EmbeddingProvider, embed_text, score_candidate
+from .embedding import EmbeddingCache, EmbeddingProvider, QuestionScorer, combined_text
 from .kg import EntityId, KnowledgeGraph, Triple
 
 
@@ -85,30 +90,25 @@ class ObservationSubgraph:
         return [entry.triple for entry in self.entries]
 
 
-def rank_scored_triples(pairs: Iterable[tuple[float, Triple]]) -> list[tuple[float, Triple]]:
-    """Descending score; ties break on lexicographic (head, relation, tail)."""
-    return sorted(pairs, key=lambda pair: (-pair[0], pair[1].as_tuple()))
-
-
-def _score_all(
-    candidates: list[Triple],
-    question_vector,
-    kg: KnowledgeGraph,
-    provider: EmbeddingProvider,
-    cache: EmbeddingCache | None,
+def rank_scored_triples(
+    pairs: Iterable[tuple[float, Triple]], limit: int
 ) -> list[tuple[float, Triple]]:
+    """The first limit pairs by descending score, ties broken on lexicographic
+    (head, relation, tail); equal to a full sort cut at limit."""
+    return heapq.nsmallest(limit, pairs, key=lambda pair: (-pair[0], pair[1].as_tuple()))
+
+
+def top_scored(
+    candidates: Iterable[Triple], kg: KnowledgeGraph, scorer: QuestionScorer, limit: int
+) -> list[tuple[float, Triple]]:
+    """The limit best candidates by the similarity of their relation+tail text."""
+    label = kg.label_of
     return rank_scored_triples(
         (
-            score_candidate(
-                question_vector,
-                kg.label_of(triple.relation),
-                kg.label_of(triple.tail),
-                provider,
-                cache,
-            ),
-            triple,
-        )
-        for triple in candidates
+            (scorer.score(combined_text(label(triple.relation), label(triple.tail))), triple)
+            for triple in candidates
+        ),
+        limit,
     )
 
 
@@ -119,67 +119,49 @@ def observe(
     params: ObservationParams,
     provider: EmbeddingProvider,
     cache: EmbeddingCache | None = None,
+    *,
+    scorer: QuestionScorer | None = None,
 ) -> ObservationSubgraph:
     """Run the depth-bounded update/refine walk from every seed entity.
 
-    The question is embedded once and reused for all candidate scores.
-    Seeds missing from the graph contribute nothing.
+    Candidates are scored through scorer, which must be built for this
+    question (one is made from provider and cache when absent): the
+    question is embedded once per scorer and each distinct relation+tail
+    text is scored once per scorer, however many turns, seeds and calls
+    reach it. Seeds missing from the graph contribute nothing.
     """
     seeds = list(dict.fromkeys(entities))
     if not seeds:
         raise ValueError("observe requires at least one seed entity")
-    question_vector = embed_text(question, provider, cache)
+    scorer = scorer or QuestionScorer(question, provider, cache)
+    scorer.question_vector()  # first, even when no seed has edges: fixes the provider's call order
     subgraph = ObservationSubgraph()
-
     if params.global_pool:
-        _observe_pool(kg, question_vector, seeds, params, provider, cache, subgraph)
-        return subgraph
-
-    for seed in seeds:
-        frontier = [seed]
-        visited = {seed}
-        for depth in range(params.depth_limit):
-            candidates = [t for entity in frontier for t in kg.get_neighbors(entity)]
-            if not candidates:
-                break
-            selected = _score_all(candidates, question_vector, kg, provider, cache)
-            selected = selected[: params.top_n]
-            appended = []
-            for score, triple in selected:
-                entry = ScoredTriple(triple, score, depth, seed)
-                if subgraph.add(entry):
-                    appended.append(entry)
-            tails = [triple.tail for _, triple in selected[: params.refine_count]]
-            frontier = [t for t in dict.fromkeys(tails) if t not in visited]
-            visited.update(frontier)
-            subgraph.turns.append(
-                TurnRecord(seed, depth, len(candidates), appended, list(frontier))
-            )
-            if not frontier:
-                break
+        _walk(kg, seeds, None, params, scorer, subgraph)
+    else:
+        for seed in seeds:
+            _walk(kg, [seed], seed, params, scorer, subgraph)
     return subgraph
 
 
-def _observe_pool(
+def _walk(
     kg: KnowledgeGraph,
-    question_vector,
-    seeds: list[EntityId],
+    group: list[EntityId],
+    turn_seed: EntityId | None,
     params: ObservationParams,
-    provider: EmbeddingProvider,
-    cache: EmbeddingCache | None,
+    scorer: QuestionScorer,
     subgraph: ObservationSubgraph,
 ) -> None:
-    # Single shared frontier; entries attribute each triple to the seed whose
-    # walk first reached its head.
-    origin = {seed: seed for seed in seeds}
-    frontier = list(seeds)
-    visited = set(seeds)
+    # One shared frontier for the group; entries attribute each triple to the
+    # seed whose walk first reached its head.
+    origin = {seed: seed for seed in group}
+    frontier = list(group)
+    visited = set(group)
     for depth in range(params.depth_limit):
         candidates = [t for entity in frontier for t in kg.get_neighbors(entity)]
         if not candidates:
             break
-        selected = _score_all(candidates, question_vector, kg, provider, cache)
-        selected = selected[: params.top_n]
+        selected = top_scored(candidates, kg, scorer, params.top_n)
         appended = []
         for score, triple in selected:
             entry = ScoredTriple(triple, score, depth, origin[triple.head])
@@ -191,18 +173,16 @@ def _observe_pool(
             tails.append(triple.tail)
         frontier = [t for t in dict.fromkeys(tails) if t not in visited]
         visited.update(frontier)
-        subgraph.turns.append(TurnRecord(None, depth, len(candidates), appended, list(frontier)))
+        subgraph.turns.append(
+            TurnRecord(turn_seed, depth, len(candidates), appended, list(frontier))
+        )
         if not frontier:
             break
 
 
 def render_observation(observation: ObservationSubgraph, kg: KnowledgeGraph) -> str:
     """Labeled "(head, relation, tail)" tuples in entry order."""
-    return ", ".join(
-        f"({kg.label_of(e.triple.head)}, {kg.label_of(e.triple.relation)}, "
-        f"{kg.label_of(e.triple.tail)})"
-        for e in observation.entries
-    )
+    return ", ".join(kg.render_triple(entry.triple) for entry in observation.entries)
 
 
 def dump_turns(observation: ObservationSubgraph) -> str:

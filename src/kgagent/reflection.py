@@ -10,12 +10,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .embedding import EmbeddingCache, EmbeddingProvider, embed_text, score_candidate
+from .embedding import EmbeddingCache, EmbeddingProvider, QuestionScorer
 from .kg import EntityId, KnowledgeGraph, Triple
 from .action import fill_template, load_template
 from .llm import CompletionRequest, LLMProvider
 from .memory import Memory, render_memory
-from .observation import ObservationSubgraph, rank_scored_triples, render_observation
+from .observation import ObservationSubgraph, render_observation, top_scored
 
 logger = logging.getLogger(__name__)
 
@@ -54,13 +54,6 @@ class ReflectionResult:
         return not self.kept
 
 
-def _render_candidates(candidates: Sequence[Triple], kg: KnowledgeGraph) -> str:
-    return ", ".join(
-        f"({kg.label_of(t.head)}, {kg.label_of(t.relation)}, {kg.label_of(t.tail)})"
-        for t in candidates
-    )
-
-
 def _candidate_labels(candidates: Sequence[Triple], kg: KnowledgeGraph) -> str:
     identifiers: dict[str, None] = {}
     for triple in candidates:
@@ -93,7 +86,7 @@ def build_reflection_prompt(
     return fill_template(
         template,
         {
-            "Triples": _render_candidates(candidates, kg),
+            "Triples": ", ".join(map(kg.render_triple, candidates)),
             "EntityLabels": _candidate_labels(candidates, kg),
             "Question": question,
             "Observation": render_observation(observation, kg),
@@ -170,25 +163,19 @@ def reflect_similarity(
     params: ReflectionParams,
     provider: EmbeddingProvider,
     cache: EmbeddingCache | None = None,
+    *,
+    scorer: QuestionScorer | None = None,
 ) -> ReflectionResult:
-    """Rank candidates by relation+tail similarity to the question; keep top k."""
+    """Rank candidates by relation+tail similarity to the question; keep top k.
+
+    scorer, when given, must be built for this question; observation and
+    reflection then share its memoized scores.
+    """
     if not candidates:
         return ReflectionResult()
-    question_vector = embed_text(question, provider, cache)
-    ranked = rank_scored_triples(
-        (
-            score_candidate(
-                question_vector,
-                kg.label_of(triple.relation),
-                kg.label_of(triple.tail),
-                provider,
-                cache,
-            ),
-            triple,
-        )
-        for triple in candidates
-    )
-    return ReflectionResult.from_kept([triple for _, triple in ranked[: params.k_max]])
+    scorer = scorer or QuestionScorer(question, provider, cache)
+    ranked = top_scored(candidates, kg, scorer, params.k_max)
+    return ReflectionResult.from_kept([triple for _, triple in ranked])
 
 
 def reflect_random(

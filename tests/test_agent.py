@@ -258,3 +258,63 @@ class TestTraceAndConfig:
         assert config.path_max_len == 3
         assert config.temperature == 0.4
         assert config.max_tokens == 500
+
+
+class CountingEmbedder(DeterministicEmbedder):
+    """Records every text the agent asks to embed."""
+
+    def __init__(self) -> None:
+        super().__init__(seed=7, dimension=32)
+        self.calls: list[str] = []
+
+    def embed(self, text: str):
+        self.calls.append(text)
+        return super().embed(text)
+
+
+class TestEmbeddingCalls:
+    """Without a cache, a run embeds the question and each distinct text once."""
+
+    SIMILARITY_SCRIPT = [
+        ("substring", "Candidate EntityIDs: Q1490", "Action: GetNeighbor\nEntity_id: Q1490"),
+        ("substring", "Candidate EntityIDs:", "Action: Answer"),
+        ("substring", "reference memory", "Shinjuku"),
+    ]
+
+    @staticmethod
+    def _run(kg, script, strategy):
+        from conftest import make_script_provider
+
+        embedder = CountingEmbedder()
+        providers = Providers(
+            llm=make_script_provider(script, sequential=strategy != "similarity"),
+            embedder=embedder,
+        )
+        config = AgentConfig(reflection=ReflectionParams(strategy=strategy))
+        result = run(TOKYO_QUESTION, ["Q1490"], kg, providers, config)
+        return result, embedder.calls
+
+    @staticmethod
+    def _texts(kg, triples):
+        return {f"{kg.label_of(t.relation)} {kg.label_of(t.tail)}" for t in triples}
+
+    @pytest.mark.parametrize("strategy", ["oda", "similarity"])
+    def test_one_call_per_distinct_text(self, tokyo_kg, strategy):
+        script = TOKYO_SCRIPT if strategy == "oda" else self.SIMILARITY_SCRIPT
+        result, calls = self._run(tokyo_kg, script, strategy)
+        assert len(result.trace.iterations) == 2  # observe runs twice
+        assert calls[0] == TOKYO_QUESTION
+        assert len(calls) == len(set(calls))
+        # the walk from Q1490 reaches every triple of the fixture graph
+        assert set(calls[1:]) == self._texts(tokyo_kg, tokyo_kg.triples)
+
+    def test_no_observation_never_embeds(self, tokyo_kg):
+        script = [
+            ("substring", "Candidate EntityIDs: Q1490", "Action: GetNeighbor\nEntity_id: Q1490"),
+            ("substring", "select related triples", "Q1490,P36,Q192724"),
+            ("substring", "Candidate EntityIDs: Q192724", "Action: Answer"),
+            ("substring", "reference memory", "Shinjuku"),
+        ]
+        result, calls = self._run(tokyo_kg, script, "no_observation")
+        assert result.answers == ["Shinjuku"]
+        assert calls == []

@@ -259,3 +259,106 @@ class TestCache:
         cache = EmbeddingCache()
         embed_text("one", embedder, cache)
         assert len(cache) == 1
+
+
+def frozen_deterministic_embed(seed: int, dimension: int, text: str):
+    """DeterministicEmbedder.embed as first written: sliced int.from_bytes per component."""
+    import hashlib
+    from math import fsum, sqrt
+
+    key = seed.to_bytes(8, "little", signed=True)
+    data = text.encode("utf-8")
+    components: list[float] = []
+    counter = 0
+    while len(components) < dimension:
+        digest = hashlib.blake2b(
+            data, key=key + counter.to_bytes(4, "little"), digest_size=64
+        ).digest()
+        for offset in range(0, 64, 8):
+            components.append(
+                float(int.from_bytes(digest[offset : offset + 8], "little", signed=True))
+            )
+            if len(components) == dimension:
+                break
+        counter += 1
+    norm = sqrt(fsum(x * x for x in components))
+    return tuple(x / norm for x in components)
+
+
+class TableProvider:
+    """Returns fixed vectors per text and records every embed call."""
+
+    def __init__(self, vectors: dict) -> None:
+        self.vectors = vectors
+        self.dimension = len(next(iter(vectors.values())))
+        self.calls: list[str] = []
+
+    def embed(self, text: str):
+        self.calls.append(text)
+        return self.vectors[text]
+
+
+class TestQuestionScorer:
+    def test_bit_identical_to_cosine_on_non_unit_vectors(self):
+        from kgagent.embedding import QuestionScorer
+
+        rng = random.Random(101)
+        for dimension in (2, 5, 32):
+            vectors = {
+                text: tuple(rng.uniform(-7, 7) for _ in range(dimension))
+                for text in ["question"] + [f"text {i}" for i in range(40)]
+            }
+            scorer = QuestionScorer("question", TableProvider(vectors))
+            for text in vectors:
+                assert scorer.score(text) == cosine(vectors["question"], vectors[text])
+
+    def test_bit_identical_to_score_candidate(self, embedder):
+        from kgagent.embedding import QuestionScorer
+
+        question = "What is the capital of the prefecture Tokyo ?"
+        scorer = QuestionScorer(question, embedder, EmbeddingCache())
+        question_vector = embedder.embed(question)
+        for relation, tail in [("capital", "Shinjuku"), ("country", "Japan"), ("a", "")]:
+            assert scorer.score(combined_text(relation, tail)) == score_candidate(
+                question_vector, relation, tail, embedder
+            )
+
+    def test_each_text_embedded_once_question_first_and_lazily(self):
+        from kgagent.embedding import QuestionScorer
+
+        vectors = {"q": (1.0, 2.0), "a": (3.0, -1.0), "b": (0.5, 0.5)}
+        provider = TableProvider(vectors)
+        scorer = QuestionScorer("q", provider)
+        assert provider.calls == []
+        first = [scorer.score(text) for text in ("a", "b", "a", "b")]
+        assert provider.calls == ["q", "a", "b"]
+        assert first[0] == first[2] and first[1] == first[3]
+        assert scorer.question_vector() == (1.0, 2.0)
+        assert provider.calls == ["q", "a", "b"]
+
+    def test_dimension_mismatch_raises(self):
+        from kgagent.embedding import QuestionScorer
+
+        provider = TableProvider({"q": (1.0, 2.0), "a": (1.0, 2.0, 3.0)})
+        with pytest.raises(EmbeddingError):
+            QuestionScorer("q", provider).score("a")
+
+    def test_zero_norm_raises(self):
+        from kgagent.embedding import QuestionScorer
+
+        provider = TableProvider({"q": (1.0, 2.0), "zero": (0.0, 0.0), "zq": (0.0, 0.0)})
+        with pytest.raises(EmbeddingError):
+            QuestionScorer("q", provider).score("zero")
+        with pytest.raises(EmbeddingError):
+            QuestionScorer("zq", provider).score("q")
+
+
+class TestDeterministicEmbedderFrozen:
+    @pytest.mark.parametrize("dimension", [2, 7, 8, 9, 64, 256])
+    @pytest.mark.parametrize("seed", [0, 1, -3])
+    def test_matches_frozen_loop(self, seed, dimension):
+        from kgagent.embedding import DeterministicEmbedder
+
+        provider = DeterministicEmbedder(seed=seed, dimension=dimension)
+        for text in ("", "probe", "capital Shinjuku", "множество", "a b c d" * 40):
+            assert provider.embed(text) == frozen_deterministic_embed(seed, dimension, text)

@@ -186,3 +186,44 @@ class TestRunEval:
         kg, records, factory = _merged_fixture()
         report = run_eval(records, kg, factory)
         assert {"wall_seconds", "mean", "p50", "p90", "p99", "max"} <= set(report.timing)
+
+
+class TestMalformedProviderBody:
+    def test_run_eval_records_error_and_writes_partial_trace(self, tokyo_kg, tmp_path):
+        from kgagent.agent import Providers
+        from kgagent.embedding import DeterministicEmbedder
+        from kgagent.llm import HttpChatConfig, HttpChatProvider
+
+        class EmptyBodySession:
+            def __init__(self) -> None:
+                self.calls = 0
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                self.calls += 1
+
+                class Response:
+                    status_code = 200
+                    text = "{}"
+
+                    @staticmethod
+                    def json() -> dict:
+                        return {}
+
+                return Response()
+
+        session = EmptyBodySession()
+        providers = Providers(
+            llm=HttpChatProvider(
+                HttpChatConfig("http://fake", "model-x", backoff=0.0), session=session
+            ),
+            embedder=DeterministicEmbedder(seed=7, dimension=32),
+        )
+        records = [DatasetRecord(TOKYO_QUESTION, ["Q1490"], ["Shinjuku"])]
+        report = run_eval(records, tokyo_kg, providers, out_dir=tmp_path)
+        outcome = report.outcomes[0]
+        assert outcome.hit == 0
+        assert "malformed completion body" in outcome.error
+        assert session.calls == 1
+        trace = json.loads((tmp_path / "traces" / "q00000.json").read_text(encoding="utf-8"))
+        assert trace["question"] == TOKYO_QUESTION
+        assert "malformed completion body" in trace["error"]

@@ -190,6 +190,35 @@ class TestHttpChatProvider:
         assert session.calls[0]["headers"] == {"Authorization": "Bearer sk-test"}
 
 
+class BodyResponse(FakeResponse):
+    """A 200 response whose JSON body is given verbatim."""
+
+    def __init__(self, body) -> None:
+        super().__init__(200)
+        self._body = body
+
+    def json(self):
+        return self._body
+
+
+class TestMalformedCompletionBody:
+    @pytest.mark.parametrize(
+        "body",
+        [{}, {"choices": []}, {"choices": [{}]}, {"choices": [{"message": None}]},
+         {"choices": [{"message": {"content": None}}]}, ["choices"]],
+    )
+    def test_maps_to_provider_error_without_retry(self, body):
+        from kgagent.llm import HttpChatConfig, HttpChatProvider, LLMProviderError
+
+        session = FakeSession([BodyResponse(body)] * 3)
+        provider = HttpChatProvider(
+            HttpChatConfig("http://fake", "model-x", retries=3, backoff=0.0), session=session
+        )
+        with pytest.raises(LLMProviderError, match="malformed completion body|content is"):
+            provider.complete(CompletionRequest.user("hi"))
+        assert len(session.calls) == 1
+
+
 @pytest.mark.skipif(
     "KGAGENT_LIVE_LLM_ENDPOINT" not in os.environ,
     reason="live smoke test needs KGAGENT_LIVE_LLM_ENDPOINT / KGAGENT_LIVE_LLM_MODEL",

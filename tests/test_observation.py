@@ -14,6 +14,7 @@ from kgagent.observation import (
     ScoredTriple,
     dump_turns,
     observe,
+    rank_scored_triples,
     render_observation,
 )
 
@@ -267,3 +268,17 @@ class TestRendering:
         for line in lines:
             record = json.loads(line)
             assert {"seed", "depth", "candidates", "appended", "frontier"} <= set(record)
+
+
+class TestRankLimit:
+    def test_limit_equals_sorted_prefix_on_ties(self):
+        rng = random.Random(103)
+        for _ in range(50):
+            pairs = [
+                (rng.choice([0.5, -0.25, 0.0, -0.0, 1.0]),
+                 Triple(f"Q{rng.randrange(4)}", f"P{rng.randrange(3)}", f"Q{rng.randrange(4)}"))
+                for _ in range(rng.randrange(0, 40))
+            ]
+            full = sorted(pairs, key=lambda pair: (-pair[0], pair[1].as_tuple()))
+            for limit in (0, 1, 3, 10, 50):
+                assert rank_scored_triples(iter(pairs), limit) == full[:limit]
