@@ -128,22 +128,22 @@ class QuestionScorer:
         self.question = question
         self.provider = provider
         self.cache = cache
-        self._question: tuple[Vector, float] | None = None
+        self._embedded: tuple[Vector, float] | None = None
         self._scores: dict[str, float] = {}
 
     def question_vector(self) -> Vector:
         """The question's embedding; the first call embeds it."""
-        if self._question is None:
+        if self._embedded is None:
             vector = embed_text(self.question, self.provider, self.cache)
-            self._question = (vector, _norm(vector))
-        return self._question[0]
+            self._embedded = (vector, _norm(vector))
+        return self._embedded[0]
 
     def score(self, text: str) -> float:
         score = self._scores.get(text)
         if score is None:
             question = self.question_vector()
             vector = embed_text(text, self.provider, self.cache)
-            score = self._scores[text] = _cosine(question, self._question[1], vector)
+            score = self._scores[text] = _cosine(question, self._embedded[1], vector)
         return score
 
 
