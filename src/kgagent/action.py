@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .kg import EntityId, KnowledgeGraph, Triple
 from .llm import CompletionRequest, LLMProvider
@@ -91,8 +91,17 @@ def fill_template(template: str, slots: Mapping[str, str]) -> str:
     return template
 
 
-def _labels_line(kg: KnowledgeGraph, identifiers: Iterable[str]) -> str:
-    return ", ".join(f"{i}: {kg.label_of(i)}" for i in dict.fromkeys(identifiers))
+def observed_template(name: str, observation: ObservationSubgraph) -> str:
+    """The named template, without its [Observation] line when the subgraph is empty."""
+    template = load_template(name)
+    if not observation.is_empty():
+        return template
+    return "\n".join(line for line in template.splitlines() if "[Observation]" not in line) + "\n"
+
+
+def _memory_text(memory: Memory, kg: KnowledgeGraph, memory_extra: str) -> str:
+    """Rendered memory, then memory_extra on its own line; empty parts are left out."""
+    return "\n".join(filter(None, (render_memory(memory, kg), memory_extra)))
 
 
 def build_action_prompt(
@@ -111,22 +120,14 @@ def build_action_prompt(
     """
     if not candidates:
         raise ValueError("build_action_prompt requires at least one candidate entity")
-    template = load_template("action.txt")
-    if observation.is_empty():
-        template = "\n".join(
-            line for line in template.splitlines() if "[Observation]" not in line
-        ) + "\n"
-    memory_text = render_memory(memory, kg)
-    if memory_extra:
-        memory_text = f"{memory_text}\n{memory_extra}" if memory_text else memory_extra
     return fill_template(
-        template,
+        observed_template("action.txt", observation),
         {
             "Question": question,
-            "Memory": memory_text,
+            "Memory": _memory_text(memory, kg, memory_extra),
             "Candidates": ", ".join(candidates),
             "Observation": render_observation(observation, kg),
-            "Labels": _labels_line(kg, candidates),
+            "Labels": kg.render_legend(candidates),
             "ActionHistory": history.render(),
             "GetNeighborOnly": GETNEIGHBOR_ONLY_NOTE if len(candidates) < 2 else "",
         },
@@ -210,11 +211,9 @@ def build_answer_prompt(
     question: str, memory: Memory, kg: KnowledgeGraph, memory_extra: str = ""
 ) -> str:
     """Fill the answer template (templates/answer.txt) from memory."""
-    memory_text = render_memory(memory, kg)
-    if memory_extra:
-        memory_text = f"{memory_text}\n{memory_extra}" if memory_text else memory_extra
     return fill_template(
-        load_template("answer.txt"), {"Memory": memory_text, "Question": question}
+        load_template("answer.txt"),
+        {"Memory": _memory_text(memory, kg, memory_extra), "Question": question},
     )
 
 

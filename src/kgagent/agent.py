@@ -11,7 +11,7 @@ import re
 import time
 from dataclasses import dataclass, field, asdict
 from random import Random
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from .action import (
     ActionAttempt,
@@ -314,26 +314,54 @@ def _final_answer(
     return answers
 
 
-def _substitute_labels(text: str, kg: KnowledgeGraph) -> str:
-    if not kg.labels:
-        return text
-    pattern = re.compile(
-        r"\b(" + "|".join(re.escape(i) for i in sorted(kg.labels, key=len, reverse=True)) + r")\b"
-    )
-    return pattern.sub(lambda match: kg.labels[match.group(1)], text)
+_BOUNDARY_RE = re.compile(r"\b")
+
+
+def _label_substituter(labels: Mapping[str, str]) -> Callable[[str], str]:
+    r"""Replace word-bounded ids by their labels.
+
+    Gives what ``re.sub(r"\b(id|...)\b", ...)`` over all ids sorted longest
+    first gives, without building that pattern: scanning word boundaries left
+    to right past the last replacement, the longest id that starts at one
+    boundary and ends at another is replaced.
+    """
+    lengths = sorted({len(i) for i in labels}, reverse=True)
+
+    def substitute(text: str) -> str:
+        bounds = [match.start() for match in _BOUNDARY_RE.finditer(text)]
+        ends = set(bounds)
+        pieces, done = [], 0
+        for start in bounds:
+            if start < done:
+                continue
+            for length in lengths:
+                end = start + length
+                label = labels.get(text[start:end]) if end in ends else None
+                if label is not None:
+                    pieces += (text[done:start], label)
+                    done = end
+                    break
+        return "".join(pieces) + text[done:]
+
+    return substitute
 
 
 def render_case(trace: AgentTrace, kg: KnowledgeGraph) -> str:
-    """Readable transcript with entity ids replaced by their labels."""
+    """Readable transcript with entity ids replaced by their labels.
+
+    Ids are found by a word-bounded, longest-id-first dict lookup, so the
+    cost per text does not depend on how many labels the graph has.
+    """
     if not trace.iterations and not trace.answers:
         return ""
+    substitute = _label_substituter(kg.labels)
     lines = [f"Question: {trace.question}"]
     for record in trace.iterations:
         lines.append(f"--- Iteration {record.index} ---")
-        lines.append(_substitute_labels(record.action_response, kg))
-        lines.append(f"Executed: {_substitute_labels(record.action, kg)}")
+        lines.append(substitute(record.action_response))
+        lines.append(f"Executed: {substitute(record.action)}")
         if record.reflection_response is not None:
-            lines.append(_substitute_labels(record.reflection_response, kg))
+            lines.append(substitute(record.reflection_response))
         if record.reflected:
             lines.append("Reflected: " + ", ".join(map(kg.render_triple, record.reflected)))
         if record.facts:

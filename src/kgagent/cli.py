@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .agent import AgentConfig, AgentError, Providers, render_case, run, trace_to_json
@@ -12,8 +13,7 @@ from .embedding import DeterministicEmbedder, EmbeddingCache, HttpEmbedder
 from .evaluation import load_dataset, run_eval
 from .kg import extract_khop_subgraph, load_kg, load_labels, load_triples, save_kg
 from .llm import HttpChatConfig, HttpChatProvider, ScriptedProvider, load_script
-from .observation import ObservationParams
-from .reflection import STRATEGIES, ReflectionParams
+from .reflection import STRATEGIES
 
 
 def _build_config(args: argparse.Namespace) -> AgentConfig:
@@ -24,12 +24,9 @@ def _build_config(args: argparse.Namespace) -> AgentConfig:
     if getattr(args, "max_iterations", None) is not None:
         config.max_iterations = args.max_iterations
     if getattr(args, "strategy", None):
-        config.reflection = ReflectionParams(config.reflection.k_max, args.strategy)
+        config.reflection = replace(config.reflection, strategy=args.strategy)
     if getattr(args, "depth", None) is not None:
-        config.observation = ObservationParams(
-            args.depth, config.observation.top_n, config.observation.refine_percent,
-            config.observation.global_pool,
-        )
+        config.observation = replace(config.observation, depth_limit=args.depth)
     if getattr(args, "seed", None) is not None:
         config.random_seed = args.seed
     if getattr(args, "timeout", None) is not None:

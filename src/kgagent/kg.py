@@ -78,6 +78,10 @@ class KnowledgeGraph:
         head, relation, tail = triple.head, triple.relation, triple.tail
         return f"({label(head, head)}, {label(relation, relation)}, {label(tail, tail)})"
 
+    def render_legend(self, identifiers: Iterable[str]) -> str:
+        """Comma-separated "id: label" pairs, each id once in first-seen order."""
+        return ", ".join(f"{i}: {self.label_of(i)}" for i in dict.fromkeys(identifiers))
+
     def get_neighbors(self, entity: EntityId, limit: int | None = None) -> list[Triple]:
         """Triples with the given entity as head, in load order.
 

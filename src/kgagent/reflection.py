@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .embedding import EmbeddingCache, EmbeddingProvider, QuestionScorer
 from .kg import EntityId, KnowledgeGraph, Triple
-from .action import fill_template, load_template
+from .action import fill_template, observed_template
 from .llm import CompletionRequest, LLMProvider
 from .memory import Memory, render_memory
 from .observation import ObservationSubgraph, render_observation, top_scored
@@ -54,14 +54,6 @@ class ReflectionResult:
         return not self.kept
 
 
-def _candidate_labels(candidates: Sequence[Triple], kg: KnowledgeGraph) -> str:
-    identifiers: dict[str, None] = {}
-    for triple in candidates:
-        for identifier in triple.as_tuple():
-            identifiers.setdefault(identifier)
-    return ", ".join(f"{i}: {kg.label_of(i)}" for i in identifiers)
-
-
 def build_reflection_prompt(
     question: str,
     candidates: Sequence[Triple],
@@ -78,16 +70,11 @@ def build_reflection_prompt(
     """
     if not candidates:
         raise ValueError("build_reflection_prompt requires candidate triples")
-    template = load_template("reflection.txt")
-    if observation.is_empty():
-        template = "\n".join(
-            line for line in template.splitlines() if "[Observation]" not in line
-        ) + "\n"
     return fill_template(
-        template,
+        observed_template("reflection.txt", observation),
         {
             "Triples": ", ".join(map(kg.render_triple, candidates)),
-            "EntityLabels": _candidate_labels(candidates, kg),
+            "EntityLabels": kg.render_legend(i for t in candidates for i in t.as_tuple()),
             "Question": question,
             "Observation": render_observation(observation, kg),
             "Memory": render_memory(memory, kg),

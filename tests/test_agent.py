@@ -1,12 +1,18 @@
 from __future__ import annotations
 
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgagent import agent
 from kgagent.agent import (
     AgentConfig,
     AgentError,
     AgentTrace,
     Providers,
+    _label_substituter,
     render_case,
     run,
     trace_to_json,
@@ -23,6 +29,7 @@ from conftest import (
     LONDON_SCRIPT,
     TOKYO_QUESTION,
     TOKYO_SCRIPT,
+    TOKYO_TRIPLES,
     make_kg,
     make_providers,
 )
@@ -318,3 +325,71 @@ class TestEmbeddingCalls:
         result, calls = self._run(tokyo_kg, script, "no_observation")
         assert result.answers == ["Shinjuku"]
         assert calls == []
+
+
+def _regex_substitute_labels(text: str, labels: dict[str, str]) -> str:
+    """The former rendering: one alternation over all ids, longest first."""
+    if not labels:
+        return text
+    pattern = re.compile(
+        r"\b(" + "|".join(re.escape(i) for i in sorted(labels, key=len, reverse=True)) + r")\b"
+    )
+    return pattern.sub(lambda match: labels[match.group(1)], text)
+
+
+# Ids as the loaders accept them (non-empty, no tab or newline): Freebase-style
+# mids, prefixes of one another, punctuation at either edge, non-ASCII letters
+# and digits.
+SPECIAL_IDS = ["m.0abc", "m.0ab", "Q1", "Q10", "Q1490", "P31", "(Q1", "Q1)", ".x", "x.",
+               "-", "é", "Ωμ", "٣٤", "Q٣", "a b", "_", "m.0abc."]
+_ID_CHARS = st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",))
+_IDS = st.sets(
+    st.one_of(st.sampled_from(SPECIAL_IDS), st.text(_ID_CHARS, min_size=1, max_size=6)),
+    max_size=10,
+)
+_FILLER = st.text(st.sampled_from(" ,.()-_:é٣Qm0abc1"), max_size=4)
+
+
+class TestLabelSubstitution:
+    @settings(max_examples=400, deadline=None)
+    @given(ids=_IDS, data=st.data())
+    def test_equals_the_regex_alternation(self, ids, data):
+        labels = {identifier: f"<{n}>" for n, identifier in enumerate(sorted(ids))}
+        pool = sorted(ids) + SPECIAL_IDS
+        pieces = data.draw(st.lists(st.one_of(st.sampled_from(pool), _FILLER), max_size=12))
+        text = "".join(pieces)
+        assert _label_substituter(labels)(text) == _regex_substitute_labels(text, labels)
+
+    def test_longest_id_and_word_bounds(self):
+        labels = {"Q1": "one", "Q10": "ten", "m.0abc": "Mid", "m.0": "short"}
+        substitute = _label_substituter(labels)
+        assert substitute("Q10 Q1 Q100 m.0abc m.0abcd") == "ten one Q100 Mid m.0abcd"
+        assert substitute("Q1,Q10.m.0abc") == "one,ten.Mid"
+
+    def test_empty_label_map_returns_text_unchanged(self, tokyo_kg):
+        text = "Action: GetNeighbor\nEntity_id: Q1490, m.0abc"
+        assert _label_substituter({})(text) == text
+        result = run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, make_providers(TOKYO_SCRIPT))
+        rendered = render_case(result.trace, make_kg(TOKYO_TRIPLES, {}))
+        assert "Executed: GetNeighbor(Q1490)" in rendered
+        assert result.trace.iterations[0].action_response in rendered
+
+    @pytest.mark.parametrize(
+        "kg_fixture, question, seeds, script",
+        [
+            ("tokyo_kg", TOKYO_QUESTION, ["Q1490"], TOKYO_SCRIPT),
+            ("goethe_kg", GOETHE_QUESTION, ["Q5879"], GOETHE_SCRIPT),
+            ("london_kg", LONDON_QUESTION, ["Q1164538", "Q208143"], LONDON_SCRIPT),
+        ],
+    )
+    def test_render_case_equals_the_regex_rendering(
+        self, request, monkeypatch, kg_fixture, question, seeds, script
+    ):
+        kg = request.getfixturevalue(kg_fixture)
+        result = run(question, seeds, kg, make_providers(script))
+        rendered = render_case(result.trace, kg)
+        monkeypatch.setattr(
+            agent, "_label_substituter",
+            lambda labels: lambda text: _regex_substitute_labels(text, labels),
+        )
+        assert rendered == render_case(result.trace, kg)

@@ -88,6 +88,24 @@ class TestAsk:
         trace = json.loads((out / "trace.json").read_text(encoding="utf-8"))
         assert trace["answers"] == ["Shinjuku"]
 
+    def test_ask_prints_labels_not_ids_in_executed_lines(self, kg_dir, tokyo_script_file, capsys):
+        code = main(
+            [
+                "ask",
+                "--kg", str(kg_dir),
+                "--question", TOKYO_QUESTION,
+                "--entities", "Q1490",
+                "--provider", "scripted",
+                "--script", str(tokyo_script_file),
+            ]
+        )
+        assert code == 0
+        executed = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("Executed:")
+        ]
+        assert executed[0] == "Executed: GetNeighbor(Tokyo)"
+        assert not any(identifier in line for line in executed for identifier in TOKYO_LABELS)
+
     def test_script_error_returns_nonzero(self, kg_dir, tmp_path, capsys):
         empty_script = tmp_path / "empty.jsonl"
         empty_script.write_text("", encoding="utf-8")
