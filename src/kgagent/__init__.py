@@ -27,7 +27,6 @@ from .embedding import (
     HttpEmbedder,
     QuestionScorer,
     cosine,
-    deterministic_test_provider,
     score_candidate,
 )
 from .evaluation import (

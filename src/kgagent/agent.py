@@ -23,7 +23,13 @@ from .action import (
     parse_answer,
     render_action,
 )
-from .embedding import EmbeddingCache, EmbeddingProvider, EmbeddingProviderError, QuestionScorer
+from .embedding import (
+    EmbeddingCache,
+    EmbeddingError,
+    EmbeddingProvider,
+    EmbeddingProviderError,
+    QuestionScorer,
+)
 from .kg import EntityId, KnowledgeGraph, Triple
 from .llm import CompletionRequest, LLMError, LLMProvider
 from .memory import Memory, integrate
@@ -39,7 +45,7 @@ from .reflection import (
 
 
 class AgentError(RuntimeError):
-    """Provider failure or timeout; carries the partial trace."""
+    """Provider failure, degenerate embedding or timeout; carries the partial trace."""
 
     def __init__(self, message: str, trace: "AgentTrace") -> None:
         super().__init__(message)
@@ -95,12 +101,12 @@ class IterationRecord:
     retries: list[ActionAttempt]
     action: str
     fallback: bool
-    outcome_count: int
-    reflection_prompt: str | None
-    reflection_response: str | None
-    reflected: list[Triple]
-    facts: list[str]
-    memory_snapshot: list[list[Triple]]
+    outcome_count: int = 0
+    reflection_prompt: str | None = None
+    reflection_response: str | None = None
+    reflected: list[Triple] = field(default_factory=list)
+    facts: list[str] = field(default_factory=list)
+    memory_snapshot: list[list[Triple]] = field(default_factory=list)
 
 
 @dataclass
@@ -165,10 +171,6 @@ class AgentResult:
     trace: AgentTrace
 
 
-def _render_facts(facts: list[str]) -> str:
-    return "\n".join(facts)
-
-
 def run(
     question: str,
     seed_entities: Iterable[EntityId],
@@ -180,7 +182,7 @@ def run(
 
     Halts when the model chooses the Answer action, or forces an answer from
     accumulated memory once max_iterations is exhausted. Provider failures
-    raise AgentError carrying the partial trace.
+    and degenerate embeddings raise AgentError carrying the partial trace.
     """
     config = config or AgentConfig()
     entities = list(dict.fromkeys(seed_entities))
@@ -219,7 +221,7 @@ def run(
                 observation,
                 kg,
                 history,
-                memory_extra=_render_facts(facts),
+                memory_extra="\n".join(facts),
                 temperature=config.temperature,
                 max_tokens=config.max_tokens,
                 max_retries=config.action_retries,
@@ -233,44 +235,24 @@ def run(
                 retries=attempts[:-1],
                 action=render_action(action),
                 fallback=fallback,
-                outcome_count=0,
-                reflection_prompt=None,
-                reflection_response=None,
-                reflected=[],
-                facts=[],
-                memory_snapshot=[],
             )
-            if isinstance(action, Answer):
-                record.memory_snapshot = [list(p.links) for p in memory.paths]
-                trace.iterations.append(record)
-                answers = _final_answer(question, memory, facts, kg, providers, config, trace)
-                trace.halted_by = "answer_action"
-                return AgentResult(answers, "answer_action", trace)
-
-            outcome = execute_action(
-                kg, action, path_max_len=config.path_max_len,
-                neighbor_limit=config.neighbor_limit,
-            )
-            history.append(action)
-            record.outcome_count = len(outcome)
-
-            result = ReflectionResult()
-            if strategy == "generated_fact":
-                new_facts = reflect_generated_fact(
-                    question, config.reflection, providers.llm,
-                    temperature=config.temperature, max_tokens=config.max_tokens,
+            answered = isinstance(action, Answer)
+            if not answered:
+                outcome = execute_action(
+                    kg, action, path_max_len=config.path_max_len,
+                    neighbor_limit=config.neighbor_limit,
                 )
-                facts.extend(new_facts)
-                record.facts = list(new_facts)
-            elif outcome:
-                if strategy in ("oda", "no_observation"):
-                    result, prompt, response = reflect_with_model(
-                        providers.llm, question, outcome, kg, observation, memory,
-                        config.reflection,
+                history.append(action)
+                record.outcome_count = len(outcome)
+                result = ReflectionResult()
+                if strategy == "generated_fact":
+                    record.facts = reflect_generated_fact(
+                        question, config.reflection, providers.llm,
                         temperature=config.temperature, max_tokens=config.max_tokens,
                     )
-                    record.reflection_prompt = prompt
-                    record.reflection_response = response
+                    facts.extend(record.facts)
+                elif not outcome:
+                    pass  # nothing to reflect on; entities carry over
                 elif strategy == "similarity":
                     result = reflect_similarity(
                         question, outcome, kg, config.reflection,
@@ -278,40 +260,36 @@ def run(
                     )
                 elif strategy == "random":
                     result = reflect_random(outcome, config.reflection, rng)
-
-            if not result.is_empty():
-                integrate(memory, result.kept)
-                entities = list(result.next_entities)
-            record.reflected = list(result.kept)
+                elif strategy in ("oda", "no_observation"):
+                    result, record.reflection_prompt, record.reflection_response = (
+                        reflect_with_model(
+                            providers.llm, question, outcome, kg, observation, memory,
+                            config.reflection,
+                            temperature=config.temperature, max_tokens=config.max_tokens,
+                        )
+                    )
+                if not result.is_empty():
+                    integrate(memory, result.kept)
+                    entities = list(result.next_entities)
+                record.reflected = list(result.kept)
             record.memory_snapshot = [list(p.links) for p in memory.paths]
             trace.iterations.append(record)
+            if answered:
+                break
 
-        answers = _final_answer(question, memory, facts, kg, providers, config, trace)
-        trace.halted_by = "iteration_cap"
-        return AgentResult(answers, "iteration_cap", trace)
-    except (LLMError, EmbeddingProviderError) as exc:
+        # the trace takes the answer only once the provider has returned it
+        prompt = build_answer_prompt(question, memory, kg, memory_extra="\n".join(facts))
+        response = providers.llm.complete(
+            CompletionRequest.user(prompt, config.temperature, config.max_tokens)
+        )
+        answers = parse_answer(response)
+        trace.answer_prompt, trace.answer_response = prompt, response
+        trace.answers = list(answers)
+        trace.halted_by = "answer_action" if answered else "iteration_cap"
+        return AgentResult(answers, trace.halted_by, trace)
+    except (LLMError, EmbeddingProviderError, EmbeddingError) as exc:
         trace.error = str(exc)
         raise AgentError(str(exc), trace) from exc
-
-
-def _final_answer(
-    question: str,
-    memory: Memory,
-    facts: list[str],
-    kg: KnowledgeGraph,
-    providers: Providers,
-    config: AgentConfig,
-    trace: AgentTrace,
-) -> list[str]:
-    prompt = build_answer_prompt(question, memory, kg, memory_extra=_render_facts(facts))
-    response = providers.llm.complete(
-        CompletionRequest.user(prompt, config.temperature, config.max_tokens)
-    )
-    answers = parse_answer(response)
-    trace.answer_prompt = prompt
-    trace.answer_response = response
-    trace.answers = list(answers)
-    return answers
 
 
 _BOUNDARY_RE = re.compile(r"\b")

@@ -179,10 +179,6 @@ class DeterministicEmbedder:
         return tuple(x / norm for x in components)
 
 
-def deterministic_test_provider(seed: int, dimension: int) -> DeterministicEmbedder:
-    return DeterministicEmbedder(seed=seed, dimension=dimension)
-
-
 class HttpEmbedder:
     """Client for an OpenAI-style /embeddings endpoint.
 

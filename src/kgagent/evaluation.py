@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
@@ -109,16 +109,7 @@ class QuestionOutcome:
     elapsed: float
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "question": self.question,
-            "hit": self.hit,
-            "answers": self.answers,
-            "gold": self.gold,
-            "halted_by": self.halted_by,
-            "error": self.error,
-            "elapsed": round(self.elapsed, 6),
-        }
+        return {**asdict(self), "elapsed": round(self.elapsed, 6)}
 
 
 @dataclass
@@ -131,14 +122,7 @@ class EvalReport:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "hits": self.hits,
-            "accuracy": self.accuracy,
-            "outcomes": [outcome.to_dict() for outcome in self.outcomes],
-            "timing": self.timing,
-            "note": self.note,
-        }
+        return {**asdict(self), "outcomes": [outcome.to_dict() for outcome in self.outcomes]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalReport":
@@ -198,43 +182,26 @@ def run_eval(
         question_providers = (
             providers(record, index) if callable(providers) else providers
         )
-        trace = None
+        answers, halted_by, hit, trace, error = [], None, 0, None, None
         try:
             result = run(record.question, record.seed_entities, kg, question_providers, config)
             trace = result.trace
-            outcome = QuestionOutcome(
-                index=index,
-                question=record.question,
-                hit=score_hit(result.answers, record.gold_answers, mode=match_mode),
-                answers=result.answers,
-                gold=list(record.gold_answers),
-                halted_by=result.halted_by,
-                error=None,
-                elapsed=time.monotonic() - started,
-            )
+            hit = score_hit(result.answers, record.gold_answers, mode=match_mode)
+            answers, halted_by = result.answers, result.halted_by
         except AgentError as exc:
-            trace = exc.trace
-            outcome = QuestionOutcome(
-                index=index,
-                question=record.question,
-                hit=0,
-                answers=[],
-                gold=list(record.gold_answers),
-                halted_by=None,
-                error=str(exc),
-                elapsed=time.monotonic() - started,
-            )
+            trace, error = exc.trace, str(exc)
         except Exception as exc:  # defensive: misconfigured records stay misses
-            outcome = QuestionOutcome(
-                index=index,
-                question=record.question,
-                hit=0,
-                answers=[],
-                gold=list(record.gold_answers),
-                halted_by=None,
-                error=f"{type(exc).__name__}: {exc}",
-                elapsed=time.monotonic() - started,
-            )
+            error = f"{type(exc).__name__}: {exc}"
+        outcome = QuestionOutcome(
+            index=index,
+            question=record.question,
+            hit=hit,
+            answers=answers,
+            gold=list(record.gold_answers),
+            halted_by=halted_by,
+            error=error,
+            elapsed=time.monotonic() - started,
+        )
         if traces_dir is not None and trace is not None:
             path = traces_dir / f"q{index:05d}.json"
             path.write_text(trace_to_json(trace), encoding="utf-8", newline="\n")

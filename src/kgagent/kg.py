@@ -88,10 +88,7 @@ class KnowledgeGraph:
         Unknown entities yield an empty list. ``limit`` truncates hub
         entities; None means unlimited.
         """
-        out = self.adjacency.get(entity, [])
-        if limit is not None:
-            return out[:limit]
-        return list(out)
+        return self.adjacency.get(entity, [])[:limit]
 
     def find_paths(
         self, start: EntityId, goal: EntityId, max_len: int = 3
@@ -145,6 +142,22 @@ def _check_id(value: str, kind: str, line_number: int) -> str:
     return sys.intern(value)
 
 
+def _tsv_rows(
+    source: str | Path | IO | Iterable[str | bytes], width: int
+) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, fields) per non-blank line of exactly ``width`` fields."""
+    for number, line in enumerate(_iter_text_lines(source), start=1):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise TripleParseError(
+                f"expected {width} tab-separated fields, got {len(fields)}", number
+            )
+        yield number, fields
+
+
 def load_triples(source: str | Path | IO | Iterable[str | bytes]) -> KnowledgeGraph:
     """Build a graph from TSV lines ``head<TAB>relation<TAB>tail``.
 
@@ -152,21 +165,12 @@ def load_triples(source: str | Path | IO | Iterable[str | bytes]) -> KnowledgeGr
     is preserved in adjacency lists.
     """
     kg = KnowledgeGraph()
-    for number, line in enumerate(_iter_text_lines(source), start=1):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise TripleParseError(
-                f"expected 3 tab-separated fields, got {len(fields)}", number
-            )
-        head, relation, tail = (
-            _check_id(fields[0], "head", number),
-            _check_id(fields[1], "relation", number),
-            _check_id(fields[2], "tail", number),
-        )
-        kg.add(Triple(head, relation, tail))
+    for number, (head, relation, tail) in _tsv_rows(source, 3):
+        kg.add(Triple(
+            _check_id(head, "head", number),
+            _check_id(relation, "relation", number),
+            _check_id(tail, "tail", number),
+        ))
     return kg
 
 
@@ -177,17 +181,8 @@ def load_labels(
 
     Later lines overwrite earlier labels for the same id.
     """
-    for number, line in enumerate(_iter_text_lines(source), start=1):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise TripleParseError(
-                f"expected 2 tab-separated fields, got {len(fields)}", number
-            )
-        identifier = _check_id(fields[0], "id", number)
-        kg.labels[identifier] = fields[1]
+    for number, (identifier, label) in _tsv_rows(source, 2):
+        kg.labels[_check_id(identifier, "id", number)] = label
     return kg
 
 

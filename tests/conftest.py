@@ -270,6 +270,17 @@ def make_providers(script: list[tuple[str, str, str]], sequential: bool = True, 
     )
 
 
+class ConstantEmbedder:
+    """Embeds every text as the same vector, e.g. all zeros or all NaN."""
+
+    def __init__(self, value: float, dimension: int = 8) -> None:
+        self.value = value
+        self.dimension = dimension
+
+    def embed(self, text: str) -> tuple[float, ...]:
+        return (self.value,) * self.dimension
+
+
 # (candidates, action responses) re-typed from the fixture transcripts, for
 # checking that parse_action is total and exact on every scripted action turn.
 FIXTURE_ACTION_TURNS = [

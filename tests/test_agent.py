@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
@@ -20,7 +21,7 @@ from kgagent.agent import (
 from kgagent.embedding import DeterministicEmbedder
 from kgagent.kg import Triple
 from kgagent.llm import ScriptedProvider
-from kgagent.reflection import ReflectionParams
+from kgagent.reflection import STRATEGIES, ReflectionParams
 
 from conftest import (
     GOETHE_QUESTION,
@@ -30,6 +31,7 @@ from conftest import (
     TOKYO_QUESTION,
     TOKYO_SCRIPT,
     TOKYO_TRIPLES,
+    ConstantEmbedder,
     make_kg,
     make_providers,
 )
@@ -393,3 +395,97 @@ class TestLabelSubstitution:
             lambda labels: lambda text: _regex_substitute_labels(text, labels),
         )
         assert rendered == render_case(result.trace, kg)
+
+
+class TestPartialTraces:
+    """A failed step leaves the trace as it stood before that step."""
+
+    @staticmethod
+    def _failed_run(question, seeds, kg, providers) -> AgentTrace:
+        with pytest.raises(AgentError) as excinfo:
+            run(question, seeds, kg, providers)
+        trace = excinfo.value.trace
+        assert trace.error == str(excinfo.value)
+        return trace
+
+    @staticmethod
+    def _assert_unanswered(trace: AgentTrace) -> None:
+        assert trace.answer_prompt is None
+        assert trace.answer_response is None
+        assert trace.answers == []
+        assert trace.halted_by is None
+
+    def test_failed_answer_after_answer_action_keeps_every_iteration(self, tokyo_kg):
+        providers = make_providers(TOKYO_SCRIPT[:-1])  # no answer entry
+        trace = self._failed_run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, providers)
+        assert [record.action for record in trace.iterations] == [
+            "GetNeighbor(Q1490)", "Answer",
+        ]
+        assert trace.iterations[-1].memory_snapshot != []
+        self._assert_unanswered(trace)
+
+    def test_failed_answer_at_iteration_cap_keeps_every_iteration(self):
+        kg = make_kg([("A", "r", "B"), ("B", "r", "C"), ("C", "r", "A")])
+        providers = make_providers(RING_SCRIPT[:-1], sequential=False)
+        trace = self._failed_run("loop", ["A"], kg, providers)
+        assert [record.index for record in trace.iterations] == list(range(1, 9))
+        self._assert_unanswered(trace)
+
+    def test_failed_reflection_omits_its_iteration(self):
+        kg = make_kg([("A", "r", "B"), ("B", "r", "C"), ("C", "r", "A")])
+        script = [RING_SCRIPT[0], RING_SCRIPT[1], RING_SCRIPT[3]]  # no reflection on B
+        trace = self._failed_run("loop", ["A"], kg, make_providers(script, sequential=False))
+        assert [record.action for record in trace.iterations] == ["GetNeighbor(A)"]
+        assert trace.iterations[0].reflected == [Triple("A", "r", "B")]
+        assert "no script entry matches" in trace.error
+        self._assert_unanswered(trace)
+
+    @pytest.mark.parametrize(
+        "value, message", [(0.0, "zero-norm vector"), (float("nan"), "non-finite")]
+    )
+    def test_degenerate_embedding_is_agent_error(self, tokyo_kg, value, message):
+        providers = Providers(
+            llm=make_providers(TOKYO_SCRIPT).llm, embedder=ConstantEmbedder(value)
+        )
+        trace = self._failed_run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, providers)
+        assert message in trace.error
+        assert trace.iterations == []
+
+
+PINNED_TRIPLES = [
+    ("A", "r", "B"), ("A", "t", "D"), ("B", "s", "C"), ("C", "u", "E"), ("D", "v", "C"),
+]
+PINNED_LABELS = {"A": "Alpha", "B": "Beta", "C": "Gamma", "D": "Delta", "r": "rel r"}
+# first matching entry answers; E has no out-edges, so GetNeighbor(E) yields nothing
+PINNED_SCRIPT = [
+    ("substring", "select related triples", "A,r,B\nB,s,C\nC,u,E"),
+    ("substring", "factual statements", "A is linked to B\nB is linked to C"),
+    ("substring", "reference memory", "Gamma"),
+    ("substring", "Candidate EntityIDs: A", "Action: GetNeighbor\nEntity_id: A"),
+    ("substring", "Candidate EntityIDs: B", "Action: GetNeighbor\nEntity_id: B"),
+    ("substring", "Candidate EntityIDs: C", "Action: GetNeighbor\nEntity_id: C"),
+    ("substring", "Candidate EntityIDs: E", "Action: GetNeighbor\nEntity_id: E"),
+    ("substring", "Candidate EntityIDs:", "Action: Answer"),
+]
+# SHA-256 of trace_to_json, recorded before run() was restructured
+PINNED_TRACE_DIGESTS = {
+    "oda": "f5f8bfb32421d666b50df4b9c8a2c796a91fe91c5c8c12dc0d815686522183dd",
+    "similarity": "a32dad3d7cfd5b32e18e7cbf9c524239531996034dc877a4454e8df559d1a120",
+    "random": "a42898a1304d25327c68b079649187bcd004eb3cd42bb9a07a471546521049fb",
+    "generated_fact": "dd2166668c627e4796136cac09db02121ef0af319686f8022a92147f5f319e26",
+    "no_observation": "cc9c21c2194c00a2cc5ec2f8845e6db0bc0711b6887173c4b427b273b9c1a6d5",
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_trace_bytes_pinned_per_strategy(strategy):
+    config = AgentConfig(
+        max_iterations=5, reflection=ReflectionParams(strategy=strategy), random_seed=5
+    )
+    result = run(
+        "Which entity does Alpha reach in two hops?", ["A"],
+        make_kg(PINNED_TRIPLES, PINNED_LABELS),
+        make_providers(PINNED_SCRIPT, sequential=False), config,
+    )
+    digest = hashlib.sha256(trace_to_json(result.trace).encode("utf-8")).hexdigest()
+    assert digest == PINNED_TRACE_DIGESTS[strategy]

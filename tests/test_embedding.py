@@ -7,12 +7,12 @@ from mpmath import mp, mpf
 from mpmath import sqrt as mp_sqrt
 
 from kgagent.embedding import (
+    DeterministicEmbedder,
     EmbeddingCache,
     EmbeddingError,
     EmbeddingProviderError,
     combined_text,
     cosine,
-    deterministic_test_provider,
     embed_text,
     score_candidate,
 )
@@ -77,16 +77,16 @@ class TestCosine:
 
 class TestDeterministicProvider:
     def test_same_input_same_vector(self):
-        provider = deterministic_test_provider(seed=3, dimension=16)
+        provider = DeterministicEmbedder(seed=3, dimension=16)
         assert provider.embed("capital Shinjuku") == provider.embed("capital Shinjuku")
 
     def test_different_seed_different_vector(self):
-        a = deterministic_test_provider(seed=1, dimension=16).embed("x")
-        b = deterministic_test_provider(seed=2, dimension=16).embed("x")
+        a = DeterministicEmbedder(seed=1, dimension=16).embed("x")
+        b = DeterministicEmbedder(seed=2, dimension=16).embed("x")
         assert a != b
 
     def test_unit_norm(self):
-        provider = deterministic_test_provider(seed=5, dimension=48)
+        provider = DeterministicEmbedder(seed=5, dimension=48)
         for text in ("", "a", "tokyo", "множество", "a b c d"):
             vector = provider.embed(text)
             norm_sq = sum(x * x for x in vector)
@@ -94,11 +94,11 @@ class TestDeterministicProvider:
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            deterministic_test_provider(seed=0, dimension=1)
+            DeterministicEmbedder(seed=0, dimension=1)
 
     def test_pairwise_cosines_concentrate_near_zero(self):
         # thresholds frozen from an oracle run over this exact configuration
-        provider = deterministic_test_provider(seed=13, dimension=16)
+        provider = DeterministicEmbedder(seed=13, dimension=16)
         rng = random.Random(31)
         texts = [f"text-{rng.randrange(10**9)}-{i}" for i in range(1000)]
         vectors = [provider.embed(t) for t in texts]
@@ -113,7 +113,7 @@ class TestDeterministicProvider:
 
     def test_known_frozen_vector_prefix(self):
         # guards cross-run / cross-platform stability of the hash expansion
-        vector = deterministic_test_provider(seed=0, dimension=4).embed("probe")
+        vector = DeterministicEmbedder(seed=0, dimension=4).embed("probe")
         assert vector == (
             0.2743423640199278,
             0.20901354851186174,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -8,6 +9,8 @@ import pytest
 from kgagent.evaluation import (
     DatasetError,
     DatasetRecord,
+    EvalReport,
+    QuestionOutcome,
     load_dataset,
     normalize_answer,
     report_from_json,
@@ -26,6 +29,7 @@ from conftest import (
     TOKYO_SCRIPT,
     TOKYO_TRIPLES,
     TOKYO_LABELS,
+    ConstantEmbedder,
     make_kg,
     make_providers,
 )
@@ -227,3 +231,55 @@ class TestMalformedProviderBody:
         trace = json.loads((tmp_path / "traces" / "q00000.json").read_text(encoding="utf-8"))
         assert trace["question"] == TOKYO_QUESTION
         assert "malformed completion body" in trace["error"]
+
+
+class TestOutcomes:
+    @pytest.mark.parametrize(
+        "value, message", [(0.0, "zero-norm vector"), (float("nan"), "non-finite")]
+    )
+    def test_degenerate_embedding_keeps_partial_trace(self, tokyo_kg, tmp_path, value, message):
+        from kgagent.agent import Providers
+
+        providers = Providers(
+            llm=make_providers(TOKYO_SCRIPT).llm, embedder=ConstantEmbedder(value)
+        )
+        records = [DatasetRecord(TOKYO_QUESTION, ["Q1490"], ["Shinjuku"])]
+        outcome = run_eval(records, tokyo_kg, providers, out_dir=tmp_path).outcomes[0]
+        assert (outcome.hit, outcome.answers, outcome.halted_by) == (0, [], None)
+        assert message in outcome.error
+        trace = json.loads((tmp_path / "traces" / "q00000.json").read_text(encoding="utf-8"))
+        assert message in trace["error"]
+
+    def test_unknown_match_mode_is_a_miss_with_its_trace(self, tokyo_kg, tmp_path):
+        records = [DatasetRecord(TOKYO_QUESTION, ["Q1490"], ["Shinjuku"])]
+        report = run_eval(
+            records, tokyo_kg, make_providers(TOKYO_SCRIPT), out_dir=tmp_path,
+            match_mode="fuzzy",
+        )
+        outcome = report.outcomes[0]
+        assert (outcome.hit, outcome.answers, outcome.halted_by) == (0, [], None)
+        assert outcome.error == "ValueError: unknown match mode 'fuzzy'"
+        trace = json.loads((tmp_path / "traces" / "q00000.json").read_text(encoding="utf-8"))
+        assert trace["answers"] == ["Shinjuku"]
+        assert trace["halted_by"] == "answer_action"
+
+    def test_report_bytes_pinned(self):
+        report = EvalReport(
+            total=2,
+            hits=1,
+            accuracy=0.5,
+            outcomes=[
+                QuestionOutcome(
+                    0, "Where?", 1, ["Shinjuku"], ["shinjuku"], "answer_action", None,
+                    0.1234567891,
+                ),
+                QuestionOutcome(1, "Who?", 0, [], ["x"], None, "LLMProviderError: down", 2.0),
+            ],
+            timing={"wall_seconds": 2.1234567, "p50": 0.5},
+        )
+        payload = report_to_json(report)
+        # SHA-256 recorded from the field-by-field to_dict serialisation
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
+            "554369b24975e3381764da413e9176f2483fca48bf218ec86c666a289575be0c"
+        )
+        assert '"elapsed": 0.123457' in payload

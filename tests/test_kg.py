@@ -285,3 +285,33 @@ class TestQueryService:
             host, port = server.address
             with pytest.raises(RuntimeError):
                 query_service(host, port, "FROBNICATE Q1")
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize(
+        "load, lines, message",
+        [
+            (load_triples, ["\n", "A\tr\tB\r\n", "A\tr\n"],
+             "line 3: expected 3 tab-separated fields, got 2"),
+            (load_triples, ["A\tr\tB\tC\n"], "line 1: expected 3 tab-separated fields, got 4"),
+            (load_triples, ["A\tr\tB\n", "A\t\tB\n"], "line 2: empty relation field"),
+            (lambda lines: load_labels(KnowledgeGraph(), lines), ["", "Q1\ta\tb\n"],
+             "line 2: expected 2 tab-separated fields, got 3"),
+            (lambda lines: load_labels(KnowledgeGraph(), lines), ["\tTokyo\n"],
+             "line 1: empty id field"),
+        ],
+    )
+    def test_error_messages_and_line_numbers(self, load, lines, message):
+        with pytest.raises(TripleParseError) as excinfo:
+            load(lines)
+        assert str(excinfo.value) == message
+
+
+class TestGetNeighborsCopy:
+    @pytest.mark.parametrize("limit", [None, 1, 5])
+    def test_get_neighbors_returns_a_copy(self, limit):
+        kg = make_kg([("A", "r", "B"), ("A", "s", "C")])
+        neighbors = kg.get_neighbors("A", limit=limit)
+        neighbors.clear()
+        assert kg.get_neighbors("Z", limit=limit) == []
+        assert [t.tail for t in kg.get_neighbors("A")] == ["B", "C"]
