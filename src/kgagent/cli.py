@@ -17,21 +17,20 @@ from .reflection import STRATEGIES
 
 
 def _build_config(args: argparse.Namespace) -> AgentConfig:
-    data: dict = {}
-    if getattr(args, "config", None):
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    config = AgentConfig.from_dict(data) if data else AgentConfig()
-    if getattr(args, "max_iterations", None) is not None:
-        config.max_iterations = args.max_iterations
-    if getattr(args, "strategy", None):
-        config.reflection = replace(config.reflection, strategy=args.strategy)
-    if getattr(args, "depth", None) is not None:
-        config.observation = replace(config.observation, depth_limit=args.depth)
-    if getattr(args, "seed", None) is not None:
-        config.random_seed = args.seed
-    if getattr(args, "timeout", None) is not None:
-        config.question_timeout = args.timeout or None
-    return config
+    data = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    try:
+        config = AgentConfig.from_dict(data)
+        flags = {"max_iterations": args.max_iterations, "random_seed": args.seed}
+        overrides = {name: value for name, value in flags.items() if value is not None}
+        if args.strategy:
+            overrides["reflection"] = replace(config.reflection, strategy=args.strategy)
+        if args.depth is not None:
+            overrides["observation"] = replace(config.observation, depth_limit=args.depth)
+        if args.timeout is not None:
+            overrides["question_timeout"] = args.timeout or None
+        return replace(config, **overrides)
+    except (TypeError, ValueError) as exc:  # TypeError: an unknown key or a mistyped value
+        raise SystemExit(f"invalid agent config: {exc}") from exc
 
 
 def _build_providers(args: argparse.Namespace) -> Providers:

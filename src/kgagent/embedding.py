@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import struct
 import threading
-import time
 from math import ceil, fsum, isfinite, sqrt
 from operator import mul
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Iterable, Protocol
+
+from .llm import HttpChatConfig, post_json
 
 Vector = tuple[float, ...]
 
@@ -28,7 +29,7 @@ class EmbeddingError(ValueError):
 
 
 class EmbeddingProviderError(RuntimeError):
-    """Provider failed after the configured retry attempts."""
+    """The embedding provider failed or returned a malformed reply."""
 
 
 class EmbeddingProvider(Protocol):
@@ -65,32 +66,21 @@ def embed_text(
     text: str,
     provider: EmbeddingProvider,
     cache: "EmbeddingCache | None" = None,
-    attempts: int = 3,
-    backoff: float = 0.5,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> Vector:
-    """Embed text through the cache, retrying provider failures.
+    """Embed text through the cache; cache hits return the stored vector bit-for-bit.
 
-    Retries with exponential backoff, then raises EmbeddingProviderError.
-    Cache hits return the stored vector bit-for-bit.
+    Any provider exception becomes EmbeddingProviderError, without a retry.
     """
     if cache is not None:
         hit = cache.get(text)
         if hit is not None:
             return hit
-    last_error: Exception | None = None
-    for attempt in range(attempts):
-        try:
-            raw = provider.embed(text)
-            break
-        except Exception as exc:  # provider failures are retryable
-            last_error = exc
-            if attempt + 1 < attempts:
-                sleep(backoff * (2**attempt))
-    else:
-        raise EmbeddingProviderError(
-            f"embedding failed after {attempts} attempts: {last_error}"
-        ) from last_error
+    try:
+        raw = provider.embed(text)
+    except EmbeddingProviderError:
+        raise
+    except Exception as exc:
+        raise EmbeddingProviderError(f"embedding provider failed: {exc!r}") from exc
     vector = tuple(map(float, raw))
     if not vector or not all(map(isfinite, vector)):
         raise EmbeddingError("provider returned a non-finite or empty vector")
@@ -105,12 +95,10 @@ def score_candidate(
     tail_label: str,
     provider: EmbeddingProvider,
     cache: "EmbeddingCache | None" = None,
-    attempts: int = 3,
-    backoff: float = 0.5,
 ) -> float:
     """Cosine between the question vector and the embedded relation+tail text."""
     text = combined_text(relation_label, tail_label)
-    return cosine(question_vector, embed_text(text, provider, cache, attempts, backoff))
+    return cosine(question_vector, embed_text(text, provider, cache))
 
 
 class QuestionScorer:
@@ -182,8 +170,9 @@ class DeterministicEmbedder:
 class HttpEmbedder:
     """Client for an OpenAI-style /embeddings endpoint.
 
-    The API key is read from the environment; the provider is single-shot
-    and relies on embed_text for retry policy.
+    Requests go through post_json: transient failures are tried 3 times,
+    0.5 s and then 1.0 s apart; a rejected request or a malformed reply
+    raises EmbeddingProviderError at once.
     """
 
     def __init__(
@@ -196,10 +185,7 @@ class HttpEmbedder:
     ) -> None:
         import requests
 
-        self.endpoint = endpoint.rstrip("/")
-        self.model = model
-        self.api_key_env = api_key_env
-        self.timeout = timeout
+        self.config = HttpChatConfig(endpoint, model, api_key_env, timeout, backoff=0.5)
         self._session = session or requests.Session()
         self._dimension: int | None = None
 
@@ -210,17 +196,17 @@ class HttpEmbedder:
         return self._dimension
 
     def embed(self, text: str) -> Vector:
-        import os
-
-        key = os.environ.get(self.api_key_env, "")
-        response = self._session.post(
-            f"{self.endpoint}/embeddings",
-            json={"model": self.model, "input": text},
-            headers={"Authorization": f"Bearer {key}"} if key else {},
-            timeout=self.timeout,
+        payload = {"model": self.config.model, "input": text}
+        body = post_json(
+            self._session, self.config, "embeddings", payload, EmbeddingProviderError, "embedding"
         )
-        response.raise_for_status()
-        vector = tuple(float(x) for x in response.json()["data"][0]["embedding"])
+        try:
+            raw = body["data"][0]["embedding"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise EmbeddingProviderError(f"malformed embedding body: {exc!r}") from exc
+        if not isinstance(raw, list) or not all(isinstance(x, (int, float)) for x in raw):
+            raise EmbeddingProviderError("embedding is not a list of numbers")
+        vector = tuple(map(float, raw))
         if self._dimension is None:
             self._dimension = len(vector)
         elif len(vector) != self._dimension:
@@ -262,7 +248,10 @@ class EmbeddingCache:
 
         while offset < len(blob):
             (text_length,) = _RECORD_LENGTH.unpack(take(4))
-            text = take(text_length).decode("utf-8")
+            try:
+                text = take(text_length).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EmbeddingError(f"bad UTF-8 at byte {offset - text_length} in {path}") from exc
             (dimension,) = _RECORD_LENGTH.unpack(take(4))
             vector = struct.unpack(f"<{dimension}d", take(8 * dimension))
             self._entries[text] = vector

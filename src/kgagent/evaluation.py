@@ -46,13 +46,11 @@ def load_dataset(source: str | Path | IO | Iterable[str]) -> list[DatasetRecord]
             continue
         try:
             data = json.loads(line)
-            records.append(
-                DatasetRecord(
-                    question=data["question"],
-                    seed_entities=list(data["entities"]),
-                    gold_answers=list(data["answers"]),
-                )
-            )
+            for name in ("entities", "answers"):
+                value = data[name]
+                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                    raise ValueError(f"{name} must be a JSON array of strings")
+            records.append(DatasetRecord(data["question"], data["entities"], data["answers"]))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"bad dataset record: {exc}", number) from exc
     return records

@@ -1,9 +1,11 @@
-"""Language-model provider contract: a live HTTP chat client and a
+"""Language-model provider contract: a live HTTP chat client, the request
+policy (post_json) that it shares with the HTTP embedder, and a
 deterministic scripted provider for replayable tests."""
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -179,6 +181,8 @@ def save_script(entries: Iterable[ScriptEntry], path: str | Path) -> None:
 
 @dataclass
 class HttpChatConfig:
+    """One OpenAI-style endpoint and its request policy (see post_json)."""
+
     endpoint: str
     model: str
     api_key_env: str = "OPENAI_API_KEY"
@@ -197,42 +201,50 @@ class HttpChatProvider:
         self._session = session or requests.Session()
 
     def complete(self, request: CompletionRequest) -> str:
-        import os
-
-        import requests
-
-        config = self.config
-        key = os.environ.get(config.api_key_env, "")
         payload = {
-            "model": config.model,
+            "model": self.config.model,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        last_error: Exception | None = None
-        for attempt in range(config.retries):
-            try:
-                response = self._session.post(
-                    f"{config.endpoint.rstrip('/')}/chat/completions",
-                    json=payload,
-                    headers={"Authorization": f"Bearer {key}"} if key else {},
-                    timeout=config.timeout,
+        body = post_json(
+            self._session, self.config, "chat/completions", payload, LLMProviderError, "completion"
+        )
+        return _completion_content(body)
+
+
+def post_json(session, config: HttpChatConfig, path: str, payload: dict, error, noun: str):
+    """POST payload to config.endpoint/path and return the decoded JSON reply.
+
+    The bearer key comes from the environment variable config.api_key_env.
+    Connection errors and 408/429/5xx replies are retried with exponential
+    backoff, config.retries attempts in all; any other 4xx raises `error` at
+    once. Every HTTP request of the live providers goes through here.
+    """
+    import requests
+
+    key = os.environ.get(config.api_key_env, "")
+    last_error: Exception | None = None
+    for attempt in range(config.retries):
+        try:
+            response = session.post(
+                f"{config.endpoint.rstrip('/')}/{path}",
+                json=payload,
+                headers={"Authorization": f"Bearer {key}"} if key else {},
+                timeout=config.timeout,
+            )
+            if response.status_code in (408, 429) or response.status_code >= 500:
+                raise requests.HTTPError(f"retryable status {response.status_code}")
+            if response.status_code >= 400:  # auth/validation: do not retry
+                raise error(
+                    f"{noun} rejected with status {response.status_code}: {response.text[:200]}"
                 )
-                if response.status_code in (408, 429) or response.status_code >= 500:
-                    raise requests.HTTPError(f"retryable status {response.status_code}")
-                if response.status_code >= 400:  # auth/validation: do not retry
-                    raise LLMProviderError(
-                        f"completion rejected with status {response.status_code}: "
-                        f"{response.text[:200]}"
-                    )
-                return _completion_content(response.json())
-            except requests.RequestException as exc:
-                last_error = exc
-                if attempt + 1 < config.retries:
-                    time.sleep(config.backoff * (2**attempt))
-        raise LLMProviderError(
-            f"completion failed after {config.retries} attempts: {last_error}"
-        ) from last_error
+            return response.json()
+        except requests.RequestException as exc:
+            last_error = exc
+            if attempt + 1 < config.retries:
+                time.sleep(config.backoff * (2**attempt))
+    raise error(f"{noun} failed after {config.retries} attempts: {last_error}") from last_error
 
 
 def _completion_content(body) -> str:

@@ -135,6 +135,36 @@ class TestAsk:
             )
 
 
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            ({}, ["--max-iterations", "0"], "max_iterations must be >= 1"),
+            ({}, ["--depth", "0"], "depth_limit must be >= 1"),
+            ({"max_iter": 2}, [], "unexpected keyword argument 'max_iter'"),
+        ],
+    )
+    def test_invalid_config_exits_before_any_provider_call(
+        self, kg_dir, tmp_path, config, flags, message
+    ):
+        empty_script = tmp_path / "empty.jsonl"
+        save_script([], empty_script)
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config), encoding="utf-8")
+        with pytest.raises(SystemExit, match=message):
+            main(
+                [
+                    "ask",
+                    "--kg", str(kg_dir),
+                    "--question", TOKYO_QUESTION,
+                    "--entities", "Q1490",
+                    "--provider", "scripted",
+                    "--script", str(empty_script),
+                    "--config", str(config_file),
+                    *flags,
+                ]
+            )
+
+
 class TestEval:
     def test_eval_writes_report(self, kg_dir, tokyo_script_file, tmp_path, capsys):
         dataset = tmp_path / "dataset.jsonl"

@@ -122,39 +122,20 @@ class TestDeterministicProvider:
         )
 
 
-class FlakyProvider:
-    """Fails a fixed number of times, then returns a constant vector."""
+class TestEmbedTextProviderFailure:
+    def test_provider_exception_maps_once_without_retry(self):
+        class FailingProvider:
+            dimension = 3
+            calls = 0
 
-    dimension = 3
+            def embed(self, text: str):
+                self.calls += 1
+                raise RuntimeError("boom")
 
-    def __init__(self, failures: int) -> None:
-        self.failures = failures
-        self.calls = 0
-
-    def embed(self, text: str):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise ConnectionError("transient")
-        return (1.0, 2.0, 2.0)
-
-
-class TestEmbedTextRetry:
-    def test_retries_then_succeeds(self):
-        provider = FlakyProvider(failures=2)
-        vector = embed_text("x", provider, attempts=3, sleep=lambda _: None)
-        assert vector == (1.0, 2.0, 2.0)
-        assert provider.calls == 3
-
-    def test_exhausted_attempts_raise(self):
-        provider = FlakyProvider(failures=5)
-        with pytest.raises(EmbeddingProviderError):
-            embed_text("x", provider, attempts=3, sleep=lambda _: None)
-
-    def test_backoff_schedule(self):
-        waits: list[float] = []
-        provider = FlakyProvider(failures=2)
-        embed_text("x", provider, attempts=3, backoff=0.5, sleep=waits.append)
-        assert waits == [0.5, 1.0]
+        provider = FailingProvider()
+        with pytest.raises(EmbeddingProviderError, match="boom"):
+            embed_text("x", provider)
+        assert provider.calls == 1
 
 
 class TestScoreCandidate:
@@ -226,6 +207,77 @@ class TestHttpEmbedder:
             provider.embed("b")
 
 
+class QueuedResponse:
+    def __init__(self, status_code: int, body=None) -> None:
+        self.status_code = status_code
+        self.text = "error body"
+        self._body = body
+
+    def json(self):
+        return self._body
+
+
+class QueuedEmbeddingSession:
+    """Yields queued responses (or raises queued exceptions) per post call."""
+
+    def __init__(self, outcomes) -> None:
+        self.outcomes = list(outcomes)
+        self.calls = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls += 1
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+class TestHttpEmbedderRequestPolicy:
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        waits: list[float] = []
+        monkeypatch.setattr("kgagent.llm.time.sleep", waits.append)
+        return waits
+
+    def _embed(self, outcomes):
+        from kgagent.embedding import HttpEmbedder
+
+        session = QueuedEmbeddingSession(outcomes)
+        provider = HttpEmbedder("http://fake", "embed-x", session=session)
+        return session, lambda: embed_text("text", provider)
+
+    def test_transient_500_is_retried(self, sleeps):
+        body = {"data": [{"embedding": [1.0, 2.0, 2.0]}]}
+        session, embed = self._embed([QueuedResponse(500), QueuedResponse(200, body)])
+        assert embed() == (1.0, 2.0, 2.0)
+        assert (session.calls, sleeps) == (2, [0.5])
+
+    def test_connection_errors_exhaust_attempts_on_schedule(self, sleeps):
+        import requests
+
+        session, embed = self._embed([requests.ConnectionError("down")] * 3)
+        with pytest.raises(EmbeddingProviderError, match="after 3 attempts"):
+            embed()
+        assert (session.calls, sleeps) == (3, [0.5, 1.0])
+
+    def test_rejected_request_is_not_retried(self, sleeps):
+        session, embed = self._embed([QueuedResponse(401)] * 3)
+        with pytest.raises(EmbeddingProviderError, match="rejected with status 401"):
+            embed()
+        assert (session.calls, sleeps) == (1, [])
+
+    @pytest.mark.parametrize(
+        "body",
+        [{}, {"data": []}, {"data": [{}]}, {"data": [{"embedding": [1.0, "x"]}]},
+         {"data": [{"embedding": "123"}]}, ["data"]],
+    )
+    def test_malformed_body_is_not_retried(self, sleeps, body):
+        session, embed = self._embed([QueuedResponse(200, body)] * 3)
+        with pytest.raises(EmbeddingProviderError):
+            embed()
+        assert (session.calls, sleeps) == (1, [])
+
+
 class TestCache:
     def test_round_trip_bit_identical(self, tmp_path, embedder):
         path = tmp_path / "cache.bin"
@@ -253,6 +305,18 @@ class TestCache:
         data = path.read_bytes()
         path.write_bytes(data[:-3])
         with pytest.raises(EmbeddingError):
+            EmbeddingCache(path)
+
+    def test_undecodable_text_raises_with_offset_and_path(self, tmp_path, embedder):
+        path = tmp_path / "cache.bin"
+        with EmbeddingCache(path) as cache:
+            embed_text("one", embedder, cache)
+            embed_text("two", embedder, cache)
+        data = bytearray(path.read_bytes())
+        second = len(data) // 2  # both records have the same length
+        data[second + 4] = 0xFF  # first byte of the second record's text
+        path.write_bytes(bytes(data))
+        with pytest.raises(EmbeddingError, match=f"byte {second + 4} in .*cache.bin"):
             EmbeddingCache(path)
 
     def test_unpersisted_cache_works(self, embedder):

@@ -52,6 +52,17 @@ class TestLoadDataset:
             load_dataset([good, "{broken"])
         assert excinfo.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "entities, answers",
+        [(["Q1"], "Tokyo"), ("Q1", ["Tokyo"]), (["Q1"], ["Tokyo", 5]), ([["Q1"]], ["Tokyo"])],
+    )
+    def test_fields_must_be_arrays_of_strings(self, entities, answers):
+        good = json.dumps({"question": "q?", "entities": [], "answers": ["a"]})
+        bad = json.dumps({"question": "q?", "entities": entities, "answers": answers})
+        with pytest.raises(DatasetError, match="array of strings") as excinfo:
+            load_dataset([good, bad])
+        assert excinfo.value.line_number == 2
+
     def test_missing_field_is_error(self):
         with pytest.raises(DatasetError):
             load_dataset([json.dumps({"question": "q?", "entities": []})])
@@ -232,6 +243,37 @@ class TestMalformedProviderBody:
         assert trace["question"] == TOKYO_QUESTION
         assert "malformed completion body" in trace["error"]
 
+
+    def test_rejected_embedding_is_one_request_with_partial_trace(self, tokyo_kg, tmp_path):
+        from kgagent.agent import Providers
+        from kgagent.embedding import HttpEmbedder
+
+        class UnauthorizedSession:
+            def __init__(self) -> None:
+                self.calls = 0
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                self.calls += 1
+
+                class Response:
+                    status_code = 401
+                    text = "invalid api key"
+
+                return Response()
+
+        session = UnauthorizedSession()
+        providers = Providers(
+            llm=make_providers(TOKYO_SCRIPT).llm,
+            embedder=HttpEmbedder("http://fake", "embed-x", session=session),
+        )
+        records = [DatasetRecord(TOKYO_QUESTION, ["Q1490"], ["Shinjuku"])]
+        outcome = run_eval(records, tokyo_kg, providers, out_dir=tmp_path).outcomes[0]
+        assert outcome.hit == 0
+        assert "embedding rejected with status 401" in outcome.error
+        assert session.calls == 1
+        trace = json.loads((tmp_path / "traces" / "q00000.json").read_text(encoding="utf-8"))
+        assert trace["question"] == TOKYO_QUESTION
+        assert "embedding rejected with status 401" in trace["error"]
 
 class TestOutcomes:
     @pytest.mark.parametrize(
