@@ -207,6 +207,8 @@ class HttpEmbedder:
         if not isinstance(raw, list) or not all(isinstance(x, (int, float)) for x in raw):
             raise EmbeddingProviderError("embedding is not a list of numbers")
         vector = tuple(map(float, raw))
+        if not vector:  # before the dimension is learned, so one bad reply cannot fix it at 0
+            raise EmbeddingProviderError("embedding is empty")
         if self._dimension is None:
             self._dimension = len(vector)
         elif len(vector) != self._dimension:

@@ -56,6 +56,10 @@ class KnowledgeGraph:
     triples: set[Triple] = field(default_factory=set)
     adjacency: dict[EntityId, list[Triple]] = field(default_factory=dict)
     labels: dict[str, str] = field(default_factory=dict)
+    # tail -> triples in adjacency order; built lazily by find_paths, dropped by add
+    _in_edges: dict[EntityId, list[Triple]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -66,6 +70,7 @@ class KnowledgeGraph:
             return False
         self.triples.add(triple)
         self.adjacency.setdefault(triple.head, []).append(triple)
+        self._in_edges = None
         return True
 
     def label_of(self, identifier: str) -> str:
@@ -98,18 +103,43 @@ class KnowledgeGraph:
         Intermediate entities never repeat and never revisit either
         endpoint. Results are ordered by (length, lexicographic triple
         sequence).
+
+        The search meets in the middle. A backward walk from goal over the
+        in-edge index collects every suffix of up to ``max_len // 2`` edges
+        (see _suffixes). A forward walk from start takes the remaining hops:
+        a path ends at its first edge into goal, and at the last forward hop
+        the prefix joins each suffix recorded for the entity it reached whose
+        intermediates it has not visited. The in-edge index (tail -> triples,
+        in adjacency order) is built by the first call that walks backward,
+        never by loading, and ``add`` drops it.
         """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
+        backward_hops = max_len // 2
+        forward_hops = max_len - backward_hops
+        suffixes = self._suffixes(goal, backward_hops) if backward_hops else {}
+        adjacency = self.adjacency
         paths: list[list[Triple]] = []
 
         def walk(node: EntityId, visited: set[EntityId], chain: list[Triple]) -> None:
-            for triple in self.adjacency.get(node, ()):
+            if len(chain) + 1 == forward_hops:
+                for triple in adjacency.get(node, ()):
+                    tail = triple.tail
+                    if tail == goal:
+                        paths.append(chain + [triple])
+                    elif tail in suffixes and tail not in visited:
+                        prefix = chain + [triple]
+                        paths.extend(
+                            prefix + suffix
+                            for suffix, inside in suffixes[tail]
+                            if inside.isdisjoint(visited)
+                        )
+                return
+            for triple in adjacency.get(node, ()):
                 tail = triple.tail
                 if tail == goal:
                     paths.append(chain + [triple])
-                    continue
-                if len(chain) + 1 < max_len and tail not in visited:
+                elif tail not in visited:
                     visited.add(tail)
                     chain.append(triple)
                     walk(tail, visited, chain)
@@ -119,6 +149,40 @@ class KnowledgeGraph:
         walk(start, {start}, [])
         paths.sort(key=lambda p: (len(p), [t.as_tuple() for t in p]))
         return paths
+
+    def _suffixes(
+        self, goal: EntityId, hops: int
+    ) -> dict[EntityId, list[tuple[list[Triple], frozenset[EntityId]]]]:
+        """First entity -> [(suffix, intermediates)], the backward half of find_paths.
+
+        A suffix is a simple path of 1..hops edges whose last edge, and only
+        that one, enters goal. Its intermediates are the entities strictly
+        between its first entity and goal, so never the first entity itself.
+        """
+        in_edges = self._in_edges
+        if in_edges is None:
+            # built whole, then published in one assignment, so threads
+            # sharing the graph never see a partial index
+            in_edges = {}
+            for triples in self.adjacency.values():
+                for triple in triples:
+                    in_edges.setdefault(triple.tail, []).append(triple)
+            self._in_edges = in_edges
+        suffixes: dict[EntityId, list[tuple[list[Triple], frozenset[EntityId]]]] = {}
+
+        def walk(node: EntityId, inside: frozenset[EntityId], suffix: list[Triple]) -> None:
+            # inside: the intermediates of every suffix that starts one edge before node
+            for triple in in_edges.get(node, ()):
+                head = triple.head
+                if head == goal or head in inside:
+                    continue
+                longer = [triple] + suffix
+                suffixes.setdefault(head, []).append((longer, inside))
+                if len(longer) < hops:
+                    walk(head, inside | {head}, longer)
+
+        walk(goal, frozenset(), [])
+        return suffixes
 
 
 def _iter_text_lines(source: str | Path | IO | Iterable[str | bytes]) -> Iterator[str]:

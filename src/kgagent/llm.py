@@ -218,8 +218,9 @@ def post_json(session, config: HttpChatConfig, path: str, payload: dict, error, 
 
     The bearer key comes from the environment variable config.api_key_env.
     Connection errors and 408/429/5xx replies are retried with exponential
-    backoff, config.retries attempts in all; any other 4xx raises `error` at
-    once. Every HTTP request of the live providers goes through here.
+    backoff, config.retries attempts in all; any other 4xx, or a reply whose
+    body is not JSON, raises `error` at once. Every HTTP request of the live
+    providers goes through here.
     """
     import requests
 
@@ -235,15 +236,21 @@ def post_json(session, config: HttpChatConfig, path: str, payload: dict, error, 
             )
             if response.status_code in (408, 429) or response.status_code >= 500:
                 raise requests.HTTPError(f"retryable status {response.status_code}")
-            if response.status_code >= 400:  # auth/validation: do not retry
-                raise error(
-                    f"{noun} rejected with status {response.status_code}: {response.text[:200]}"
-                )
-            return response.json()
         except requests.RequestException as exc:
             last_error = exc
             if attempt + 1 < config.retries:
                 time.sleep(config.backoff * (2**attempt))
+            continue
+        if response.status_code >= 400:  # auth/validation: do not retry
+            raise error(
+                f"{noun} rejected with status {response.status_code}: {response.text[:200]}"
+            )
+        # decoded outside the retry path: requests' JSONDecodeError is also a
+        # RequestException, yet a body that is not JSON is not transient
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise error(f"malformed {noun} body: {exc}") from exc
     raise error(f"{noun} failed after {config.retries} attempts: {last_error}") from last_error
 
 

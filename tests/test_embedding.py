@@ -206,6 +206,16 @@ class TestHttpEmbedder:
         with pytest.raises(EmbeddingProviderError):
             provider.embed("b")
 
+    def test_empty_first_vector_does_not_fix_the_dimension(self):
+        from kgagent.embedding import HttpEmbedder
+
+        session = FakeEmbeddingSession([[], [1.0, 2.0]])
+        provider = HttpEmbedder("http://fake", "embed-x", session=session)
+        with pytest.raises(EmbeddingProviderError, match="empty"):
+            provider.embed("a")
+        assert provider.embed("b") == (1.0, 2.0)
+        assert provider.dimension == 2
+
 
 class QueuedResponse:
     def __init__(self, status_code: int, body=None) -> None:
@@ -274,6 +284,18 @@ class TestHttpEmbedderRequestPolicy:
     def test_malformed_body_is_not_retried(self, sleeps, body):
         session, embed = self._embed([QueuedResponse(200, body)] * 3)
         with pytest.raises(EmbeddingProviderError):
+            embed()
+        assert (session.calls, sleeps) == (1, [])
+
+    def test_body_that_is_not_json_is_not_retried(self, sleeps):
+        import requests
+
+        class NotJsonResponse(QueuedResponse):
+            def json(self):
+                raise requests.JSONDecodeError("Expecting value", "<html>", 0)
+
+        session, embed = self._embed([NotJsonResponse(200)] * 3)
+        with pytest.raises(EmbeddingProviderError, match="malformed embedding body"):
             embed()
         assert (session.calls, sleeps) == (1, [])
 

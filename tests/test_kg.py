@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,89 @@ class TestFindPaths:
             assert path[-1].tail == "Q5"
             for left, right in zip(path, path[1:]):
                 assert left.tail == right.head
+
+    def test_matches_oracle_and_recursive_walk_up_to_five_edges(self):
+        rng = random.Random(606)
+        for _ in range(150):
+            kg = random_kg(rng, n_entities=7, n_triples=rng.randrange(0, 28), n_relations=3)
+            entity = f"Q{rng.randrange(7)}"
+            kg.add(Triple(entity, "P0", entity))  # a self-loop
+            kg.add(Triple(entity, "P1", "Q0"))  # parallel relations to one tail
+            kg.add(Triple(entity, "P2", "Q0"))
+            start = f"Q{rng.randrange(7)}"
+            goal = start if rng.random() < 0.25 else f"Q{rng.randrange(7)}"
+            for max_len in range(1, 6):
+                found = kg.find_paths(start, goal, max_len)
+                assert found == dfs_paths_oracle(kg, start, goal, max_len)
+                assert found == recursive_walk_paths(kg, start, goal, max_len)
+
+    def test_add_after_a_search_shows_up_in_the_next(self):
+        kg = make_kg([("A", "r", "B"), ("B", "r", "C")])
+        assert kg.find_paths("A", "C", 2) == [[Triple("A", "r", "B"), Triple("B", "r", "C")]]
+        kg.add(Triple("A", "s", "D"))
+        kg.add(Triple("D", "s", "C"))
+        assert kg.find_paths("A", "C", 2) == [
+            [Triple("A", "r", "B"), Triple("B", "r", "C")],
+            [Triple("A", "s", "D"), Triple("D", "s", "C")],
+        ]
+
+    def test_index_leaves_equality_and_repr_alone(self):
+        triples = [("A", "r", "B"), ("B", "r", "C"), ("C", "r", "A")]
+        searched, fresh = make_kg(triples, {"A": "a"}), make_kg(triples, {"A": "a"})
+        searched.find_paths("A", "C", 3)
+        assert searched._in_edges is not None
+        assert searched == fresh
+        assert repr(searched) == repr(fresh)
+
+    def test_loading_and_neighbor_queries_build_no_index(self):
+        kg = load_triples(["A\tr\tB\n", "B\tr\tC\n"])
+        kg.get_neighbors("A")
+        kg.get_neighbors("B", limit=1)
+        assert kg._in_edges is None
+
+    def test_threads_sharing_a_fresh_graph_agree(self):
+        kg = random_kg(random.Random(8), n_entities=30, n_triples=400)
+        expected = recursive_walk_paths(kg, "Q1", "Q2", 4)
+        results: list[list[list[Triple]]] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=lambda: results.append(kg.find_paths("Q1", "Q2", 4)))
+                for _ in range(8)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
+
+
+def recursive_walk_paths(
+    kg: KnowledgeGraph, start: str, goal: str, max_len: int
+) -> list[list[Triple]]:
+    """The forward-only recursive search find_paths replaced, kept as a reference."""
+    paths: list[list[Triple]] = []
+
+    def walk(node: str, visited: set[str], chain: list[Triple]) -> None:
+        for triple in kg.adjacency.get(node, ()):
+            tail = triple.tail
+            if tail == goal:
+                paths.append(chain + [triple])
+                continue
+            if len(chain) + 1 < max_len and tail not in visited:
+                visited.add(tail)
+                chain.append(triple)
+                walk(tail, visited, chain)
+                chain.pop()
+                visited.discard(tail)
+
+    walk(start, {start}, [])
+    paths.sort(key=lambda p: (len(p), [t.as_tuple() for t in p]))
+    return paths
 
 
 def bfs_levels_oracle(kg: KnowledgeGraph, seeds: list[str], k: int) -> set[Triple]:

@@ -218,6 +218,23 @@ class TestMalformedCompletionBody:
             provider.complete(CompletionRequest.user("hi"))
         assert len(session.calls) == 1
 
+    def test_body_that_is_not_json_is_not_retried(self, monkeypatch):
+        import requests
+
+        from kgagent.llm import HttpChatConfig, HttpChatProvider, LLMProviderError
+
+        class NotJsonResponse(FakeResponse):
+            def json(self):
+                raise requests.JSONDecodeError("Expecting value", "<html>", 0)
+
+        sleeps: list[float] = []
+        monkeypatch.setattr("kgagent.llm.time.sleep", sleeps.append)
+        session = FakeSession([NotJsonResponse(200)] * 3)
+        provider = HttpChatProvider(HttpChatConfig("http://fake", "model-x"), session=session)
+        with pytest.raises(LLMProviderError, match="malformed completion body"):
+            provider.complete(CompletionRequest.user("hi"))
+        assert (len(session.calls), sleeps) == (1, [])
+
 
 @pytest.mark.skipif(
     "KGAGENT_LIVE_LLM_ENDPOINT" not in os.environ,
