@@ -40,7 +40,6 @@ from .evaluation import (
 )
 from .kg import (
     KnowledgeGraph,
-    KnowledgeGraphServer,
     Triple,
     TripleParseError,
     extract_khop_subgraph,

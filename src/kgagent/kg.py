@@ -1,5 +1,5 @@
-"""In-memory triple store: TSV loading, neighbor and path queries, k-hop
-subgraph extraction, and an optional line-protocol query service.
+"""In-memory triple store: TSV loading, neighbor and path queries, and k-hop
+subgraph extraction.
 
 The graph is mutable only while loading; afterwards it is treated as
 immutable and may be shared freely across threads.
@@ -7,13 +7,10 @@ immutable and may be shared freely across threads.
 
 from __future__ import annotations
 
-import socket
-import socketserver
 import sys
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 EntityId = str
 RelationId = str
@@ -30,9 +27,12 @@ class TripleParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Triple:
-    """One directed edge (head entity, relation, tail entity)."""
+class Triple(NamedTuple):
+    """One directed edge (head entity, relation, tail entity).
+
+    A named tuple: it hashes, compares and sorts as the plain tuple
+    ``(head, relation, tail)``, and equals it.
+    """
 
     head: EntityId
     relation: RelationId
@@ -147,7 +147,7 @@ class KnowledgeGraph:
                     visited.discard(tail)
 
         walk(start, {start}, [])
-        paths.sort(key=lambda p: (len(p), [t.as_tuple() for t in p]))
+        paths.sort(key=lambda p: (len(p), p))
         return paths
 
     def _suffixes(
@@ -188,8 +188,7 @@ class KnowledgeGraph:
 def _iter_text_lines(source: str | Path | IO | Iterable[str | bytes]) -> Iterator[str]:
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
-            for raw in handle:
-                yield raw.decode("utf-8")
+            yield from map(bytes.decode, handle)  # UTF-8, line by line
         return
     for raw in source:
         if isinstance(raw, bytes):
@@ -198,43 +197,68 @@ def _iter_text_lines(source: str | Path | IO | Iterable[str | bytes]) -> Iterato
             yield raw
 
 
-def _check_id(value: str, kind: str, line_number: int) -> str:
-    if not value:
-        raise TripleParseError(f"empty {kind} field", line_number)
-    if "\t" in value or "\n" in value or "\r" in value:
-        raise TripleParseError(f"{kind} contains tab or newline", line_number)
-    return sys.intern(value)
+def _check_fields(
+    fields: list[str], width: int, id_kinds: tuple[str, ...], line_number: int
+) -> None:
+    """Raise the TripleParseError of a row: its width first, then each id field in order."""
+    if len(fields) != width:
+        raise TripleParseError(
+            f"expected {width} tab-separated fields, got {len(fields)}", line_number
+        )
+    for value, kind in zip(fields, id_kinds):
+        if not value:
+            raise TripleParseError(f"empty {kind} field", line_number)
+        if "\n" in value or "\r" in value:
+            raise TripleParseError(f"{kind} contains tab or newline", line_number)
 
 
 def _tsv_rows(
-    source: str | Path | IO | Iterable[str | bytes], width: int
-) -> Iterator[tuple[int, list[str]]]:
-    """(1-based line number, fields) per non-blank line of exactly ``width`` fields."""
+    source: str | Path | IO | Iterable[str | bytes], width: int, id_kinds: tuple[str, ...]
+) -> Iterator[list[str]]:
+    """The fields of each non-blank line, which must be exactly ``width``.
+
+    The leading ``len(id_kinds)`` fields are ids: none may be empty or hold a
+    newline or carriage return (a tab would have split the line). Any later
+    field is free text. Each line gets one cheap test; only a line that fails
+    it goes through _check_fields, which raises the detailed error.
+    """
+    checked = len(id_kinds)
     for number, line in enumerate(_iter_text_lines(source), start=1):
         line = line.rstrip("\r\n")
         if not line:
             continue
         fields = line.split("\t")
-        if len(fields) != width:
-            raise TripleParseError(
-                f"expected {width} tab-separated fields, got {len(fields)}", number
-            )
-        yield number, fields
+        if checked == width:
+            ids, text = fields, line
+        else:
+            ids = fields[:checked]
+            text = "\t".join(ids)
+        if len(fields) != width or "" in ids or "\r" in text or "\n" in text:
+            _check_fields(fields, width, id_kinds, number)
+        yield fields
 
 
 def load_triples(source: str | Path | IO | Iterable[str | bytes]) -> KnowledgeGraph:
     """Build a graph from TSV lines ``head<TAB>relation<TAB>tail``.
 
     Blank lines are skipped; duplicate triples collapse; first-seen order
-    is preserved in adjacency lists.
+    is preserved in adjacency lists. Each line is decoded as UTF-8 on its
+    own and gets one test: three fields, none empty, no newline or carriage
+    return. Only a line that fails it is checked field by field, to raise a
+    TripleParseError naming the line and the first fault (the width, then
+    the head, relation and tail).
     """
     kg = KnowledgeGraph()
-    for number, (head, relation, tail) in _tsv_rows(source, 3):
-        kg.add(Triple(
-            _check_id(head, "head", number),
-            _check_id(relation, "relation", number),
-            _check_id(tail, "tail", number),
-        ))
+    triples, adjacency = kg.triples, kg.adjacency
+    intern = sys.intern
+    for head, relation, tail in _tsv_rows(source, 3, ("head", "relation", "tail")):
+        head = intern(head)
+        # tuple.__new__ skips the Python-level __new__ that Triple(...) runs
+        triple = tuple.__new__(Triple, (head, intern(relation), intern(tail)))
+        size = len(triples)
+        triples.add(triple)
+        if len(triples) != size:
+            adjacency.setdefault(head, []).append(triple)
     return kg
 
 
@@ -243,10 +267,12 @@ def load_labels(
 ) -> KnowledgeGraph:
     """Merge TSV lines ``id<TAB>label`` into the graph's label map.
 
-    Later lines overwrite earlier labels for the same id.
+    Later lines overwrite earlier labels for the same id. Only the id is
+    checked; a label may be empty or hold a carriage return.
     """
-    for number, (identifier, label) in _tsv_rows(source, 2):
-        kg.labels[_check_id(identifier, "id", number)] = label
+    labels = kg.labels
+    for identifier, label in _tsv_rows(source, 2, ("id",)):
+        labels[sys.intern(identifier)] = label
     return kg
 
 
@@ -312,83 +338,3 @@ def load_kg(directory: str | Path) -> KnowledgeGraph:
     if labels_path.exists():
         load_labels(kg, labels_path)
     return kg
-
-
-class KnowledgeGraphServer:
-    """Line-protocol query service over a local TCP socket.
-
-    Requests: ``NEIGHBORS <id>`` or ``PATHS <id1> <id2> <max_len>``.
-    Responses: one TSV triple per line, terminated by a blank line.
-    Malformed requests get an ``ERR <reason>`` line plus the terminator.
-    """
-
-    def __init__(self, kg: KnowledgeGraph, host: str = "127.0.0.1", port: int = 0):
-        self.kg = kg
-
-        outer = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                for raw in self.rfile:
-                    reply = outer._answer(raw.decode("utf-8").strip())
-                    self.wfile.write(("".join(reply) + "\n").encode("utf-8"))
-                    self.wfile.flush()
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server((host, port), Handler)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
-
-    def _answer(self, request: str) -> list[str]:
-        parts = request.split()
-        try:
-            if len(parts) == 2 and parts[0] == "NEIGHBORS":
-                found = self.kg.get_neighbors(parts[1])
-            elif len(parts) == 4 and parts[0] == "PATHS":
-                paths = self.kg.find_paths(parts[1], parts[2], int(parts[3]))
-                found = list(dict.fromkeys(t for path in paths for t in path))
-            else:
-                return [f"ERR unsupported request: {request!r}\n"]
-        except ValueError as exc:
-            return [f"ERR {exc}\n"]
-        return [t.to_tsv() + "\n" for t in found]
-
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join()
-
-    def __enter__(self) -> "KnowledgeGraphServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def query_service(host: str, port: int, request: str) -> list[Triple]:
-    """Send one request line to a KnowledgeGraphServer and parse the reply."""
-    with socket.create_connection((host, port)) as conn:
-        conn.sendall((request + "\n").encode("utf-8"))
-        buffered = conn.makefile("rb")
-        triples: list[Triple] = []
-        for raw in buffered:
-            line = raw.decode("utf-8").rstrip("\n")
-            if not line:
-                break
-            if line.startswith("ERR "):
-                raise RuntimeError(line[4:])
-            head, relation, tail = line.split("\t")
-            triples.append(Triple(head, relation, tail))
-        return triples

@@ -95,7 +95,7 @@ def rank_scored_triples(
 ) -> list[tuple[float, Triple]]:
     """The first limit pairs by descending score, ties broken on lexicographic
     (head, relation, tail); equal to a full sort cut at limit."""
-    return heapq.nsmallest(limit, pairs, key=lambda pair: (-pair[0], pair[1].as_tuple()))
+    return heapq.nsmallest(limit, pairs, key=lambda pair: (-pair[0], pair[1]))
 
 
 def top_scored(

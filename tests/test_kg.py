@@ -1,24 +1,24 @@
 from __future__ import annotations
 
 import io
+import pickle
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kgagent.kg import (
     KnowledgeGraph,
-    KnowledgeGraphServer,
     Triple,
     TripleParseError,
     dump_triples,
     extract_khop_subgraph,
     load_labels,
     load_triples,
-    query_service,
 )
 
 from conftest import make_kg, random_kg
@@ -48,6 +48,11 @@ class TestLoadTriples:
     def test_empty_field_is_error(self):
         with pytest.raises(TripleParseError):
             load_triples(["A\t\tB\n"])
+
+    def test_an_id_is_one_string_across_lines(self):
+        kg = load_triples(io.BytesIO(b"Q1\tP31\tQ2\nQ2\tP31\tQ1\n"))
+        first, second = kg.get_neighbors("Q1")[0], kg.get_neighbors("Q2")[0]
+        assert first.tail is second.head and first.relation is second.relation
 
     def test_accepts_byte_stream(self):
         kg = load_triples(io.BytesIO(b"Q1\tP1\tQ2\nQ3\tP1\tQ4\n"))
@@ -346,32 +351,6 @@ class TestRoundTrip:
         assert reloaded.adjacency == kg.adjacency
 
 
-class TestQueryService:
-    def test_neighbors_and_paths_over_socket(self, tokyo_kg):
-        with KnowledgeGraphServer(tokyo_kg) as server:
-            host, port = server.address
-            neighbors = query_service(host, port, "NEIGHBORS Q1490")
-            assert neighbors == tokyo_kg.get_neighbors("Q1490")
-            paths = query_service(host, port, "PATHS Q1490 Q17 3")
-            flat = [
-                t
-                for path in tokyo_kg.find_paths("Q1490", "Q17", 3)
-                for t in path
-            ]
-            assert paths == list(dict.fromkeys(flat))
-
-    def test_unknown_entity_empty_response(self, tokyo_kg):
-        with KnowledgeGraphServer(tokyo_kg) as server:
-            host, port = server.address
-            assert query_service(host, port, "NEIGHBORS Qmissing") == []
-
-    def test_bad_request_errors(self, tokyo_kg):
-        with KnowledgeGraphServer(tokyo_kg) as server:
-            host, port = server.address
-            with pytest.raises(RuntimeError):
-                query_service(host, port, "FROBNICATE Q1")
-
-
 class TestLoaderErrors:
     @pytest.mark.parametrize(
         "load, lines, message",
@@ -384,12 +363,155 @@ class TestLoaderErrors:
              "line 2: expected 2 tab-separated fields, got 3"),
             (lambda lines: load_labels(KnowledgeGraph(), lines), ["\tTokyo\n"],
              "line 1: empty id field"),
+            (load_triples, ["A\tr\rx\tB\n"], "line 1: relation contains tab or newline"),
+            (load_triples, ["A\tr\tB\nC\tr\tD\n"],
+             "line 1: expected 3 tab-separated fields, got 5"),
         ],
     )
     def test_error_messages_and_line_numbers(self, load, lines, message):
         with pytest.raises(TripleParseError) as excinfo:
             load(lines)
         assert str(excinfo.value) == message
+
+    def test_trailing_carriage_returns_are_stripped(self):
+        assert load_triples(["A\tr\tB\r\r\n"]).triples == {Triple("A", "r", "B")}
+
+    def test_a_label_may_be_empty_or_hold_a_carriage_return(self):
+        kg = load_labels(KnowledgeGraph(), ["Q1\t\n", "Q2\ta\rb\n"])
+        assert kg.labels == {"Q1": "", "Q2": "a\rb"}
+
+
+def reference_check_id(value: str, kind: str, line_number: int) -> str:
+    if not value:
+        raise TripleParseError(f"empty {kind} field", line_number)
+    if "\t" in value or "\n" in value or "\r" in value:
+        raise TripleParseError(f"{kind} contains tab or newline", line_number)
+    return sys.intern(value)
+
+
+def reference_text_lines(source):
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as handle:
+            for raw in handle:
+                yield raw.decode("utf-8")
+        return
+    for raw in source:
+        if isinstance(raw, bytes):
+            yield raw.decode("utf-8")
+        else:
+            yield raw
+
+
+def reference_tsv_rows(source, width: int):
+    for number, line in enumerate(reference_text_lines(source), start=1):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise TripleParseError(
+                f"expected {width} tab-separated fields, got {len(fields)}", number
+            )
+        yield number, fields
+
+
+def reference_load_triples(source) -> KnowledgeGraph:
+    """The loader load_triples replaced, which checks every field of every
+    line, kept as a reference."""
+    kg = KnowledgeGraph()
+    for number, (head, relation, tail) in reference_tsv_rows(source, 3):
+        kg.add(Triple(
+            reference_check_id(head, "head", number),
+            reference_check_id(relation, "relation", number),
+            reference_check_id(tail, "tail", number),
+        ))
+    return kg
+
+
+def reference_load_labels(kg: KnowledgeGraph, source) -> KnowledgeGraph:
+    for number, (identifier, label) in reference_tsv_rows(source, 2):
+        kg.labels[reference_check_id(identifier, "id", number)] = label
+    return kg
+
+
+def _outcome(load, source):
+    """What a loader returns, in comparable form, or the exception it raises."""
+    try:
+        kg = load(source)
+    except (TripleParseError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+    return kg.triples, list(kg.adjacency.items()), list(kg.labels.items())
+
+
+_FIELD = st.sampled_from(["A", "B", "r", "é", "", "x\ry", "\r", "a\nb"])
+_LINE = st.one_of(
+    st.tuples(
+        st.lists(_FIELD, min_size=1, max_size=4),
+        st.sampled_from(["\n", "\r\n", "\r\r\n", ""]),
+    ).map(lambda drawn: "\t".join(drawn[0]) + drawn[1]),
+    st.sampled_from(["\n", "\r\n", "", "A\tr\tB\n", "A\tname\n"]),
+)
+
+
+class TestLoaderParity:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        lines=st.lists(_LINE, max_size=12),
+        kind=st.sampled_from(["str", "bytes", "stream", "path"]),
+        bad_utf8=st.booleans(),
+    )
+    def test_loaders_match_the_reference(self, tmp_path: Path, lines, kind, bad_utf8):
+        encoded = [line.encode("utf-8") for line in lines]
+        if bad_utf8 and kind != "str" and encoded:
+            encoded[-1] = b"\xff" + encoded[-1]
+        path = tmp_path / "rows.tsv"
+        path.write_bytes(b"".join(encoded))
+
+        def source():
+            if kind == "str":
+                return list(lines)
+            if kind == "bytes":
+                return list(encoded)
+            if kind == "stream":
+                return io.BytesIO(b"".join(encoded))
+            return path
+
+        assert _outcome(load_triples, source()) == _outcome(reference_load_triples, source())
+        assert _outcome(lambda s: load_labels(KnowledgeGraph(), s), source()) == _outcome(
+            lambda s: reference_load_labels(KnowledgeGraph(), s), source()
+        )
+
+
+class TestTriple:
+    def test_hash_and_equality_are_the_plain_tuple_s(self):
+        triple = Triple("A", "r", "B")
+        assert hash(triple) == hash(triple.as_tuple()) == hash(("A", "r", "B"))
+        assert triple == ("A", "r", "B")
+
+    def test_repr(self):
+        assert repr(Triple("A", "r", "B")) == "Triple(head='A', relation='r', tail='B')"
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from(["A", "B", "b", "r", ""])] * 3), max_size=12))
+    def test_sort_order_is_the_plain_tuple_order(self, rows):
+        triples = [Triple(*row) for row in rows]
+        assert sorted(triples) == sorted(triples, key=Triple.as_tuple)
+
+    def test_fields_cannot_be_set(self):
+        triple = Triple("A", "r", "B")
+        with pytest.raises(AttributeError):
+            triple.head = "C"  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            triple.weight = 1.0  # type: ignore[attr-defined]
+
+    def test_pickle_round_trip(self):
+        triple = Triple("A", "r", "B")
+        restored = pickle.loads(pickle.dumps(triple))
+        assert restored == triple and type(restored) is Triple
 
 
 class TestGetNeighborsCopy:
