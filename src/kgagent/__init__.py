@@ -49,7 +49,6 @@ from .kg import (
     save_kg,
 )
 from .llm import (
-    ChatMessage,
     CompletionRequest,
     HttpChatConfig,
     HttpChatProvider,
@@ -58,7 +57,7 @@ from .llm import (
     ScriptError,
     load_script,
 )
-from .memory import Memory, MemoryPath, integrate, parse_memory, render_memory, serialize_memory
+from .memory import Memory, MemoryPath, integrate, render_memory
 from .observation import ObservationParams, ObservationSubgraph, ScoredTriple, observe
 from .reflection import (
     ReflectionParams,

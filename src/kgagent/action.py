@@ -263,7 +263,7 @@ def choose_action(
     prompt = base_prompt
     attempts: list[ActionAttempt] = []
     for _ in range(max_retries + 1):
-        response = provider.complete(CompletionRequest.user(prompt, temperature, max_tokens))
+        response = provider.complete(CompletionRequest(prompt, temperature, max_tokens))
         attempts.append(ActionAttempt(prompt, response))
         try:
             action = parse_action(response, candidates, labels=kg.labels)

@@ -70,6 +70,16 @@ class AgentConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.path_max_len < 1:
             raise ValueError("path_max_len must be >= 1")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        if self.neighbor_limit is not None and self.neighbor_limit < 0:
+            raise ValueError("neighbor_limit must be >= 0 or null")
+        if self.action_retries < 0:
+            raise ValueError("action_retries must be >= 0")
+        if self.question_timeout is not None and self.question_timeout < 0:
+            raise ValueError("question_timeout must be >= 0 or null")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -280,7 +290,7 @@ def run(
         # the trace takes the answer only once the provider has returned it
         prompt = build_answer_prompt(question, memory, kg, memory_extra="\n".join(facts))
         response = providers.llm.complete(
-            CompletionRequest.user(prompt, config.temperature, config.max_tokens)
+            CompletionRequest(prompt, config.temperature, config.max_tokens)
         )
         answers = parse_answer(response)
         trace.answer_prompt, trace.answer_response = prompt, response

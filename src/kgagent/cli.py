@@ -52,6 +52,19 @@ def _build_providers(args: argparse.Namespace) -> Providers:
     return Providers(llm=llm, embedder=embedder, cache=cache)
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an int no smaller than minimum."""
+
+    # argparse names the type in its error: "invalid integer value: 'x'"
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--provider", choices=("scripted", "live"), default="scripted")
     parser.add_argument("--script", help="script file for the scripted provider")
@@ -157,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--triples", required=True)
     build.add_argument("--labels")
     build.add_argument("--seeds", required=True, help="file with one entity id per line")
-    build.add_argument("--k", type=int, default=3)
+    build.add_argument("--k", type=_int_at_least(1), default=3)
     build.add_argument("--out", required=True)
     build.set_defaults(func=_cmd_build_subgraph)
 
@@ -183,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     inspect = sub.add_parser("inspect", help="show an entity's outgoing triples")
     inspect.add_argument("--kg", required=True)
     inspect.add_argument("--entity", required=True)
-    inspect.add_argument("--limit", type=int)
+    inspect.add_argument("--limit", type=_int_at_least(0))
     inspect.set_defaults(func=_cmd_inspect)
 
     return parser

@@ -46,6 +46,8 @@ def load_dataset(source: str | Path | IO | Iterable[str]) -> list[DatasetRecord]
             continue
         try:
             data = json.loads(line)
+            if not isinstance(data["question"], str):
+                raise ValueError("question must be a JSON string")
             for name in ("entities", "answers"):
                 value = data[name]
                 if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -122,17 +124,6 @@ class EvalReport:
     def to_dict(self) -> dict:
         return {**asdict(self), "outcomes": [outcome.to_dict() for outcome in self.outcomes]}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        return cls(
-            total=data["total"],
-            hits=data["hits"],
-            accuracy=data["accuracy"],
-            outcomes=[QuestionOutcome(**outcome) for outcome in data["outcomes"]],
-            timing=dict(data["timing"]),
-            note=data.get("note"),
-        )
-
 
 def _percentile(sorted_values: list[float], q: float) -> float:
     if not sorted_values:
@@ -143,10 +134,6 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 
 def report_to_json(report: EvalReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, ensure_ascii=True, indent=2) + "\n"
-
-
-def report_from_json(payload: str) -> EvalReport:
-    return EvalReport.from_dict(json.loads(payload))
 
 
 ProvidersFactory = Callable[[DatasetRecord, int], Providers]

@@ -1,8 +1,8 @@
 """In-memory triple store: TSV loading, neighbor and path queries, and k-hop
 subgraph extraction.
 
-The graph is mutable only while loading; afterwards it is treated as
-immutable and may be shared freely across threads.
+A graph is built once, by load_triples or extract_khop_subgraph, and never
+changes afterwards, so it may be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -49,29 +49,24 @@ class Triple(NamedTuple):
 class KnowledgeGraph:
     """Directed labeled graph with head-indexed adjacency and a label map.
 
-    Adjacency lists preserve first-seen load order; duplicate triples
-    collapse to one edge.
+    Adjacency is the only edge store: each edge is held once, in the list of
+    its head, in first-seen load order, and no list holds a duplicate.
     """
 
-    triples: set[Triple] = field(default_factory=set)
     adjacency: dict[EntityId, list[Triple]] = field(default_factory=dict)
     labels: dict[str, str] = field(default_factory=dict)
-    # tail -> triples in adjacency order; built lazily by find_paths, dropped by add
+    # tail -> triples in adjacency order; built lazily by find_paths
     _in_edges: dict[EntityId, list[Triple]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return sum(map(len, self.adjacency.values()))
 
-    def add(self, triple: Triple) -> bool:
-        """Insert a triple; returns False if it was already present."""
-        if triple in self.triples:
-            return False
-        self.triples.add(triple)
-        self.adjacency.setdefault(triple.head, []).append(triple)
-        self._in_edges = None
-        return True
+    @property
+    def triples(self) -> set[Triple]:
+        """A fresh set of every edge; changing it leaves the graph alone."""
+        return {triple for triples in self.adjacency.values() for triple in triples}
 
     def label_of(self, identifier: str) -> str:
         """Human-readable label, falling back to the raw id."""
@@ -111,7 +106,7 @@ class KnowledgeGraph:
         the prefix joins each suffix recorded for the entity it reached whose
         intermediates it has not visited. The in-edge index (tail -> triples,
         in adjacency order) is built by the first call that walks backward,
-        never by loading, and ``add`` drops it.
+        never by loading.
         """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
@@ -249,15 +244,16 @@ def load_triples(source: str | Path | IO | Iterable[str | bytes]) -> KnowledgeGr
     the head, relation and tail).
     """
     kg = KnowledgeGraph()
-    triples, adjacency = kg.triples, kg.adjacency
+    adjacency = kg.adjacency
+    seen: set[Triple] = set()
     intern = sys.intern
     for head, relation, tail in _tsv_rows(source, 3, ("head", "relation", "tail")):
         head = intern(head)
         # tuple.__new__ skips the Python-level __new__ that Triple(...) runs
         triple = tuple.__new__(Triple, (head, intern(relation), intern(tail)))
-        size = len(triples)
-        triples.add(triple)
-        if len(triples) != size:
+        size = len(seen)
+        seen.add(triple)
+        if len(seen) != size:
             adjacency.setdefault(head, []).append(triple)
     return kg
 
@@ -294,7 +290,8 @@ def extract_khop_subgraph(
     """All triples reachable by following head->tail edges for at most k steps.
 
     The frontier after each step is the set of tails just reached; labels in
-    the result are restricted to the ids that survive.
+    the result are restricted to the ids that survive. Each entity is expanded
+    at most once, so the result holds a copy of its whole edge list.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -304,8 +301,11 @@ def extract_khop_subgraph(
     for _ in range(k):
         next_frontier: list[EntityId] = []
         for entity in frontier:
-            for triple in kg.adjacency.get(entity, ()):
-                out.add(triple)
+            triples = kg.adjacency.get(entity)
+            if not triples:
+                continue
+            out.adjacency[entity] = list(triples)
+            for triple in triples:
                 if triple.tail not in visited:
                     visited.add(triple.tail)
                     next_frontier.append(triple.tail)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 
-ROLES = ("system", "user", "assistant")
-
 DEFAULT_TEMPERATURE = 0.4
 DEFAULT_MAX_TOKENS = 500
 
@@ -31,61 +29,23 @@ class LLMProviderError(LLMError):
 
 
 @dataclass
-class ChatMessage:
-    role: str
-    content: str
-
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
-        if self.role in ("system", "user") and not self.content:
-            raise ValueError(f"{self.role} message must have content")
-
-
-@dataclass
 class CompletionRequest:
-    messages: list[ChatMessage]
+    """One flat user prompt; prompts are never split across roles."""
+
+    prompt: str
     temperature: float = DEFAULT_TEMPERATURE
     max_tokens: int = DEFAULT_MAX_TOKENS
 
     def __post_init__(self) -> None:
+        if not self.prompt:
+            raise ValueError("prompt must be non-empty")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
 
-    @classmethod
-    def user(
-        cls,
-        text: str,
-        temperature: float = DEFAULT_TEMPERATURE,
-        max_tokens: int = DEFAULT_MAX_TOKENS,
-    ) -> "CompletionRequest":
-        """Single flat user message; prompts are never split across roles."""
-        return cls([ChatMessage("user", text)], temperature, max_tokens)
-
     def text(self) -> str:
-        return "\n".join(message.content for message in self.messages)
-
-
-def request_to_json(request: CompletionRequest) -> str:
-    return json.dumps(
-        {
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        },
-        sort_keys=True,
-    )
-
-
-def request_from_json(payload: str) -> CompletionRequest:
-    data = json.loads(payload)
-    return CompletionRequest(
-        [ChatMessage(m["role"], m["content"]) for m in data["messages"]],
-        data["temperature"],
-        data["max_tokens"],
-    )
+        return self.prompt
 
 
 class LLMProvider(Protocol):
@@ -203,7 +163,7 @@ class HttpChatProvider:
     def complete(self, request: CompletionRequest) -> str:
         payload = {
             "model": self.config.model,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+            "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }

@@ -40,9 +40,6 @@ class Memory:
     def __len__(self) -> int:
         return len(self.paths)
 
-    def triple_count(self) -> int:
-        return sum(len(path.links) for path in self.paths)
-
     def is_empty(self) -> bool:
         return not self.paths
 
@@ -68,32 +65,3 @@ def integrate(memory: Memory, reflected: Iterable[Triple]) -> Memory:
 def render_memory(memory: Memory, kg: KnowledgeGraph) -> str:
     """One line per path; links rendered with labels and joined by " -> "."""
     return "\n".join(" -> ".join(map(kg.render_triple, path.links)) for path in memory.paths)
-
-
-def serialize_memory(memory: Memory) -> str:
-    """TSV snapshot: path index, link index, head, relation, tail."""
-    lines = []
-    for path_index, path in enumerate(memory.paths):
-        for link_index, triple in enumerate(path.links):
-            lines.append(f"{path_index}\t{link_index}\t{triple.to_tsv()}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_memory(text: str) -> Memory:
-    """Inverse of serialize_memory; validates the chaining invariant."""
-    grouped: dict[int, list[tuple[int, Triple]]] = {}
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise ValueError(f"memory snapshot line {number}: expected 5 fields")
-        path_index, link_index = int(fields[0]), int(fields[1])
-        grouped.setdefault(path_index, []).append(
-            (link_index, Triple(fields[2], fields[3], fields[4]))
-        )
-    memory = Memory()
-    for path_index in sorted(grouped):
-        links = [triple for _, triple in sorted(grouped[path_index])]
-        memory.paths.append(MemoryPath(links))
-    return memory

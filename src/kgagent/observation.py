@@ -1,12 +1,12 @@
 """Recursive update/refine observation over the knowledge graph.
 
-Each seed entity is walked independently for up to depth_limit turns (or,
-with global_pool, all seeds share one walk). A turn collects the out-edges of
-the current frontier, scores every candidate against the question embedding,
-appends the top_n best (skipping triples the subgraph already holds), and
-promotes the tails of the top refine_percent of that selection to the next
-frontier, never revisiting an entity for the same seed. The selection is
-ranked before deduplication so that seeds stay independent of each other.
+Each seed entity is walked independently for up to depth_limit turns. A
+turn collects the out-edges of the current frontier, scores every candidate
+against the question embedding, appends the top_n best (skipping triples the
+subgraph already holds), and promotes the tails of the top refine_percent of
+that selection to the next frontier, never revisiting an entity for the same
+seed. The selection is ranked before deduplication so that seeds stay
+independent of each other.
 
 Scores come from a QuestionScorer: the question is embedded once per agent
 run, and each distinct "relation tail" text is scored once per question, so
@@ -16,7 +16,6 @@ repeated turns and observe calls reuse the same floats bit for bit.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
 from math import ceil
 from typing import Iterable
@@ -30,7 +29,6 @@ class ObservationParams:
     depth_limit: int = 3
     top_n: int = 50
     refine_percent: float = 10.0
-    global_pool: bool = False  # experiment option: rank all seeds in one pool
 
     def __post_init__(self) -> None:
         if self.depth_limit < 1:
@@ -55,7 +53,7 @@ class ScoredTriple:
 
 @dataclass
 class TurnRecord:
-    seed: EntityId | None  # None when ranking a global pool
+    seed: EntityId
     depth: int
     candidate_count: int
     appended: list[ScoredTriple]
@@ -136,27 +134,20 @@ def observe(
     scorer = scorer or QuestionScorer(question, provider, cache)
     scorer.question_vector()  # first, even when no seed has edges: fixes the provider's call order
     subgraph = ObservationSubgraph()
-    if params.global_pool:
-        _walk(kg, seeds, None, params, scorer, subgraph)
-    else:
-        for seed in seeds:
-            _walk(kg, [seed], seed, params, scorer, subgraph)
+    for seed in seeds:
+        _walk(kg, seed, params, scorer, subgraph)
     return subgraph
 
 
 def _walk(
     kg: KnowledgeGraph,
-    group: list[EntityId],
-    turn_seed: EntityId | None,
+    seed: EntityId,
     params: ObservationParams,
     scorer: QuestionScorer,
     subgraph: ObservationSubgraph,
 ) -> None:
-    # One shared frontier for the group; entries attribute each triple to the
-    # seed whose walk first reached its head.
-    origin = {seed: seed for seed in group}
-    frontier = list(group)
-    visited = set(group)
+    frontier = [seed]
+    visited = {seed}
     for depth in range(params.depth_limit):
         candidates = [t for entity in frontier for t in kg.get_neighbors(entity)]
         if not candidates:
@@ -164,18 +155,13 @@ def _walk(
         selected = top_scored(candidates, kg, scorer, params.top_n)
         appended = []
         for score, triple in selected:
-            entry = ScoredTriple(triple, score, depth, origin[triple.head])
+            entry = ScoredTriple(triple, score, depth, seed)
             if subgraph.add(entry):
                 appended.append(entry)
-        tails = []
-        for _, triple in selected[: params.refine_count]:
-            origin.setdefault(triple.tail, origin[triple.head])
-            tails.append(triple.tail)
+        tails = [triple.tail for _, triple in selected[: params.refine_count]]
         frontier = [t for t in dict.fromkeys(tails) if t not in visited]
         visited.update(frontier)
-        subgraph.turns.append(
-            TurnRecord(turn_seed, depth, len(candidates), appended, list(frontier))
-        )
+        subgraph.turns.append(TurnRecord(seed, depth, len(candidates), appended, frontier))
         if not frontier:
             break
 
@@ -183,25 +169,3 @@ def _walk(
 def render_observation(observation: ObservationSubgraph, kg: KnowledgeGraph) -> str:
     """Labeled "(head, relation, tail)" tuples in entry order."""
     return ", ".join(kg.render_triple(entry.triple) for entry in observation.entries)
-
-
-def dump_turns(observation: ObservationSubgraph) -> str:
-    """Line-delimited JSON turn records for golden tests."""
-    lines = []
-    for turn in observation.turns:
-        lines.append(
-            json.dumps(
-                {
-                    "seed": turn.seed,
-                    "depth": turn.depth,
-                    "candidates": turn.candidate_count,
-                    "appended": [
-                        [*entry.triple.as_tuple(), entry.score] for entry in turn.appended
-                    ],
-                    "frontier": turn.frontier,
-                },
-                sort_keys=True,
-                ensure_ascii=True,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")

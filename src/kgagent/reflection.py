@@ -139,7 +139,7 @@ def reflect_with_model(
     prompt = build_reflection_prompt(
         question, candidates, kg, observation, memory, k_max=params.k_max
     )
-    response = provider.complete(CompletionRequest.user(prompt, temperature, max_tokens))
+    response = provider.complete(CompletionRequest(prompt, temperature, max_tokens))
     return parse_reflected(response, candidates, params), prompt, response
 
 
@@ -190,7 +190,7 @@ def reflect_generated_fact(
     prompt = GENERATED_FACTS_PROMPT.replace("[KMax]", str(params.k_max)).replace(
         "[Question]", question
     )
-    response = provider.complete(CompletionRequest.user(prompt, temperature, max_tokens))
+    response = provider.complete(CompletionRequest(prompt, temperature, max_tokens))
     facts = []
     for line in response.splitlines():
         line = re.sub(r"^\s*(?:[-*]|\d+[.)])\s*", "", line).strip()

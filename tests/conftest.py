@@ -6,13 +6,11 @@ from pathlib import Path
 import pytest
 
 from kgagent.embedding import DeterministicEmbedder
-from kgagent.kg import KnowledgeGraph, Triple
+from kgagent.kg import KnowledgeGraph, load_triples
 
 
 def make_kg(triples: list[tuple[str, str, str]], labels: dict[str, str] | None = None) -> KnowledgeGraph:
-    kg = KnowledgeGraph()
-    for head, relation, tail in triples:
-        kg.add(Triple(head, relation, tail))
+    kg = load_triples("\t".join(triple) for triple in triples)
     if labels:
         kg.labels.update(labels)
     return kg
@@ -20,13 +18,13 @@ def make_kg(triples: list[tuple[str, str, str]], labels: dict[str, str] | None =
 
 def random_kg(rng: random.Random, n_entities: int, n_triples: int, n_relations: int = 6) -> KnowledgeGraph:
     """Random directed multigraph over Q-style ids; duplicates collapse."""
-    kg = KnowledgeGraph()
+    lines = []
     for _ in range(n_triples):
         head = f"Q{rng.randrange(n_entities)}"
         tail = f"Q{rng.randrange(n_entities)}"
         relation = f"P{rng.randrange(n_relations)}"
-        kg.add(Triple(head, relation, tail))
-    return kg
+        lines.append(f"{head}\t{relation}\t{tail}")
+    return load_triples(lines)
 
 
 TOKYO_TRIPLES = [

@@ -66,6 +66,22 @@ class TestBuildSubgraph:
         assert kg.label_of("Q1") == "one"
         assert "wrote 3 triples" in capsys.readouterr().out
 
+    def test_k_below_one_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "build-subgraph",
+                    "--triples", str(tmp_path / "dump.tsv"),
+                    "--seeds", str(tmp_path / "seeds.txt"),
+                    "--k", "0",
+                    "--out", str(out),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "argument --k: must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAsk:
     def test_scripted_ask_prints_answer(self, kg_dir, tokyo_script_file, capsys, tmp_path):
@@ -141,6 +157,12 @@ class TestAsk:
             ({}, ["--max-iterations", "0"], "max_iterations must be >= 1"),
             ({}, ["--depth", "0"], "depth_limit must be >= 1"),
             ({"max_iter": 2}, [], "unexpected keyword argument 'max_iter'"),
+            ({"action_retries": -1}, [], "action_retries must be >= 0"),
+            ({"temperature": -0.5}, [], "temperature must be >= 0"),
+            ({"max_tokens": 0}, [], "max_tokens must be >= 1"),
+            ({"neighbor_limit": -1}, [], "neighbor_limit must be >= 0"),
+            ({"question_timeout": -1}, [], "question_timeout must be >= 0"),
+            ({}, ["--timeout", "-5"], "question_timeout must be >= 0"),
         ],
     )
     def test_invalid_config_exits_before_any_provider_call(
@@ -232,3 +254,11 @@ class TestInspect:
         assert code == 0
         assert "Q1490 (Tokyo): 4 triples" in captured
         assert "(Tokyo, capital, Shinjuku)" in captured
+
+    def test_negative_limit_is_a_usage_error(self, kg_dir, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["inspect", "--kg", str(kg_dir), "--entity", "Q1490", "--limit", "-1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --limit: must be >= 0, got -1" in captured.err
+        assert captured.out == ""

@@ -13,7 +13,6 @@ from kgagent.evaluation import (
     QuestionOutcome,
     load_dataset,
     normalize_answer,
-    report_from_json,
     report_to_json,
     run_eval,
     save_dataset,
@@ -60,6 +59,18 @@ class TestLoadDataset:
         good = json.dumps({"question": "q?", "entities": [], "answers": ["a"]})
         bad = json.dumps({"question": "q?", "entities": entities, "answers": answers})
         with pytest.raises(DatasetError, match="array of strings") as excinfo:
+            load_dataset([good, bad])
+        assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "question, message",
+        [(5, "question must be a JSON string"), (["q"], "question must be a JSON string"),
+         (None, "question must be a JSON string"), ("", "question must be non-empty")],
+    )
+    def test_question_must_be_a_non_empty_string(self, question, message):
+        good = json.dumps({"question": "q?", "entities": [], "answers": ["a"]})
+        bad = json.dumps({"question": question, "entities": [], "answers": ["a"]})
+        with pytest.raises(DatasetError, match=message) as excinfo:
             load_dataset([good, bad])
         assert excinfo.value.line_number == 2
 
@@ -188,14 +199,8 @@ class TestRunEval:
         assert (tmp_path / "report.json").exists()
         for index in range(3):
             assert (tmp_path / "traces" / f"q{index:05d}.json").exists()
-        reloaded = report_from_json((tmp_path / "report.json").read_text(encoding="utf-8"))
-        assert reloaded.accuracy == report.accuracy
-
-    def test_report_serialization_round_trip(self):
-        kg, records, factory = _merged_fixture()
-        report = run_eval(records, kg, factory)
-        payload = report_to_json(report)
-        assert report_to_json(report_from_json(payload)) == payload
+        reloaded = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert reloaded["accuracy"] == report.accuracy
 
     def test_timing_percentiles_present(self):
         kg, records, factory = _merged_fixture()

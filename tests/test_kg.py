@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import pickle
 import random
@@ -67,6 +68,22 @@ class TestLoadTriples:
         kg = load_triples(lines)
         # independent oracle: hash-set over the raw lines
         assert len(kg) == len({line.rstrip("\n") for line in lines})
+
+    def test_duplicate_lines_keep_first_seen_order(self):
+        lines = ["B\tr\tC\n", "A\tr\tB\n", "B\tr\tC\n", "A\ts\tB\n", "A\tr\tB\n"]
+        kg = load_triples(lines)
+        assert len(kg) == 3
+        assert kg.triples == {("B", "r", "C"), ("A", "r", "B"), ("A", "s", "B")}
+        assert list(dump_triples(kg)) == ["B\tr\tC\n", "A\tr\tB\n", "A\ts\tB\n"]
+
+    def test_triples_is_a_fresh_set(self):
+        kg = load_triples(["A\tr\tB\n", "B\tr\tC\n"])
+        view = kg.triples
+        view.clear()
+        view.add(Triple("X", "r", "Y"))
+        assert kg.triples == {("A", "r", "B"), ("B", "r", "C")}
+        assert len(kg) == 2 and kg.get_neighbors("X") == []
+        assert "triples" not in {f.name for f in dataclasses.fields(KnowledgeGraph)}
 
 
 class TestLoadLabels:
@@ -196,25 +213,18 @@ class TestFindPaths:
         for _ in range(150):
             kg = random_kg(rng, n_entities=7, n_triples=rng.randrange(0, 28), n_relations=3)
             entity = f"Q{rng.randrange(7)}"
-            kg.add(Triple(entity, "P0", entity))  # a self-loop
-            kg.add(Triple(entity, "P1", "Q0"))  # parallel relations to one tail
-            kg.add(Triple(entity, "P2", "Q0"))
+            kg = load_triples([
+                *dump_triples(kg),
+                f"{entity}\tP0\t{entity}",  # a self-loop
+                f"{entity}\tP1\tQ0",  # parallel relations to one tail
+                f"{entity}\tP2\tQ0",
+            ])
             start = f"Q{rng.randrange(7)}"
             goal = start if rng.random() < 0.25 else f"Q{rng.randrange(7)}"
             for max_len in range(1, 6):
                 found = kg.find_paths(start, goal, max_len)
                 assert found == dfs_paths_oracle(kg, start, goal, max_len)
                 assert found == recursive_walk_paths(kg, start, goal, max_len)
-
-    def test_add_after_a_search_shows_up_in_the_next(self):
-        kg = make_kg([("A", "r", "B"), ("B", "r", "C")])
-        assert kg.find_paths("A", "C", 2) == [[Triple("A", "r", "B"), Triple("B", "r", "C")]]
-        kg.add(Triple("A", "s", "D"))
-        kg.add(Triple("D", "s", "C"))
-        assert kg.find_paths("A", "C", 2) == [
-            [Triple("A", "r", "B"), Triple("B", "r", "C")],
-            [Triple("A", "s", "D"), Triple("D", "s", "C")],
-        ]
 
     def test_index_leaves_equality_and_repr_alone(self):
         triples = [("A", "r", "B"), ("B", "r", "C"), ("C", "r", "A")]
@@ -325,6 +335,49 @@ class TestKhopSubgraph:
         assert "Q192724" in out.labels
         assert "Q2009" not in out.labels
 
+    def test_matches_the_add_based_reference(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            kg = random_kg(rng, n_entities=20, n_triples=rng.randrange(0, 90))
+            ids = [f"Q{i}" for i in range(20)] + [f"P{i}" for i in range(6)]
+            kg.labels.update((i, f"label {i}") for i in rng.sample(ids, 12))
+            seeds = [f"Q{rng.randrange(22)}" for _ in range(rng.randrange(1, 4))] * 2
+            k = rng.randrange(1, 5)
+            out = extract_khop_subgraph(kg, seeds, k)
+            expected = reference_extract_khop_subgraph(kg, seeds, k)
+            assert list(out.adjacency.items()) == list(expected.adjacency.items())
+            assert list(out.labels.items()) == list(expected.labels.items())
+
+
+def reference_extract_khop_subgraph(
+    kg: KnowledgeGraph, seeds: list[str], k: int
+) -> KnowledgeGraph:
+    """The extraction that inserted edge by edge, skipping any edge already
+    held, which extract_khop_subgraph replaced; kept as a reference."""
+    out = KnowledgeGraph()
+    held: set[Triple] = set()
+    frontier = list(dict.fromkeys(seeds))
+    visited = set(frontier)
+    for _ in range(k):
+        next_frontier: list[str] = []
+        for entity in frontier:
+            for triple in kg.adjacency.get(entity, ()):
+                if triple not in held:
+                    held.add(triple)
+                    out.adjacency.setdefault(triple.head, []).append(triple)
+                if triple.tail not in visited:
+                    visited.add(triple.tail)
+                    next_frontier.append(triple.tail)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    for triples in out.adjacency.values():
+        for triple in triples:
+            for identifier in triple.as_tuple():
+                if identifier in kg.labels:
+                    out.labels[identifier] = kg.labels[identifier]
+    return out
+
 
 class TestRoundTrip:
     def test_load_dump_load_fixed_point(self):
@@ -419,12 +472,16 @@ def reference_load_triples(source) -> KnowledgeGraph:
     """The loader load_triples replaced, which checks every field of every
     line, kept as a reference."""
     kg = KnowledgeGraph()
+    held: set[Triple] = set()
     for number, (head, relation, tail) in reference_tsv_rows(source, 3):
-        kg.add(Triple(
+        triple = Triple(
             reference_check_id(head, "head", number),
             reference_check_id(relation, "relation", number),
             reference_check_id(tail, "tail", number),
-        ))
+        )
+        if triple not in held:
+            held.add(triple)
+            kg.adjacency.setdefault(triple.head, []).append(triple)
     return kg
 
 

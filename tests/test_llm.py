@@ -5,43 +5,28 @@ import os
 import pytest
 
 from kgagent.llm import (
-    ChatMessage,
     CompletionRequest,
     ScriptedProvider,
     ScriptEntry,
     ScriptError,
     load_script,
-    request_from_json,
-    request_to_json,
     save_script,
 )
 
 
 class TestCompletionRequest:
     def test_defaults_are_pinned(self):
-        request = CompletionRequest.user("hi")
+        request = CompletionRequest("hi")
         assert request.temperature == 0.4
         assert request.max_tokens == 500
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CompletionRequest.user("hi", temperature=-1)
+            CompletionRequest("hi", temperature=-1)
         with pytest.raises(ValueError):
-            CompletionRequest.user("hi", max_tokens=0)
-        with pytest.raises(ValueError):
-            ChatMessage("user", "")
-        with pytest.raises(ValueError):
-            ChatMessage("oracle", "hi")
-
-    def test_serialization_round_trip_fixed_point(self):
-        request = CompletionRequest(
-            [ChatMessage("system", "s"), ChatMessage("user", "u")],
-            temperature=0.7,
-            max_tokens=32,
-        )
-        payload = request_to_json(request)
-        assert request_from_json(payload) == request
-        assert request_to_json(request_from_json(payload)) == payload
+            CompletionRequest("hi", max_tokens=0)
+        with pytest.raises(ValueError, match="prompt must be non-empty"):
+            CompletionRequest("")
 
 
 class TestScriptedProvider:
@@ -50,38 +35,38 @@ class TestScriptedProvider:
             [ScriptEntry("substring", "capital of the prefecture", "Action: Answer")],
             sequential=False,
         )
-        request = CompletionRequest.user("What is the capital of the prefecture Tokyo ?")
+        request = CompletionRequest("What is the capital of the prefecture Tokyo ?")
         assert provider.complete(request) == "Action: Answer"
 
     def test_lookup_is_not_consuming(self):
         provider = ScriptedProvider(
             [ScriptEntry("substring", "x", "same")], sequential=False
         )
-        request = CompletionRequest.user("xyz")
+        request = CompletionRequest("xyz")
         assert provider.complete(request) == provider.complete(request) == "same"
 
     def test_lookup_unmatched_raises(self):
         provider = ScriptedProvider([ScriptEntry("exact", "a", "r")], sequential=False)
         with pytest.raises(ScriptError):
-            provider.complete(CompletionRequest.user("b"))
+            provider.complete(CompletionRequest("b"))
 
     def test_sequential_consumes_in_order(self):
         provider = ScriptedProvider(
             [ScriptEntry("substring", "one", "1"), ScriptEntry("substring", "two", "2")]
         )
-        assert provider.complete(CompletionRequest.user("one")) == "1"
-        assert provider.complete(CompletionRequest.user("two")) == "2"
+        assert provider.complete(CompletionRequest("one")) == "1"
+        assert provider.complete(CompletionRequest("two")) == "2"
         assert provider.remaining == 0
 
     def test_sequential_mismatch_raises(self):
         provider = ScriptedProvider([ScriptEntry("substring", "one", "1")])
         with pytest.raises(ScriptError):
-            provider.complete(CompletionRequest.user("other"))
+            provider.complete(CompletionRequest("other"))
 
     def test_sequential_exhausted_raises(self):
         provider = ScriptedProvider([])
         with pytest.raises(ScriptError):
-            provider.complete(CompletionRequest.user("x"))
+            provider.complete(CompletionRequest("x"))
 
     def test_unknown_match_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -154,14 +139,24 @@ class TestHttpChatProvider:
 
     def test_success_returns_content(self):
         provider, session = self._provider([FakeResponse(200, "hello")])
-        assert provider.complete(CompletionRequest.user("hi")) == "hello"
+        assert provider.complete(CompletionRequest("hi")) == "hello"
         assert session.calls[0]["json"]["model"] == "model-x"
         assert session.calls[0]["json"]["temperature"] == 0.4
         assert session.calls[0]["json"]["max_tokens"] == 500
 
+    def test_posts_one_user_message(self):
+        provider, session = self._provider([FakeResponse(200, "hello")])
+        provider.complete(CompletionRequest("the prompt", temperature=0.7, max_tokens=32))
+        assert session.calls[0]["json"] == {
+            "model": "model-x",
+            "messages": [{"role": "user", "content": "the prompt"}],
+            "temperature": 0.7,
+            "max_tokens": 32,
+        }
+
     def test_transient_500_is_retried(self):
         provider, session = self._provider([FakeResponse(500), FakeResponse(200, "after retry")])
-        assert provider.complete(CompletionRequest.user("hi")) == "after retry"
+        assert provider.complete(CompletionRequest("hi")) == "after retry"
         assert len(session.calls) == 2
 
     def test_auth_failure_is_not_retried(self):
@@ -169,7 +164,7 @@ class TestHttpChatProvider:
 
         provider, session = self._provider([FakeResponse(401)])
         with pytest.raises(LLMProviderError, match="401"):
-            provider.complete(CompletionRequest.user("hi"))
+            provider.complete(CompletionRequest("hi"))
         assert len(session.calls) == 1
 
     def test_connection_errors_exhaust_retries(self):
@@ -180,13 +175,13 @@ class TestHttpChatProvider:
         outcomes = [requests.ConnectionError("down")] * 3
         provider, session = self._provider(outcomes, retries=3)
         with pytest.raises(LLMProviderError, match="after 3 attempts"):
-            provider.complete(CompletionRequest.user("hi"))
+            provider.complete(CompletionRequest("hi"))
         assert len(session.calls) == 3
 
     def test_api_key_header_from_env(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
         provider, session = self._provider([FakeResponse(200)])
-        provider.complete(CompletionRequest.user("hi"))
+        provider.complete(CompletionRequest("hi"))
         assert session.calls[0]["headers"] == {"Authorization": "Bearer sk-test"}
 
 
@@ -215,7 +210,7 @@ class TestMalformedCompletionBody:
             HttpChatConfig("http://fake", "model-x", retries=3, backoff=0.0), session=session
         )
         with pytest.raises(LLMProviderError, match="malformed completion body|content is"):
-            provider.complete(CompletionRequest.user("hi"))
+            provider.complete(CompletionRequest("hi"))
         assert len(session.calls) == 1
 
     def test_body_that_is_not_json_is_not_retried(self, monkeypatch):
@@ -232,7 +227,7 @@ class TestMalformedCompletionBody:
         session = FakeSession([NotJsonResponse(200)] * 3)
         provider = HttpChatProvider(HttpChatConfig("http://fake", "model-x"), session=session)
         with pytest.raises(LLMProviderError, match="malformed completion body"):
-            provider.complete(CompletionRequest.user("hi"))
+            provider.complete(CompletionRequest("hi"))
         assert (len(session.calls), sleeps) == (1, [])
 
 
@@ -249,5 +244,5 @@ def test_live_provider_smoke():
             model=os.environ.get("KGAGENT_LIVE_LLM_MODEL", "gpt-4"),
         )
     )
-    response = provider.complete(CompletionRequest.user("Reply with one word."))
+    response = provider.complete(CompletionRequest("Reply with one word."))
     assert response.strip()
