@@ -65,6 +65,14 @@ def _int_at_least(minimum: int):
     return integer
 
 
+def _entity_list(text: str) -> list[str]:
+    """An argparse type: comma-separated ids, at least one after blanks are dropped."""
+    entities = [entity.strip() for entity in text.split(",") if entity.strip()]
+    if not entities:
+        raise argparse.ArgumentTypeError(f"no entity id in {text!r}")
+    return entities
+
+
 def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--provider", choices=("scripted", "live"), default="scripted")
     parser.add_argument("--script", help="script file for the scripted provider")
@@ -111,14 +119,15 @@ def _cmd_ask(args: argparse.Namespace) -> int:
     kg = load_kg(args.kg)
     config = _build_config(args)
     providers = _build_providers(args)
-    entities = [e.strip() for e in args.entities.split(",") if e.strip()]
     try:
-        result = run(args.question, entities, kg, providers, config)
+        result = run(args.question, args.entities, kg, providers, config)
     except AgentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.out:
             _write_trace(exc.trace, args.out)
         return 1
+    finally:
+        providers.cache.close()
     print(render_case(result.trace, kg), end="")
     print(f"halted_by: {result.halted_by}")
     if args.out:
@@ -137,12 +146,15 @@ def _write_trace(trace, out_dir: str) -> None:
 def _cmd_eval(args: argparse.Namespace) -> int:
     kg = load_kg(args.kg)
     config = _build_config(args)
-    providers = _build_providers(args)
     dataset = load_dataset(args.dataset)
-    report = run_eval(
-        dataset, kg, providers, config,
-        workers=args.workers, out_dir=args.out, match_mode=args.match,
-    )
+    providers = _build_providers(args)
+    try:
+        report = run_eval(
+            dataset, kg, providers, config,
+            workers=args.workers, out_dir=args.out, match_mode=args.match,
+        )
+    finally:
+        providers.cache.close()
     print(f"total={report.total} hits={report.hits} accuracy={report.accuracy:.4f}")
     for outcome in report.outcomes:
         status = "hit " if outcome.hit else "miss"
@@ -177,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     ask = sub.add_parser("ask", help="answer one question against a KG directory")
     ask.add_argument("--kg", required=True)
     ask.add_argument("--question", required=True)
-    ask.add_argument("--entities", required=True, help="comma-separated seed entity ids")
+    ask.add_argument(
+        "--entities", required=True, type=_entity_list, help="comma-separated seed entity ids"
+    )
     ask.add_argument("--out", help="directory for the trace file")
     _add_provider_flags(ask)
     _add_config_flags(ask)

@@ -12,16 +12,18 @@ from __future__ import annotations
 import hashlib
 import struct
 import threading
+from itertools import repeat
 from math import ceil, fsum, isfinite, sqrt
 from operator import mul
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 from .llm import HttpChatConfig, post_json
 
 Vector = tuple[float, ...]
 
 _RECORD_LENGTH = struct.Struct("<I")
+_MAX_BATCH = 2048  # inputs per /embeddings request, the OpenAI limit
 
 
 class EmbeddingError(ValueError):
@@ -67,26 +69,47 @@ def embed_text(
     provider: EmbeddingProvider,
     cache: "EmbeddingCache | None" = None,
 ) -> Vector:
-    """Embed text through the cache; cache hits return the stored vector bit-for-bit.
+    """Embed one text through the cache; see embed_texts."""
+    return embed_texts([text], provider, cache)[0]
 
-    Any provider exception becomes EmbeddingProviderError, without a retry.
+
+def embed_texts(
+    texts: Sequence[str],
+    provider: EmbeddingProvider,
+    cache: "EmbeddingCache | None" = None,
+) -> list[Vector]:
+    """Embed texts through the cache; cache hits return the stored vector bit-for-bit.
+
+    Each distinct text is looked up once; the misses go to the provider in
+    one call, in first-seen order (embed_many, when the provider has it, for
+    two or more) and are stored only if every vector is valid. Any provider
+    exception becomes EmbeddingProviderError, without a retry.
     """
+    vectors: dict[str, Vector | None] = dict.fromkeys(texts)
     if cache is not None:
-        hit = cache.get(text)
-        if hit is not None:
-            return hit
-    try:
-        raw = provider.embed(text)
-    except EmbeddingProviderError:
-        raise
-    except Exception as exc:
-        raise EmbeddingProviderError(f"embedding provider failed: {exc!r}") from exc
-    vector = tuple(map(float, raw))
-    if not vector or not all(map(isfinite, vector)):
-        raise EmbeddingError("provider returned a non-finite or empty vector")
-    if cache is not None:
-        cache.put(text, vector)
-    return vector
+        for text in vectors:
+            vectors[text] = cache.get(text)
+    misses = [text for text, vector in vectors.items() if vector is None]
+    if misses:
+        embed_many = getattr(provider, "embed_many", None)
+        try:
+            if embed_many is None or len(misses) == 1:
+                raws = [provider.embed(text) for text in misses]
+            else:
+                raws = embed_many(misses)
+        except EmbeddingProviderError:
+            raise
+        except Exception as exc:
+            raise EmbeddingProviderError(f"embedding provider failed: {exc!r}") from exc
+        fresh = [tuple(map(float, raw)) for raw in raws]
+        if len(fresh) != len(misses):
+            raise EmbeddingProviderError(f"{len(fresh)} vectors for {len(misses)} texts")
+        if not all(vector and all(map(isfinite, vector)) for vector in fresh):
+            raise EmbeddingError("provider returned a non-finite or empty vector")
+        if cache is not None:
+            cache.put_many(zip(misses, fresh))
+        vectors.update(zip(misses, fresh))
+    return [vectors[text] for text in texts]
 
 
 def score_candidate(
@@ -104,10 +127,12 @@ def score_candidate(
 class QuestionScorer:
     """Cosine scores of texts against one question, each text scored once.
 
-    The question is embedded on first use and its norm computed once; each
-    text is embedded through embed_text on its first score and memoized. A
-    score equals cosine(question vector, text vector) bit for bit. A scorer
-    serves one question and is not shared between threads.
+    The question is embedded on first use and its norm computed once; the
+    texts of one score_many call that have no score yet are embedded through
+    embed_texts in one batch and memoized. A score equals cosine(question
+    vector, text vector) bit for bit. A scorer serves one question over one
+    graph and is not shared between threads; `ranked` holds observation's
+    per-entity rankings for that question.
     """
 
     def __init__(
@@ -118,6 +143,7 @@ class QuestionScorer:
         self.cache = cache
         self._embedded: tuple[Vector, float] | None = None
         self._scores: dict[str, float] = {}
+        self.ranked: dict[str, list[tuple[float, tuple]]] = {}  # entity -> [(-score, edge)]
 
     def question_vector(self) -> Vector:
         """The question's embedding; the first call embeds it."""
@@ -127,12 +153,17 @@ class QuestionScorer:
         return self._embedded[0]
 
     def score(self, text: str) -> float:
-        score = self._scores.get(text)
-        if score is None:
+        return self.score_many([text])[0]
+
+    def score_many(self, texts: Sequence[str]) -> list[float]:
+        scores = self._scores
+        new = [text for text in dict.fromkeys(texts) if text not in scores]
+        if new:
             question = self.question_vector()
-            vector = embed_text(text, self.provider, self.cache)
-            score = self._scores[text] = _cosine(question, self._embedded[1], vector)
-        return score
+            norm = self._embedded[1]
+            for text, vector in zip(new, embed_texts(new, self.provider, self.cache)):
+                scores[text] = _cosine(question, norm, vector)
+        return [scores[text] for text in texts]
 
 
 class DeterministicEmbedder:
@@ -196,15 +227,34 @@ class HttpEmbedder:
         return self._dimension
 
     def embed(self, text: str) -> Vector:
-        payload = {"model": self.config.model, "input": text}
+        return self._request(text)[0]
+
+    def embed_many(self, texts: Sequence[str]) -> list[Vector]:
+        """One request per _MAX_BATCH texts; vectors in the order of texts."""
+        batches = (list(texts[i : i + _MAX_BATCH]) for i in range(0, len(texts), _MAX_BATCH))
+        return [vector for batch in batches for vector in self._request(batch)]
+
+    def _request(self, inputs: str | list[str]) -> list[Vector]:
+        """Embed one text, or a list placed by each reply item's index."""
+        payload = {"model": self.config.model, "input": inputs}
         body = post_json(
             self._session, self.config, "embeddings", payload, EmbeddingProviderError, "embedding"
         )
         try:
-            raw = body["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
+            data = body["data"]
+            if isinstance(inputs, str):
+                raws = [data[0]["embedding"]]
+            else:
+                by_index = {item["index"]: item["embedding"] for item in data}
+                if len(data) != len(inputs) or by_index.keys() != set(range(len(inputs))):
+                    raise ValueError(f"{len(data)} items for {len(inputs)} inputs, bad indexes")
+                raws = [by_index[index] for index in range(len(inputs))]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise EmbeddingProviderError(f"malformed embedding body: {exc!r}") from exc
-        if not isinstance(raw, list) or not all(isinstance(x, (int, float)) for x in raw):
+        return [self._vector(raw) for raw in raws]
+
+    def _vector(self, raw) -> Vector:
+        if not isinstance(raw, list) or not all(map(isinstance, raw, repeat((int, float)))):
             raise EmbeddingProviderError("embedding is not a list of numbers")
         vector = tuple(map(float, raw))
         if not vector:  # before the dimension is learned, so one bad reply cannot fix it at 0
@@ -222,11 +272,12 @@ class EmbeddingCache:
     """Text -> vector cache with optional append-only file persistence.
 
     Record layout: u32 text length, UTF-8 text, u32 dimension, dimension
-    little-endian float64 components. Reload yields bit-identical vectors.
+    little-endian float64 components. A vector is held as those component
+    bytes and unpacked by get, so reload and get yield bit-identical vectors.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
-        self._entries: dict[str, Vector] = {}
+        self._entries: dict[str, bytes] = {}
         self._lock = threading.Lock()
         self._path = Path(path) if path is not None else None
         self._file = None
@@ -255,24 +306,30 @@ class EmbeddingCache:
             except UnicodeDecodeError as exc:
                 raise EmbeddingError(f"bad UTF-8 at byte {offset - text_length} in {path}") from exc
             (dimension,) = _RECORD_LENGTH.unpack(take(4))
-            vector = struct.unpack(f"<{dimension}d", take(8 * dimension))
-            self._entries[text] = vector
+            self._entries[text] = take(8 * dimension)
 
     def get(self, text: str) -> Vector | None:
         with self._lock:
-            return self._entries.get(text)
+            packed = self._entries.get(text)
+        return None if packed is None else struct.unpack(f"<{len(packed) >> 3}d", packed)
 
     def put(self, text: str, vector: Vector) -> None:
+        self.put_many([(text, vector)])
+
+    def put_many(self, items: Iterable[tuple[str, Vector]]) -> None:
+        """Store new texts in order, with one write and one flush for the batch."""
+        records = []
         with self._lock:
-            if text in self._entries:
-                return  # identical by provider determinism
-            self._entries[text] = vector
-            if self._file is not None:
-                data = text.encode("utf-8")
-                self._file.write(_RECORD_LENGTH.pack(len(data)))
-                self._file.write(data)
-                self._file.write(_RECORD_LENGTH.pack(len(vector)))
-                self._file.write(struct.pack(f"<{len(vector)}d", *vector))
+            for text, vector in items:
+                if text in self._entries:
+                    continue  # identical by provider determinism
+                packed = self._entries[text] = struct.pack(f"<{len(vector)}d", *vector)
+                if self._file is not None:
+                    data = text.encode("utf-8")
+                    records += (_RECORD_LENGTH.pack(len(data)), data,
+                                _RECORD_LENGTH.pack(len(vector)), packed)
+            if records:
+                self._file.write(b"".join(records))
                 self._file.flush()
 
     def __len__(self) -> int:

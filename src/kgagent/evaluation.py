@@ -30,6 +30,8 @@ class DatasetRecord:
     def __post_init__(self) -> None:
         if not self.question:
             raise ValueError("question must be non-empty")
+        if not self.seed_entities:
+            raise ValueError("entities must be non-empty")
         if not self.gold_answers:
             raise ValueError("gold answers must be non-empty")
 

@@ -10,13 +10,16 @@ independent of each other.
 
 Scores come from a QuestionScorer: the question is embedded once per agent
 run, and each distinct "relation tail" text is scored once per question, so
-repeated turns and observe calls reuse the same floats bit for bit.
+repeated turns and observe calls reuse the same floats bit for bit. Each
+entity's out-edges are scored and sorted once per question too; a turn
+merges its frontier's sorted lists.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import islice
 from math import ceil
 from typing import Iterable
 
@@ -96,18 +99,20 @@ def rank_scored_triples(
     return heapq.nsmallest(limit, pairs, key=lambda pair: (-pair[0], pair[1]))
 
 
+def _score_all(candidates: list[Triple], kg: KnowledgeGraph, scorer: QuestionScorer) -> list[float]:
+    """The candidates' relation+tail similarities, from one score_many call."""
+    label = kg.label_of
+    return scorer.score_many(
+        [combined_text(label(triple.relation), label(triple.tail)) for triple in candidates]
+    )
+
+
 def top_scored(
     candidates: Iterable[Triple], kg: KnowledgeGraph, scorer: QuestionScorer, limit: int
 ) -> list[tuple[float, Triple]]:
     """The limit best candidates by the similarity of their relation+tail text."""
-    label = kg.label_of
-    return rank_scored_triples(
-        (
-            (scorer.score(combined_text(label(triple.relation), label(triple.tail))), triple)
-            for triple in candidates
-        ),
-        limit,
-    )
+    candidates = list(candidates)
+    return rank_scored_triples(zip(_score_all(candidates, kg, scorer), candidates), limit)
 
 
 def observe(
@@ -146,22 +151,34 @@ def _walk(
     scorer: QuestionScorer,
     subgraph: ObservationSubgraph,
 ) -> None:
+    ranked = scorer.ranked
     frontier = [seed]
     visited = {seed}
     for depth in range(params.depth_limit):
-        candidates = [t for entity in frontier for t in kg.get_neighbors(entity)]
-        if not candidates:
+        unranked = [entity for entity in frontier if entity not in ranked]
+        edges = [kg.get_neighbors(entity) for entity in unranked]
+        scores = iter(_score_all([t for group in edges for t in group], kg, scorer))
+        for entity, group in zip(unranked, edges):
+            # (-score, triple) sorts in rank order with no key function, and
+            # negation is exact; edges go first so that zip stops on the group
+            # without taking the next entity's first score
+            ranked[entity] = sorted([(-s, t) for t, s in zip(group, scores)])
+        lists = [ranked[entity] for entity in frontier]
+        candidate_count = sum(map(len, lists))
+        if not candidate_count:
             break
-        selected = top_scored(candidates, kg, scorer, params.top_n)
+        # a triple has one head, so no triple is in two lists: the merge's
+        # prefix is the rank_scored_triples selection over all candidates
+        selected = list(islice(heapq.merge(*lists), params.top_n))
         appended = []
-        for score, triple in selected:
-            entry = ScoredTriple(triple, score, depth, seed)
+        for negative, triple in selected:
+            entry = ScoredTriple(triple, -negative, depth, seed)
             if subgraph.add(entry):
                 appended.append(entry)
         tails = [triple.tail for _, triple in selected[: params.refine_count]]
         frontier = [t for t in dict.fromkeys(tails) if t not in visited]
         visited.update(frontier)
-        subgraph.turns.append(TurnRecord(seed, depth, len(candidates), appended, frontier))
+        subgraph.turns.append(TurnRecord(seed, depth, candidate_count, appended, frontier))
         if not frontier:
             break
 

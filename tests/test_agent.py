@@ -329,6 +329,75 @@ class TestEmbeddingCalls:
         assert calls == []
 
 
+class CountingEmbeddingSession:
+    """/embeddings server backed by a DeterministicEmbedder; counts requests
+    and texts."""
+
+    def __init__(self) -> None:
+        self.embedder = DeterministicEmbedder(seed=7, dimension=32)
+        self.inputs: list[str] = []
+        self.requests = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        batch = json["input"] if isinstance(json["input"], list) else [json["input"]]
+        self.requests += 1
+        self.inputs += batch
+        data = [
+            {"index": i, "embedding": list(self.embedder.embed(text))}
+            for i, text in enumerate(batch)
+        ]
+
+        class Response:
+            status_code = 200
+
+            @staticmethod
+            def json():
+                return {"data": data}
+
+        return Response()
+
+
+class TestHttpEmbedderRun:
+    """Over HttpEmbedder, a run makes at most one request per scoring call
+    and gives the trace bytes of the DeterministicEmbedder run."""
+
+    @pytest.mark.parametrize("strategy", ["oda", "similarity"])
+    def test_same_trace_bytes_one_request_per_scoring_call(
+        self, tokyo_kg, monkeypatch, strategy
+    ):
+        from kgagent.embedding import EmbeddingCache, HttpEmbedder, QuestionScorer
+
+        script = TOKYO_SCRIPT if strategy == "oda" else TestEmbeddingCalls.SIMILARITY_SCRIPT
+        config = AgentConfig(reflection=ReflectionParams(strategy=strategy))
+        embedder = CountingEmbedder()  # the session's vectors, one text per call
+        local = Providers(
+            llm=make_providers(script, sequential=strategy != "similarity").llm,
+            embedder=embedder,
+        )
+        expected = trace_to_json(run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, local, config).trace)
+
+        scoring_calls = []
+        score_many = QuestionScorer.score_many
+
+        def counted(self, texts):
+            scoring_calls.append(len(texts))
+            return score_many(self, texts)
+
+        monkeypatch.setattr(QuestionScorer, "score_many", counted)
+        session = CountingEmbeddingSession()
+        remote = Providers(
+            llm=make_providers(script, sequential=strategy != "similarity").llm,
+            embedder=HttpEmbedder("http://fake", "embed-x", session=session),
+            cache=EmbeddingCache(),
+        )
+        result = run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, remote, config)
+        assert trace_to_json(result.trace) == expected
+        # one request for the question, then at most one per score_many call
+        assert 1 < session.requests <= 1 + len(scoring_calls)
+        assert session.requests < len(session.inputs)
+        assert session.inputs == embedder.calls  # each distinct text once, same order
+
+
 def _regex_substitute_labels(text: str, labels: dict[str, str]) -> str:
     """The former rendering: one alternation over all ids, longest first."""
     if not labels:

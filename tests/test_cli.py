@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -150,6 +152,26 @@ class TestAsk:
                 ]
             )
 
+    @pytest.mark.parametrize("entities", [" , ", ",", "  "])
+    def test_no_entity_is_a_usage_error_before_any_provider(
+        self, kg_dir, tokyo_script_file, tmp_path, capsys, entities
+    ):
+        cache = tmp_path / "cache.bin"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "ask",
+                    "--kg", str(kg_dir),
+                    "--question", TOKYO_QUESTION,
+                    "--entities", entities,
+                    "--provider", "scripted",
+                    "--script", str(tokyo_script_file),
+                    "--embed-cache", str(cache),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "argument --entities: no entity id in" in capsys.readouterr().err
+        assert not cache.exists()  # the providers and their cache were never built
 
     @pytest.mark.parametrize(
         "config, flags, message",
@@ -185,6 +207,41 @@ class TestAsk:
                     *flags,
                 ]
             )
+
+
+@pytest.fixture
+def dataset_file(tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    record = {"question": TOKYO_QUESTION, "entities": ["Q1490"], "answers": ["Shinjuku"]}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["ask", "eval"])
+def test_embedding_cache_file_is_closed(
+    kg_dir, tokyo_script_file, dataset_file, tmp_path, capsys, command
+):
+    cache = tmp_path / "cache.bin"
+    if command == "ask":
+        flags = ["--question", TOKYO_QUESTION, "--entities", "Q1490"]
+    else:
+        flags = ["--dataset", str(dataset_file)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code = main(
+            [
+                command,
+                "--kg", str(kg_dir),
+                *flags,
+                "--provider", "scripted",
+                "--script", str(tokyo_script_file),
+                "--embed-cache", str(cache),
+            ]
+        )
+        gc.collect()
+    assert code == 0
+    assert cache.stat().st_size > 0
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestEval:

@@ -448,3 +448,237 @@ class TestDeterministicEmbedderFrozen:
         provider = DeterministicEmbedder(seed=seed, dimension=dimension)
         for text in ("", "probe", "capital Shinjuku", "множество", "a b c d" * 40):
             assert provider.embed(text) == frozen_deterministic_embed(seed, dimension, text)
+
+
+class ListEmbeddingSession:
+    """/embeddings server over a table: answers a list input in the order of
+    `order` (a function of the batch size), with each item's index."""
+
+    def __init__(self, provider, order=lambda size: range(size)) -> None:
+        self.provider = provider
+        self.order = order
+        self.payloads: list[dict] = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.payloads.append(json)
+        inputs = json["input"]
+        if isinstance(inputs, str):
+            body = {"data": [{"index": 0, "embedding": list(self.provider.embed(inputs))}]}
+        else:
+            body = {
+                "data": [
+                    {"index": i, "embedding": list(self.provider.embed(inputs[i]))}
+                    for i in self.order(len(inputs))
+                ]
+            }
+        return QueuedResponse(200, body)
+
+
+class TestHttpEmbedderBatch:
+    @staticmethod
+    def _provider(session):
+        from kgagent.embedding import HttpEmbedder
+
+        return HttpEmbedder("http://fake", "embed-x", session=session)
+
+    def test_one_request_with_a_list_input_placed_by_index(self, embedder):
+        session = ListEmbeddingSession(embedder, order=lambda size: reversed(range(size)))
+        texts = ["alpha", "beta", "gamma"]
+        vectors = self._provider(session).embed_many(texts)
+        assert session.payloads == [{"model": "embed-x", "input": texts}]
+        assert vectors == [embedder.embed(text) for text in texts]
+
+    def test_2049_texts_take_two_requests(self, embedder):
+        session = ListEmbeddingSession(embedder)
+        texts = [f"text {i}" for i in range(2049)]
+        vectors = self._provider(session).embed_many(texts)
+        assert [len(payload["input"]) for payload in session.payloads] == [2048, 1]
+        assert [text for payload in session.payloads for text in payload["input"]] == texts
+        assert vectors[0] == embedder.embed("text 0")
+        assert vectors[2048] == embedder.embed("text 2048")
+
+    def test_does_not_go_through_embed(self, embedder):
+        session = ListEmbeddingSession(embedder)
+        provider = self._provider(session)
+
+        def refuse(text):
+            raise AssertionError("embed_many called embed")
+
+        provider.embed = refuse
+        assert provider.embed_many(["a", "b"]) == [embedder.embed("a"), embedder.embed("b")]
+        assert len(session.payloads) == 1
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [{"index": 0, "embedding": [1.0]}],  # fewer items than inputs
+            [{"index": i, "embedding": [1.0]} for i in range(3)],  # more items
+            [{"index": 0, "embedding": [1.0]}, {"embedding": [2.0]}],  # missing index
+            [{"index": 1, "embedding": [1.0]}, {"index": 1, "embedding": [2.0]}],  # duplicate
+            [{"index": 0, "embedding": [1.0]}, {"index": 2, "embedding": [2.0]}],  # out of range
+            [{"index": "0", "embedding": [1.0]}, {"index": 1, "embedding": [2.0]}],
+        ],
+    )
+    def test_malformed_indexes_cost_one_request(self, monkeypatch, data):
+        waits: list[float] = []
+        monkeypatch.setattr("kgagent.llm.time.sleep", waits.append)
+        session = QueuedEmbeddingSession([QueuedResponse(200, {"data": data})] * 3)
+        with pytest.raises(EmbeddingProviderError, match="malformed embedding body"):
+            self._provider(session).embed_many(["a", "b"])
+        assert (session.calls, waits) == (1, [])
+
+    def test_a_number_that_is_not_int_or_float_is_rejected(self):
+        data = [{"index": 0, "embedding": [1.0, 2]}, {"index": 1, "embedding": [1.0, None]}]
+        body = {"data": data}
+        session = QueuedEmbeddingSession([QueuedResponse(200, body)])
+        with pytest.raises(EmbeddingProviderError, match="not a list of numbers"):
+            self._provider(session).embed_many(["a", "b"])
+
+
+class BatchTableProvider(TableProvider):
+    """A TableProvider with embed_many; records each batch."""
+
+    def __init__(self, vectors: dict) -> None:
+        super().__init__(vectors)
+        self.batches: list[list[str]] = []
+
+    def embed_many(self, texts):
+        self.batches.append(list(texts))
+        return [self.vectors[text] for text in texts]
+
+
+class TestEmbedTexts:
+    VECTORS = {"a": (1.0, 0.0), "b": (0.0, 1.0), "c": (1.0, 1.0), "d": (2.0, -1.0)}
+
+    def test_misses_go_in_one_batch_deduplicated_in_first_seen_order(self):
+        from kgagent.embedding import embed_texts
+
+        provider = BatchTableProvider(self.VECTORS)
+        cache = EmbeddingCache()
+        cache.put("b", self.VECTORS["b"])
+        texts = ["c", "b", "a", "c", "d", "a"]
+        assert embed_texts(texts, provider, cache) == [self.VECTORS[t] for t in texts]
+        assert (provider.batches, provider.calls) == ([["c", "a", "d"]], [])
+        assert len(cache) == 4
+        assert embed_texts(["a", "d"], provider, cache) == [self.VECTORS["a"], self.VECTORS["d"]]
+        assert len(provider.batches) == 1  # all hits
+
+    def test_one_miss_goes_through_embed(self):
+        from kgagent.embedding import embed_texts
+
+        provider = BatchTableProvider(self.VECTORS)
+        assert embed_texts(["a", "a"], provider) == [self.VECTORS["a"]] * 2
+        assert (provider.batches, provider.calls) == ([], ["a"])
+
+    def test_a_provider_without_embed_many_gets_one_call_per_miss(self):
+        from kgagent.embedding import embed_texts
+
+        provider = TableProvider(self.VECTORS)
+        embed_texts(["d", "a", "d", "b"], provider)
+        assert provider.calls == ["d", "a", "b"]
+
+    @pytest.mark.parametrize("bad", [(float("nan"), 1.0), (1.0, float("inf")), ()])
+    def test_a_batch_with_a_bad_vector_stores_nothing(self, tmp_path, bad):
+        from kgagent.embedding import embed_texts
+
+        provider = BatchTableProvider({**self.VECTORS, "bad": bad})
+        path = tmp_path / "cache.bin"
+        with EmbeddingCache(path) as cache:
+            with pytest.raises(EmbeddingError, match="non-finite or empty"):
+                embed_texts(["a", "bad", "c"], provider, cache)
+            assert len(cache) == 0
+        assert path.read_bytes() == b""
+
+    def test_a_wrong_vector_count_is_a_provider_error(self):
+        from kgagent.embedding import embed_texts
+
+        class ShortBatch(BatchTableProvider):
+            def embed_many(self, texts):
+                return super().embed_many(texts)[:-1]
+
+        with pytest.raises(EmbeddingProviderError, match="2 vectors for 3 texts"):
+            embed_texts(["a", "b", "c"], ShortBatch(self.VECTORS))
+
+    def test_score_many_embeds_the_question_then_one_batch(self):
+        from kgagent.embedding import QuestionScorer
+
+        provider = BatchTableProvider({"q": (1.0, 2.0), **self.VECTORS})
+        scorer = QuestionScorer("q", provider)
+        scores = scorer.score_many(["c", "a", "c", "d"])
+        assert (provider.calls, provider.batches) == (["q"], [["c", "a", "d"]])
+        assert scores == [cosine((1.0, 2.0), self.VECTORS[t]) for t in ("c", "a", "c", "d")]
+        assert scorer.score_many(["d", "a"]) == [scores[3], scores[1]]
+        assert len(provider.batches) == 1
+
+
+def frozen_put(handle, text: str, vector) -> None:
+    """EmbeddingCache.put's file write as first written: one record per call."""
+    import struct
+
+    data = text.encode("utf-8")
+    handle.write(struct.pack("<I", len(data)))
+    handle.write(data)
+    handle.write(struct.pack("<I", len(vector)))
+    handle.write(struct.pack(f"<{len(vector)}d", *vector))
+
+
+class TestPackedCache:
+    ODD_VECTORS = {
+        "zeros": (0.0, -0.0, 0.0),
+        "subnormal": (5e-324, -2.2250738585072014e-308 / 3, 1.0),
+        "extremes": (1.7976931348623157e308, -1e-300, 0.1),
+        "münchen \t tab": (-1.5, 2.5, 1 / 3),
+        "": (3.0, 4.0, 12.0),
+    }
+
+    @staticmethod
+    def _bits(vector):
+        return [x.hex() for x in vector]
+
+    def test_put_many_file_equals_the_per_text_put_file(self, tmp_path):
+        import io
+
+        expected = io.BytesIO()
+        for text, vector in self.ODD_VECTORS.items():
+            frozen_put(expected, text, vector)
+        path = tmp_path / "cache.bin"
+        items = list(self.ODD_VECTORS.items())
+        with EmbeddingCache(path) as cache:
+            cache.put_many(items[:2])
+            cache.put_many(items[:1] + items[2:] + items[3:4])  # repeats are skipped
+        assert path.read_bytes() == expected.getvalue()
+        with EmbeddingCache(path) as reloaded:
+            assert len(reloaded) == len(self.ODD_VECTORS)
+            for text, vector in self.ODD_VECTORS.items():
+                got = reloaded.get(text)
+                assert type(got) is tuple and self._bits(got) == self._bits(vector)
+
+    def test_get_returns_bit_identical_tuples_before_reload(self):
+        cache = EmbeddingCache()
+        cache.put_many(self.ODD_VECTORS.items())
+        for text, vector in self.ODD_VECTORS.items():
+            assert self._bits(cache.get(text)) == self._bits(vector)
+        assert cache.get("absent") is None
+
+    def test_put_many_writes_and_flushes_once(self, tmp_path):
+        with EmbeddingCache(tmp_path / "cache.bin") as cache:
+            real = cache._file
+            counts = {"write": 0, "flush": 0}
+
+            class Spy:
+                def write(self, data):
+                    counts["write"] += 1
+                    return real.write(data)
+
+                def flush(self):
+                    counts["flush"] += 1
+                    real.flush()
+
+                def close(self):
+                    real.close()
+
+            cache._file = Spy()
+            cache.put_many(self.ODD_VECTORS.items())
+            assert counts == {"write": 1, "flush": 1}
+            cache.put_many(self.ODD_VECTORS.items())  # nothing new: no write at all
+            assert counts == {"write": 1, "flush": 1}

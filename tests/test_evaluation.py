@@ -46,7 +46,7 @@ class TestLoadDataset:
         assert records == [DatasetRecord("q?", ["Q1"], ["a"])]
 
     def test_malformed_record_reports_line(self):
-        good = json.dumps({"question": "q?", "entities": [], "answers": ["a"]})
+        good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
         with pytest.raises(DatasetError) as excinfo:
             load_dataset([good, "{broken"])
         assert excinfo.value.line_number == 2
@@ -56,7 +56,7 @@ class TestLoadDataset:
         [(["Q1"], "Tokyo"), ("Q1", ["Tokyo"]), (["Q1"], ["Tokyo", 5]), ([["Q1"]], ["Tokyo"])],
     )
     def test_fields_must_be_arrays_of_strings(self, entities, answers):
-        good = json.dumps({"question": "q?", "entities": [], "answers": ["a"]})
+        good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
         bad = json.dumps({"question": "q?", "entities": entities, "answers": answers})
         with pytest.raises(DatasetError, match="array of strings") as excinfo:
             load_dataset([good, bad])
@@ -68,19 +68,26 @@ class TestLoadDataset:
          (None, "question must be a JSON string"), ("", "question must be non-empty")],
     )
     def test_question_must_be_a_non_empty_string(self, question, message):
-        good = json.dumps({"question": "q?", "entities": [], "answers": ["a"]})
-        bad = json.dumps({"question": question, "entities": [], "answers": ["a"]})
+        good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
+        bad = json.dumps({"question": question, "entities": ["Q1"], "answers": ["a"]})
         with pytest.raises(DatasetError, match=message) as excinfo:
+            load_dataset([good, bad])
+        assert excinfo.value.line_number == 2
+
+    def test_entities_must_be_non_empty(self):
+        good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
+        bad = json.dumps({"question": "q?", "entities": [], "answers": ["a"]})
+        with pytest.raises(DatasetError, match="line 2: .*entities must be non-empty") as excinfo:
             load_dataset([good, bad])
         assert excinfo.value.line_number == 2
 
     def test_missing_field_is_error(self):
         with pytest.raises(DatasetError):
-            load_dataset([json.dumps({"question": "q?", "entities": []})])
+            load_dataset([json.dumps({"question": "q?", "entities": ["Q1"]})])
 
     def test_empty_answers_rejected(self):
         with pytest.raises(DatasetError):
-            load_dataset([json.dumps({"question": "q?", "entities": [], "answers": []})])
+            load_dataset([json.dumps({"question": "q?", "entities": ["Q1"], "answers": []})])
 
     def test_fifty_record_round_trip(self, tmp_path):
         rng = random.Random(13)

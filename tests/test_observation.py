@@ -156,6 +156,83 @@ class TestObserveOracle:
             assert entries_as_tuples(result) == expected
 
 
+class RecordingEmbedder(DeterministicEmbedder):
+    """Records every text sent to the provider, one list per call."""
+
+    def __init__(self) -> None:
+        super().__init__(seed=11, dimension=16)
+        self.requests: list[list[str]] = []
+
+    def embed(self, text: str):
+        self.requests.append([text])
+        return super().embed(text)
+
+    def embed_many(self, texts):
+        self.requests.append(list(texts))
+        return [super(RecordingEmbedder, self).embed(text) for text in texts]
+
+
+class TestRankedOncePerQuestion:
+    @staticmethod
+    def _counting_neighbors(kg, monkeypatch):
+        calls: list[str] = []
+        get_neighbors = kg.get_neighbors
+
+        def counted(entity, *args, **kwargs):
+            calls.append(entity)
+            return get_neighbors(entity, *args, **kwargs)
+
+        monkeypatch.setattr(kg, "get_neighbors", counted)
+        return calls
+
+    def test_second_observe_sends_no_text_and_ranks_no_entity(self, monkeypatch):
+        from kgagent.embedding import QuestionScorer
+
+        rng = random.Random(71)
+        kg = random_kg(rng, n_entities=24, n_triples=300)
+        provider = RecordingEmbedder()
+        scorer = QuestionScorer("a question", provider)
+        params = ObservationParams(depth_limit=3, top_n=6, refine_percent=50.0)
+        neighbors = self._counting_neighbors(kg, monkeypatch)
+        first = observe(kg, "a question", ["Q1", "Q2"], params, provider, scorer=scorer)
+        assert len(neighbors) == len(set(neighbors))  # each entity fetched once
+        requests = list(provider.requests)
+        # one request for the question, then at most one per turn
+        assert len(requests) <= 1 + len(first.turns)
+        neighbors.clear()
+        second = observe(kg, "a question", ["Q1", "Q2"], params, provider, scorer=scorer)
+        assert provider.requests == requests
+        assert neighbors == []
+        assert second.entries == first.entries and second.turns == first.turns
+
+    def test_candidate_count_is_the_frontier_out_degree(self, embedder):
+        rng = random.Random(73)
+        kg = random_kg(rng, n_entities=20, n_triples=160)
+        params = ObservationParams(depth_limit=3, top_n=5, refine_percent=60.0)
+        result = observe(kg, "q", ["Q0", "Q5"], params, embedder)
+        frontier: dict[str, list[str]] = {}
+        for turn in result.turns:
+            current = frontier.get(turn.seed, [turn.seed]) if turn.depth else [turn.seed]
+            assert turn.candidate_count == sum(len(kg.get_neighbors(e)) for e in current)
+            frontier[turn.seed] = turn.frontier
+
+    def test_rankings_shared_across_calls_match_brute_force(self, embedder):
+        from kgagent.embedding import QuestionScorer
+
+        rng = random.Random(79)
+        for _ in range(10):
+            kg = random_kg(rng, n_entities=18, n_triples=200)
+            scorer = QuestionScorer("shared", embedder)
+            for _ in range(3):
+                seeds = [f"Q{rng.randrange(18)}" for _ in range(rng.randrange(1, 4))]
+                params = ObservationParams(depth_limit=3, top_n=rng.randrange(1, 12))
+                result = observe(kg, "shared", seeds, params, embedder, scorer=scorer)
+                expected = brute_force_observe(
+                    kg, "shared", seeds, 3, params.top_n, 10.0, embedder
+                )
+                assert entries_as_tuples(result) == expected
+
+
 class TestObserveProperties:
     def test_triple_count_bound(self, embedder):
         rng = random.Random(71)
