@@ -13,7 +13,7 @@ from importlib import resources
 from typing import Mapping, Sequence, Union
 
 from .kg import EntityId, KnowledgeGraph, Triple
-from .llm import CompletionRequest, LLMProvider
+from .llm import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, CompletionRequest, LLMProvider
 from .memory import Memory, render_memory
 from .observation import ObservationSubgraph, render_observation
 
@@ -248,8 +248,8 @@ def choose_action(
     kg: KnowledgeGraph,
     history: ActionHistory,
     memory_extra: str = "",
-    temperature: float = 0.4,
-    max_tokens: int = 500,
+    temperature: float = DEFAULT_TEMPERATURE,
+    max_tokens: int = DEFAULT_MAX_TOKENS,
     max_retries: int = 2,
 ) -> tuple[Action, list[ActionAttempt], bool]:
     """Prompt for an action, re-prompting on invalid or repeated choices.

@@ -31,7 +31,7 @@ from .embedding import (
     QuestionScorer,
 )
 from .kg import EntityId, KnowledgeGraph, Triple
-from .llm import CompletionRequest, LLMError, LLMProvider
+from .llm import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, CompletionRequest, LLMError, LLMProvider
 from .memory import Memory, integrate
 from .observation import ObservationParams, ObservationSubgraph, ScoredTriple, observe
 from .reflection import (
@@ -58,8 +58,8 @@ class AgentConfig:
     observation: ObservationParams = field(default_factory=ObservationParams)
     reflection: ReflectionParams = field(default_factory=ReflectionParams)
     path_max_len: int = 3
-    temperature: float = 0.4
-    max_tokens: int = 500
+    temperature: float = DEFAULT_TEMPERATURE
+    max_tokens: int = DEFAULT_MAX_TOKENS
     neighbor_limit: int | None = 5000
     action_retries: int = 2
     question_timeout: float | None = 300.0

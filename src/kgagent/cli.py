@@ -9,16 +9,16 @@ from dataclasses import replace
 from pathlib import Path
 
 from .agent import AgentConfig, AgentError, Providers, render_case, run, trace_to_json
-from .embedding import DeterministicEmbedder, EmbeddingCache, HttpEmbedder
-from .evaluation import load_dataset, run_eval
-from .kg import extract_khop_subgraph, load_kg, load_labels, load_triples, save_kg
+from .embedding import DeterministicEmbedder, EmbeddingCache, EmbeddingError, HttpEmbedder
+from .evaluation import DatasetError, load_dataset, run_eval
+from .kg import TripleParseError, extract_khop_subgraph, load_kg, load_triples, save_kg
 from .llm import HttpChatConfig, HttpChatProvider, ScriptedProvider, load_script
 from .reflection import STRATEGIES
 
 
 def _build_config(args: argparse.Namespace) -> AgentConfig:
-    data = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     try:
+        data = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
         config = AgentConfig.from_dict(data)
         flags = {"max_iterations": args.max_iterations, "random_seed": args.seed}
         overrides = {name: value for name, value in flags.items() if value is not None}
@@ -101,9 +101,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_build_subgraph(args: argparse.Namespace) -> int:
-    kg = load_triples(args.triples)
-    if args.labels:
-        load_labels(kg, args.labels)
+    kg = load_triples(args.triples, args.labels)
     seeds = [
         line.strip()
         for line in Path(args.seeds).read_text(encoding="utf-8").splitlines()
@@ -218,7 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (TripleParseError, DatasetError, EmbeddingError) as exc:  # bad input files
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

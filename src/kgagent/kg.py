@@ -1,14 +1,16 @@
 """In-memory triple store: TSV loading, neighbor and path queries, and k-hop
 subgraph extraction.
 
-A graph is built once, by load_triples or extract_khop_subgraph, and never
-changes afterwards, so it may be shared freely across threads.
+A graph is built in one step, by load_triples (edges and optional labels) or
+extract_khop_subgraph, each calling the KnowledgeGraph constructor once, and
+never changes afterwards, so it may be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -55,10 +57,6 @@ class KnowledgeGraph:
 
     adjacency: dict[EntityId, list[Triple]] = field(default_factory=dict)
     labels: dict[str, str] = field(default_factory=dict)
-    # tail -> triples in adjacency order; built lazily by find_paths
-    _in_edges: dict[EntityId, list[Triple]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return sum(map(len, self.adjacency.values()))
@@ -89,6 +87,16 @@ class KnowledgeGraph:
         entities; None means unlimited.
         """
         return self.adjacency.get(entity, [])[:limit]
+
+    @cached_property
+    def _in_edges(self) -> dict[EntityId, list[Triple]]:
+        """Tail -> triples in adjacency order, stored only once whole, so threads
+        never see a partial index; no field, so == and repr ignore it."""
+        in_edges: dict[EntityId, list[Triple]] = {}
+        for triples in self.adjacency.values():
+            for triple in triples:
+                in_edges.setdefault(triple.tail, []).append(triple)
+        return in_edges
 
     def find_paths(
         self, start: EntityId, goal: EntityId, max_len: int = 3
@@ -155,14 +163,6 @@ class KnowledgeGraph:
         between its first entity and goal, so never the first entity itself.
         """
         in_edges = self._in_edges
-        if in_edges is None:
-            # built whole, then published in one assignment, so threads
-            # sharing the graph never see a partial index
-            in_edges = {}
-            for triples in self.adjacency.values():
-                for triple in triples:
-                    in_edges.setdefault(triple.tail, []).append(triple)
-            self._in_edges = in_edges
         suffixes: dict[EntityId, list[tuple[list[Triple], frozenset[EntityId]]]] = {}
 
         def walk(node: EntityId, inside: frozenset[EntityId], suffix: list[Triple]) -> None:
@@ -233,8 +233,12 @@ def _tsv_rows(
         yield fields
 
 
-def load_triples(source: str | Path | IO | Iterable[str | bytes]) -> KnowledgeGraph:
-    """Build a graph from TSV lines ``head<TAB>relation<TAB>tail``.
+def load_triples(
+    source: str | Path | IO | Iterable[str | bytes],
+    labels: str | Path | IO | Iterable[str | bytes] | None = None,
+) -> KnowledgeGraph:
+    """Build a graph from TSV lines ``head<TAB>relation<TAB>tail``, labeled
+    from the ``labels`` source (read by load_labels after the triples) if given.
 
     Blank lines are skipped; duplicate triples collapse; first-seen order
     is preserved in adjacency lists. Each line is decoded as UTF-8 on its
@@ -243,8 +247,7 @@ def load_triples(source: str | Path | IO | Iterable[str | bytes]) -> KnowledgeGr
     TripleParseError naming the line and the first fault (the width, then
     the head, relation and tail).
     """
-    kg = KnowledgeGraph()
-    adjacency = kg.adjacency
+    adjacency: dict[EntityId, list[Triple]] = {}
     seen: set[Triple] = set()
     intern = sys.intern
     for head, relation, tail in _tsv_rows(source, 3, ("head", "relation", "tail")):
@@ -255,21 +258,19 @@ def load_triples(source: str | Path | IO | Iterable[str | bytes]) -> KnowledgeGr
         seen.add(triple)
         if len(seen) != size:
             adjacency.setdefault(head, []).append(triple)
-    return kg
+    return KnowledgeGraph(adjacency, load_labels(labels) if labels is not None else {})
 
 
-def load_labels(
-    kg: KnowledgeGraph, source: str | Path | IO | Iterable[str | bytes]
-) -> KnowledgeGraph:
-    """Merge TSV lines ``id<TAB>label`` into the graph's label map.
+def load_labels(source: str | Path | IO | Iterable[str | bytes]) -> dict[str, str]:
+    """The label map of TSV lines ``id<TAB>label``.
 
     Later lines overwrite earlier labels for the same id. Only the id is
     checked; a label may be empty or hold a carriage return.
     """
-    labels = kg.labels
+    labels: dict[str, str] = {}
     for identifier, label in _tsv_rows(source, 2, ("id",)):
         labels[sys.intern(identifier)] = label
-    return kg
+    return labels
 
 
 def dump_triples(kg: KnowledgeGraph) -> Iterator[str]:
@@ -295,7 +296,7 @@ def extract_khop_subgraph(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = KnowledgeGraph()
+    adjacency: dict[EntityId, list[Triple]] = {}
     frontier = list(dict.fromkeys(seeds))
     visited = set(frontier)
     for _ in range(k):
@@ -304,7 +305,7 @@ def extract_khop_subgraph(
             triples = kg.adjacency.get(entity)
             if not triples:
                 continue
-            out.adjacency[entity] = list(triples)
+            adjacency[entity] = list(triples)
             for triple in triples:
                 if triple.tail not in visited:
                     visited.add(triple.tail)
@@ -312,12 +313,13 @@ def extract_khop_subgraph(
         if not next_frontier:
             break
         frontier = next_frontier
-    for triples in out.adjacency.values():
+    labels: dict[str, str] = {}
+    for triples in adjacency.values():
         for triple in triples:
             for identifier in triple.as_tuple():
                 if identifier in kg.labels:
-                    out.labels[identifier] = kg.labels[identifier]
-    return out
+                    labels[identifier] = kg.labels[identifier]
+    return KnowledgeGraph(adjacency, labels)
 
 
 def save_kg(kg: KnowledgeGraph, directory: str | Path) -> None:
@@ -332,9 +334,5 @@ def save_kg(kg: KnowledgeGraph, directory: str | Path) -> None:
 
 def load_kg(directory: str | Path) -> KnowledgeGraph:
     """Load a graph saved by save_kg; labels.tsv is optional."""
-    directory = Path(directory)
-    kg = load_triples(directory / TRIPLES_FILENAME)
-    labels_path = directory / LABELS_FILENAME
-    if labels_path.exists():
-        load_labels(kg, labels_path)
-    return kg
+    labels = Path(directory) / LABELS_FILENAME
+    return load_triples(Path(directory) / TRIPLES_FILENAME, labels if labels.exists() else None)

@@ -13,7 +13,7 @@ from typing import Sequence
 from .embedding import EmbeddingCache, EmbeddingProvider, QuestionScorer
 from .kg import EntityId, KnowledgeGraph, Triple
 from .action import fill_template, observed_template
-from .llm import CompletionRequest, LLMProvider
+from .llm import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, CompletionRequest, LLMProvider
 from .memory import Memory, render_memory
 from .observation import ObservationSubgraph, render_observation, top_scored
 
@@ -132,8 +132,8 @@ def reflect_with_model(
     observation: ObservationSubgraph,
     memory: Memory,
     params: ReflectionParams,
-    temperature: float = 0.4,
-    max_tokens: int = 500,
+    temperature: float = DEFAULT_TEMPERATURE,
+    max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> tuple[ReflectionResult, str, str]:
     """Full prompt/complete/parse round trip; returns (result, prompt, response)."""
     prompt = build_reflection_prompt(
@@ -180,8 +180,8 @@ def reflect_generated_fact(
     question: str,
     params: ReflectionParams,
     provider: LLMProvider,
-    temperature: float = 0.4,
-    max_tokens: int = 500,
+    temperature: float = DEFAULT_TEMPERATURE,
+    max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> list[str]:
     """Ask the model for up to k_max free-text facts about the question.
 

@@ -10,10 +10,8 @@ from kgagent.kg import KnowledgeGraph, load_triples
 
 
 def make_kg(triples: list[tuple[str, str, str]], labels: dict[str, str] | None = None) -> KnowledgeGraph:
-    kg = load_triples("\t".join(triple) for triple in triples)
-    if labels:
-        kg.labels.update(labels)
-    return kg
+    label_lines = [f"{identifier}\t{label}" for identifier, label in (labels or {}).items()]
+    return load_triples(("\t".join(triple) for triple in triples), label_lines)
 
 
 def random_kg(rng: random.Random, n_entities: int, n_triples: int, n_relations: int = 6) -> KnowledgeGraph:

@@ -304,6 +304,71 @@ class TestEval:
         assert "hits=1" in capsys.readouterr().out
 
 
+class TestInputErrors:
+    """A malformed input file ends in one line on stderr and exit code 2."""
+
+    def test_malformed_triples_file(self, tmp_path, capsys):
+        (tmp_path / "triples.tsv").write_text("Q1\tP1\tQ2\nQ2\tP1\n", encoding="utf-8")
+        assert main(["inspect", "--kg", str(tmp_path), "--entity", "Q1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: expected 3 tab-separated fields, got 2\n"
+        assert captured.out == ""
+
+    def test_dataset_record_without_entities(self, kg_dir, tokyo_script_file, tmp_path, capsys):
+        dataset = tmp_path / "dataset.jsonl"
+        record = {"question": TOKYO_QUESTION, "entities": [], "answers": ["Shinjuku"]}
+        dataset.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "eval",
+                "--kg", str(kg_dir),
+                "--dataset", str(dataset),
+                "--provider", "scripted",
+                "--script", str(tokyo_script_file),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: bad dataset record: entities must be non-empty\n"
+        )
+
+    def test_truncated_embedding_cache(self, kg_dir, tokyo_script_file, tmp_path, capsys):
+        cache = tmp_path / "cache.bin"
+        cache.write_bytes(b"\x05\x00\x00\x00ab")  # a 5-byte text cut after 2 bytes
+        code = main(
+            [
+                "ask",
+                "--kg", str(kg_dir),
+                "--question", TOKYO_QUESTION,
+                "--entities", "Q1490",
+                "--provider", "scripted",
+                "--script", str(tokyo_script_file),
+                "--embed-cache", str(cache),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: truncated cache record at byte 4 in {cache}\n"
+        assert captured.out == ""
+        assert cache.read_bytes() == b"\x05\x00\x00\x00ab"
+
+    def test_config_file_that_is_not_json(self, kg_dir, tokyo_script_file, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"max_iterations": 2,', encoding="utf-8")
+        with pytest.raises(SystemExit, match=r"^invalid agent config: .+: line 1 column 22"):
+            main(
+                [
+                    "ask",
+                    "--kg", str(kg_dir),
+                    "--question", TOKYO_QUESTION,
+                    "--entities", "Q1490",
+                    "--provider", "scripted",
+                    "--script", str(tokyo_script_file),
+                    "--config", str(config),
+                ]
+            )
+
+
 class TestInspect:
     def test_lists_neighbors_with_labels(self, kg_dir, capsys):
         code = main(["inspect", "--kg", str(kg_dir), "--entity", "Q1490"])

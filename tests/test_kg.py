@@ -18,8 +18,10 @@ from kgagent.kg import (
     TripleParseError,
     dump_triples,
     extract_khop_subgraph,
+    load_kg,
     load_labels,
     load_triples,
+    save_kg,
 )
 
 from conftest import make_kg, random_kg
@@ -94,20 +96,18 @@ class TestLoadLabels:
         assert tokyo_kg.label_of("Q999999") == "Q999999"
 
     def test_later_lines_overwrite(self):
-        kg = KnowledgeGraph()
         lines = ["Q1\tfirst\n", "Q2\tother\n", "Q1\tsecond\n"]
-        load_labels(kg, lines)
+        labels = load_labels(lines)
         # oracle: replay the lines sequentially into a plain dict
         expected: dict[str, str] = {}
         for line in lines:
             key, value = line.rstrip("\n").split("\t")
             expected[key] = value
-        assert kg.labels == expected
+        assert labels == expected
 
     def test_malformed_line_reports_number(self):
-        kg = KnowledgeGraph()
         with pytest.raises(TripleParseError) as excinfo:
-            load_labels(kg, ["Q1\tTokyo\n", "Q2\ta\tb\n"])
+            load_labels(["Q1\tTokyo\n", "Q2\ta\tb\n"])
         assert excinfo.value.line_number == 2
 
 
@@ -230,7 +230,7 @@ class TestFindPaths:
         triples = [("A", "r", "B"), ("B", "r", "C"), ("C", "r", "A")]
         searched, fresh = make_kg(triples, {"A": "a"}), make_kg(triples, {"A": "a"})
         searched.find_paths("A", "C", 3)
-        assert searched._in_edges is not None
+        assert "_in_edges" in vars(searched)
         assert searched == fresh
         assert repr(searched) == repr(fresh)
 
@@ -238,7 +238,7 @@ class TestFindPaths:
         kg = load_triples(["A\tr\tB\n", "B\tr\tC\n"])
         kg.get_neighbors("A")
         kg.get_neighbors("B", limit=1)
-        assert kg._in_edges is None
+        assert "_in_edges" not in vars(kg)
 
     def test_threads_sharing_a_fresh_graph_agree(self):
         kg = random_kg(random.Random(8), n_entities=30, n_triples=400)
@@ -340,7 +340,7 @@ class TestKhopSubgraph:
         for _ in range(40):
             kg = random_kg(rng, n_entities=20, n_triples=rng.randrange(0, 90))
             ids = [f"Q{i}" for i in range(20)] + [f"P{i}" for i in range(6)]
-            kg.labels.update((i, f"label {i}") for i in rng.sample(ids, 12))
+            kg = load_triples(dump_triples(kg), [f"{i}\tlabel {i}" for i in rng.sample(ids, 12)])
             seeds = [f"Q{rng.randrange(22)}" for _ in range(rng.randrange(1, 4))] * 2
             k = rng.randrange(1, 5)
             out = extract_khop_subgraph(kg, seeds, k)
@@ -404,6 +404,33 @@ class TestRoundTrip:
         assert reloaded.adjacency == kg.adjacency
 
 
+class TestOneStepBuild:
+    def test_load_kg_is_load_triples_with_the_label_file(self, tokyo_kg, tmp_path: Path):
+        save_kg(tokyo_kg, tmp_path)
+        loaded = load_kg(tmp_path)
+        assert loaded == load_triples(tmp_path / "triples.tsv", tmp_path / "labels.tsv")
+        assert loaded == tokyo_kg and loaded.labels
+
+    def test_load_kg_without_a_label_file_has_no_labels(self, tokyo_kg, tmp_path: Path):
+        save_kg(tokyo_kg, tmp_path)
+        (tmp_path / "labels.tsv").unlink()
+        loaded = load_kg(tmp_path)
+        assert loaded == load_triples(tmp_path / "triples.tsv")
+        assert loaded.adjacency == tokyo_kg.adjacency and loaded.labels == {}
+
+    def test_extraction_leaves_its_input_as_loaded(self):
+        rng = random.Random(24)
+        for _ in range(20):
+            lines = list(dump_triples(random_kg(rng, n_entities=15, n_triples=60)))
+            label_lines = [f"Q{i}\tlabel {i}" for i in rng.sample(range(15), 8)]
+            kg = load_triples(lines, label_lines)
+            seeds = [f"Q{rng.randrange(15)}" for _ in range(2)]
+            out = extract_khop_subgraph(kg, seeds, rng.randrange(1, 4))
+            assert kg == load_triples(lines, label_lines)
+            assert all(out.adjacency[e] is not kg.adjacency[e] for e in out.adjacency)
+            assert out.labels is not kg.labels
+
+
 class TestLoaderErrors:
     @pytest.mark.parametrize(
         "load, lines, message",
@@ -412,10 +439,8 @@ class TestLoaderErrors:
              "line 3: expected 3 tab-separated fields, got 2"),
             (load_triples, ["A\tr\tB\tC\n"], "line 1: expected 3 tab-separated fields, got 4"),
             (load_triples, ["A\tr\tB\n", "A\t\tB\n"], "line 2: empty relation field"),
-            (lambda lines: load_labels(KnowledgeGraph(), lines), ["", "Q1\ta\tb\n"],
-             "line 2: expected 2 tab-separated fields, got 3"),
-            (lambda lines: load_labels(KnowledgeGraph(), lines), ["\tTokyo\n"],
-             "line 1: empty id field"),
+            (load_labels, ["", "Q1\ta\tb\n"], "line 2: expected 2 tab-separated fields, got 3"),
+            (load_labels, ["\tTokyo\n"], "line 1: empty id field"),
             (load_triples, ["A\tr\rx\tB\n"], "line 1: relation contains tab or newline"),
             (load_triples, ["A\tr\tB\nC\tr\tD\n"],
              "line 1: expected 3 tab-separated fields, got 5"),
@@ -430,8 +455,7 @@ class TestLoaderErrors:
         assert load_triples(["A\tr\tB\r\r\n"]).triples == {Triple("A", "r", "B")}
 
     def test_a_label_may_be_empty_or_hold_a_carriage_return(self):
-        kg = load_labels(KnowledgeGraph(), ["Q1\t\n", "Q2\ta\rb\n"])
-        assert kg.labels == {"Q1": "", "Q2": "a\rb"}
+        assert load_labels(["Q1\t\n", "Q2\ta\rb\n"]) == {"Q1": "", "Q2": "a\rb"}
 
 
 def reference_check_id(value: str, kind: str, line_number: int) -> str:
@@ -538,7 +562,7 @@ class TestLoaderParity:
             return path
 
         assert _outcome(load_triples, source()) == _outcome(reference_load_triples, source())
-        assert _outcome(lambda s: load_labels(KnowledgeGraph(), s), source()) == _outcome(
+        assert _outcome(lambda s: load_triples([], s), source()) == _outcome(
             lambda s: reference_load_labels(KnowledgeGraph(), s), source()
         )
 
