@@ -439,8 +439,10 @@ class TestLoaderErrors:
              "line 3: expected 3 tab-separated fields, got 2"),
             (load_triples, ["A\tr\tB\tC\n"], "line 1: expected 3 tab-separated fields, got 4"),
             (load_triples, ["A\tr\tB\n", "A\t\tB\n"], "line 2: empty relation field"),
-            (load_labels, ["", "Q1\ta\tb\n"], "line 2: expected 2 tab-separated fields, got 3"),
-            (load_labels, ["\tTokyo\n"], "line 1: empty id field"),
+            (lambda lines: load_triples([], labels=lines), ["", "Q1\ta\tb\n"],
+             "line 2: expected 2 tab-separated fields, got 3"),
+            (lambda lines: load_triples([], labels=lines), ["\tTokyo\n"],
+             "line 1: empty id field"),
             (load_triples, ["A\tr\rx\tB\n"], "line 1: relation contains tab or newline"),
             (load_triples, ["A\tr\tB\nC\tr\tD\n"],
              "line 1: expected 3 tab-separated fields, got 5"),
