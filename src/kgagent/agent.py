@@ -118,9 +118,26 @@ class IterationRecord:
     facts: list[str] = field(default_factory=list)
     memory_snapshot: list[list[Triple]] = field(default_factory=list)
 
+    def to_dict(self) -> dict:
+        """The fields as they are, but for what json cannot write as it is."""
+        data = {
+            **vars(self),
+            "observation": [[*e.triple, e.score, e.depth, e.seed] for e in self.observation],
+            "retries": [vars(attempt) for attempt in self.retries],
+        }
+        data["memory"] = data.pop("memory_snapshot")
+        return data
+
 
 @dataclass
 class AgentTrace:
+    """What the agent did for one question, as written by trace_to_json.
+
+    Every field of this class and of IterationRecord lands in the trace
+    file, so a statistic that must stay out of the pinned trace belongs
+    elsewhere (on AgentResult, say), not here.
+    """
+
     question: str
     seed_entities: list[EntityId]
     iterations: list[IterationRecord] = field(default_factory=list)
@@ -131,42 +148,7 @@ class AgentTrace:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "question": self.question,
-            "seed_entities": list(self.seed_entities),
-            "iterations": [
-                {
-                    "index": record.index,
-                    "entities": list(record.entities),
-                    "observation": [
-                        [*entry.triple.as_tuple(), entry.score, entry.depth, entry.seed]
-                        for entry in record.observation
-                    ],
-                    "action_prompt": record.action_prompt,
-                    "action_response": record.action_response,
-                    "retries": [
-                        {"prompt": attempt.prompt, "response": attempt.response}
-                        for attempt in record.retries
-                    ],
-                    "action": record.action,
-                    "fallback": record.fallback,
-                    "outcome_count": record.outcome_count,
-                    "reflection_prompt": record.reflection_prompt,
-                    "reflection_response": record.reflection_response,
-                    "reflected": [list(t.as_tuple()) for t in record.reflected],
-                    "facts": list(record.facts),
-                    "memory": [
-                        [list(t.as_tuple()) for t in path] for path in record.memory_snapshot
-                    ],
-                }
-                for record in self.iterations
-            ],
-            "answer_prompt": self.answer_prompt,
-            "answer_response": self.answer_response,
-            "answers": list(self.answers),
-            "halted_by": self.halted_by,
-            "error": self.error,
-        }
+        return {**vars(self), "iterations": [record.to_dict() for record in self.iterations]}
 
 
 def trace_to_json(trace: AgentTrace) -> str:

@@ -52,14 +52,16 @@ def _build_providers(args: argparse.Namespace) -> Providers:
     return Providers(llm=llm, embedder=embedder, cache=cache)
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an int no smaller than minimum."""
+def _int_range(minimum: int, maximum: int | None = None):
+    """An argparse type: an int from minimum up to maximum (None: no upper bound)."""
 
     # argparse names the type in its error: "invalid integer value: 'x'"
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return integer
@@ -84,8 +86,8 @@ def _add_provider_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", help="model name for --provider live")
     parser.add_argument("--api-key-env", default="OPENAI_API_KEY")
     parser.add_argument("--embedder", choices=("deterministic", "http"), default="deterministic")
-    parser.add_argument("--embed-seed", type=int, default=0)
-    parser.add_argument("--embed-dim", type=int, default=64)
+    parser.add_argument("--embed-seed", type=_int_range(-(2**63), 2**63 - 1), default=0)
+    parser.add_argument("--embed-dim", type=_int_range(2), default=64)
     parser.add_argument("--embed-endpoint")
     parser.add_argument("--embed-model")
     parser.add_argument("--embed-cache", help="path for the persistent embedding cache")
@@ -180,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--triples", required=True)
     build.add_argument("--labels")
     build.add_argument("--seeds", required=True, help="file with one entity id per line")
-    build.add_argument("--k", type=_int_at_least(1), default=3)
+    build.add_argument("--k", type=_int_range(1), default=3)
     build.add_argument("--out", required=True)
     build.set_defaults(func=_cmd_build_subgraph)
 
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     inspect = sub.add_parser("inspect", help="show an entity's outgoing triples")
     inspect.add_argument("--kg", required=True)
     inspect.add_argument("--entity", required=True)
-    inspect.add_argument("--limit", type=_int_at_least(0))
+    inspect.add_argument("--limit", type=_int_range(0))
     inspect.set_defaults(func=_cmd_inspect)
 
     return parser
@@ -218,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TripleParseError, DatasetError, EmbeddingError) as exc:  # bad input files
+    except (TripleParseError, DatasetError, EmbeddingError, OSError) as exc:
+        # an input file that is malformed or cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -178,6 +178,8 @@ class DeterministicEmbedder:
     def __init__(self, seed: int = 0, dimension: int = 64) -> None:
         if dimension < 2:
             raise ValueError("dimension must be >= 2")
+        if not -(2**63) <= seed < 2**63:
+            raise ValueError(f"seed must fit a signed 64-bit integer, got {seed}")
         self.seed = seed
         self.dimension = dimension
         key = seed.to_bytes(8, "little", signed=True)

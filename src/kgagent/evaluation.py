@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
@@ -111,7 +111,7 @@ class QuestionOutcome:
     elapsed: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "elapsed": round(self.elapsed, 6)}
+        return {**vars(self), "elapsed": round(self.elapsed, 6)}
 
 
 @dataclass
@@ -124,7 +124,7 @@ class EvalReport:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "outcomes": [outcome.to_dict() for outcome in self.outcomes]}
+        return {**vars(self), "outcomes": [outcome.to_dict() for outcome in self.outcomes]}
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:

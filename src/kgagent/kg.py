@@ -22,10 +22,12 @@ LABELS_FILENAME = "labels.tsv"
 
 
 class TripleParseError(ValueError):
-    """Malformed TSV input; carries the 1-based line number."""
+    """Malformed TSV input; carries the 1-based line number. The message
+    names the line, led by the file's path when the input was read from one."""
 
-    def __init__(self, message: str, line_number: int) -> None:
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, message: str, line_number: int, path: str | Path | None = None) -> None:
+        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
+        super().__init__(f"{where}: {message}")
         self.line_number = line_number
 
 
@@ -193,18 +195,19 @@ def _iter_text_lines(source: str | Path | IO | Iterable[str | bytes]) -> Iterato
 
 
 def _check_fields(
-    fields: list[str], width: int, id_kinds: tuple[str, ...], line_number: int
+    fields: list[str], width: int, id_kinds: tuple[str, ...],
+    line_number: int, path: str | Path | None,
 ) -> None:
     """Raise the TripleParseError of a row: its width first, then each id field in order."""
     if len(fields) != width:
         raise TripleParseError(
-            f"expected {width} tab-separated fields, got {len(fields)}", line_number
+            f"expected {width} tab-separated fields, got {len(fields)}", line_number, path
         )
     for value, kind in zip(fields, id_kinds):
         if not value:
-            raise TripleParseError(f"empty {kind} field", line_number)
+            raise TripleParseError(f"empty {kind} field", line_number, path)
         if "\n" in value or "\r" in value:
-            raise TripleParseError(f"{kind} contains tab or newline", line_number)
+            raise TripleParseError(f"{kind} contains tab or newline", line_number, path)
 
 
 def _tsv_rows(
@@ -215,8 +218,10 @@ def _tsv_rows(
     The leading ``len(id_kinds)`` fields are ids: none may be empty or hold a
     newline or carriage return (a tab would have split the line). Any later
     field is free text. Each line gets one cheap test; only a line that fails
-    it goes through _check_fields, which raises the detailed error.
+    it goes through _check_fields, which raises the detailed error, naming
+    the file when the source is a path.
     """
+    path = source if isinstance(source, (str, Path)) else None
     checked = len(id_kinds)
     for number, line in enumerate(_iter_text_lines(source), start=1):
         line = line.rstrip("\r\n")
@@ -229,7 +234,7 @@ def _tsv_rows(
             ids = fields[:checked]
             text = "\t".join(ids)
         if len(fields) != width or "" in ids or "\r" in text or "\n" in text:
-            _check_fields(fields, width, id_kinds, number)
+            _check_fields(fields, width, id_kinds, number, path)
         yield fields
 
 

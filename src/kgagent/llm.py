@@ -130,13 +130,7 @@ def load_script(source: str | Path) -> list[ScriptEntry]:
 def save_script(entries: Iterable[ScriptEntry], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for entry in entries:
-            handle.write(
-                json.dumps(
-                    {"kind": entry.kind, "match": entry.match, "response": entry.response},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            handle.write(json.dumps(vars(entry), sort_keys=True) + "\n")
 
 
 @dataclass

@@ -152,6 +152,33 @@ class TestAsk:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--embed-dim", "1", "must be >= 2, got 1"),
+            ("--embed-seed", "99999999999999999999",
+             "must be <= 9223372036854775807, got 99999999999999999999"),
+        ],
+    )
+    def test_embedder_flag_out_of_range_is_a_usage_error(
+        self, kg_dir, tokyo_script_file, capsys, flag, value, message
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "ask",
+                    "--kg", str(kg_dir),
+                    "--question", TOKYO_QUESTION,
+                    "--entities", "Q1490",
+                    "--script", str(tokyo_script_file),
+                    flag, value,
+                ]
+            )
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: {message}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("entities", [" , ", ",", "  "])
     def test_no_entity_is_a_usage_error_before_any_provider(
         self, kg_dir, tokyo_script_file, tmp_path, capsys, entities
@@ -311,8 +338,57 @@ class TestInputErrors:
         (tmp_path / "triples.tsv").write_text("Q1\tP1\tQ2\nQ2\tP1\n", encoding="utf-8")
         assert main(["inspect", "--kg", str(tmp_path), "--entity", "Q1"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: line 2: expected 3 tab-separated fields, got 2\n"
+        assert captured.err == (
+            f"error: {tmp_path / 'triples.tsv'}: line 2: expected 3 tab-separated fields, got 2\n"
+        )
         assert captured.out == ""
+
+    def test_malformed_labels_file_is_named(self, tmp_path, capsys):
+        triples = tmp_path / "dump.tsv"
+        triples.write_text("Q1\tP1\tQ2\n", encoding="utf-8")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("Q1\tone\tx\n", encoding="utf-8")
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("Q1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "build-subgraph",
+                "--triples", str(triples),
+                "--labels", str(labels),
+                "--seeds", str(seeds),
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {labels}: line 1: expected 2 tab-separated fields, got 3\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-subgraph", "--triples", "{kg}/triples.tsv", "--seeds", "{missing}",
+             "--out", "{out}"],
+            ["ask", "--kg", "{kg}", "--question", "q?", "--entities", "Q1490",
+             "--script", "{missing}"],
+            ["eval", "--kg", "{kg}", "--dataset", "{missing}", "--script", "{script}"],
+            ["inspect", "--kg", "{missing}", "--entity", "Q1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_input_file(self, kg_dir, tokyo_script_file, tmp_path, capsys, argv):
+        missing = tmp_path / "missing"
+        names = {"kg": kg_dir, "script": tokyo_script_file, "missing": missing,
+                 "out": tmp_path / "out"}
+        assert main([arg.format(**names) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
+        assert str(missing) in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_dataset_record_without_entities(self, kg_dir, tokyo_script_file, tmp_path, capsys):
         dataset = tmp_path / "dataset.jsonl"

@@ -96,6 +96,13 @@ class TestDeterministicProvider:
         with pytest.raises(ValueError):
             DeterministicEmbedder(seed=0, dimension=1)
 
+    def test_seed_must_fit_a_signed_64_bit_integer(self):
+        for seed in (-(2**63), 2**63 - 1):
+            DeterministicEmbedder(seed=seed)
+        for seed in (-(2**63) - 1, 2**63):
+            with pytest.raises(ValueError, match="seed must fit a signed 64-bit integer"):
+                DeterministicEmbedder(seed=seed)
+
     def test_pairwise_cosines_concentrate_near_zero(self):
         # thresholds frozen from an oracle run over this exact configuration
         provider = DeterministicEmbedder(seed=13, dimension=16)

@@ -453,6 +453,15 @@ class TestLoaderErrors:
             load(lines)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("as_source", [Path, str])
+    def test_a_file_source_is_named(self, tmp_path, as_source):
+        path = tmp_path / "labels.tsv"
+        path.write_text("Q1\tone\n\tTokyo\n", encoding="utf-8")
+        with pytest.raises(TripleParseError) as excinfo:
+            load_labels(as_source(path))
+        assert str(excinfo.value) == f"{path}: line 2: empty id field"
+        assert excinfo.value.line_number == 2
+
     def test_trailing_carriage_returns_are_stripped(self):
         assert load_triples(["A\tr\tB\r\r\n"]).triples == {Triple("A", "r", "B")}
 
@@ -460,11 +469,11 @@ class TestLoaderErrors:
         assert load_labels(["Q1\t\n", "Q2\ta\rb\n"]) == {"Q1": "", "Q2": "a\rb"}
 
 
-def reference_check_id(value: str, kind: str, line_number: int) -> str:
+def reference_check_id(value: str, kind: str, line_number: int, path) -> str:
     if not value:
-        raise TripleParseError(f"empty {kind} field", line_number)
+        raise TripleParseError(f"empty {kind} field", line_number, path)
     if "\t" in value or "\n" in value or "\r" in value:
-        raise TripleParseError(f"{kind} contains tab or newline", line_number)
+        raise TripleParseError(f"{kind} contains tab or newline", line_number, path)
     return sys.intern(value)
 
 
@@ -482,6 +491,8 @@ def reference_text_lines(source):
 
 
 def reference_tsv_rows(source, width: int):
+    """(line number, fields, the path an error names) of each non-blank line."""
+    path = source if isinstance(source, (str, Path)) else None
     for number, line in enumerate(reference_text_lines(source), start=1):
         line = line.rstrip("\r\n")
         if not line:
@@ -489,9 +500,9 @@ def reference_tsv_rows(source, width: int):
         fields = line.split("\t")
         if len(fields) != width:
             raise TripleParseError(
-                f"expected {width} tab-separated fields, got {len(fields)}", number
+                f"expected {width} tab-separated fields, got {len(fields)}", number, path
             )
-        yield number, fields
+        yield number, fields, path
 
 
 def reference_load_triples(source) -> KnowledgeGraph:
@@ -499,11 +510,11 @@ def reference_load_triples(source) -> KnowledgeGraph:
     line, kept as a reference."""
     kg = KnowledgeGraph()
     held: set[Triple] = set()
-    for number, (head, relation, tail) in reference_tsv_rows(source, 3):
+    for number, (head, relation, tail), path in reference_tsv_rows(source, 3):
         triple = Triple(
-            reference_check_id(head, "head", number),
-            reference_check_id(relation, "relation", number),
-            reference_check_id(tail, "tail", number),
+            reference_check_id(head, "head", number, path),
+            reference_check_id(relation, "relation", number, path),
+            reference_check_id(tail, "tail", number, path),
         )
         if triple not in held:
             held.add(triple)
@@ -512,8 +523,8 @@ def reference_load_triples(source) -> KnowledgeGraph:
 
 
 def reference_load_labels(kg: KnowledgeGraph, source) -> KnowledgeGraph:
-    for number, (identifier, label) in reference_tsv_rows(source, 2):
-        kg.labels[reference_check_id(identifier, "id", number)] = label
+    for number, (identifier, label), path in reference_tsv_rows(source, 2):
+        kg.labels[reference_check_id(identifier, "id", number, path)] = label
     return kg
 
 

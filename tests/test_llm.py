@@ -81,6 +81,10 @@ class TestScriptFile:
         ]
         path = tmp_path / "script.jsonl"
         save_script(entries, path)
+        assert path.read_bytes() == (
+            b'{"kind": "substring", "match": "hello", "response": "world"}\n'
+            b'{"kind": "exact", "match": "full text", "response": "reply\\nwith newline"}\n'
+        )
         assert load_script(path) == entries
 
     def test_bad_line_raises_with_number(self, tmp_path):
