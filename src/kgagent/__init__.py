@@ -8,7 +8,6 @@ harness for Hits@1 exact match.
 
 from .action import (
     Action,
-    ActionHistory,
     Answer,
     NeighborExploration,
     PathDiscovery,

@@ -7,7 +7,7 @@ slots so it can be edited without touching code.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Mapping, Sequence, Union
@@ -61,23 +61,6 @@ def render_action(action: Action) -> str:
     return "Answer"
 
 
-@dataclass
-class ActionHistory:
-    actions: list[Action] = field(default_factory=list)
-
-    def append(self, action: Action) -> None:
-        self.actions.append(action)
-
-    def __contains__(self, action: Action) -> bool:
-        return action in self.actions
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def render(self) -> str:
-        return ", ".join(render_action(action) for action in self.actions)
-
-
 @lru_cache(maxsize=None)
 def load_template(name: str) -> str:
     return (
@@ -99,19 +82,13 @@ def observed_template(name: str, observation: ObservationSubgraph) -> str:
     return "\n".join(line for line in template.splitlines() if "[Observation]" not in line) + "\n"
 
 
-def _memory_text(memory: Memory, kg: KnowledgeGraph, memory_extra: str) -> str:
-    """Rendered memory, then memory_extra on its own line; empty parts are left out."""
-    return "\n".join(filter(None, (render_memory(memory, kg), memory_extra)))
-
-
 def build_action_prompt(
     question: str,
     memory: Memory,
     candidates: Sequence[EntityId],
     observation: ObservationSubgraph,
     kg: KnowledgeGraph,
-    history: ActionHistory,
-    memory_extra: str = "",
+    history: Sequence[Action],
 ) -> str:
     """Fill the action template; see templates/action.txt for the wording.
 
@@ -124,11 +101,11 @@ def build_action_prompt(
         observed_template("action.txt", observation),
         {
             "Question": question,
-            "Memory": _memory_text(memory, kg, memory_extra),
+            "Memory": render_memory(memory, kg),
             "Candidates": ", ".join(candidates),
             "Observation": render_observation(observation, kg),
             "Labels": kg.render_legend(candidates),
-            "ActionHistory": history.render(),
+            "ActionHistory": ", ".join(map(render_action, history)),
             "GetNeighborOnly": GETNEIGHBOR_ONLY_NOTE if len(candidates) < 2 else "",
         },
     )
@@ -207,13 +184,10 @@ def execute_action(
     raise ValueError("Answer carries no KG execution")
 
 
-def build_answer_prompt(
-    question: str, memory: Memory, kg: KnowledgeGraph, memory_extra: str = ""
-) -> str:
+def build_answer_prompt(question: str, memory: Memory, kg: KnowledgeGraph) -> str:
     """Fill the answer template (templates/answer.txt) from memory."""
     return fill_template(
-        load_template("answer.txt"),
-        {"Memory": _memory_text(memory, kg, memory_extra), "Question": question},
+        load_template("answer.txt"), {"Memory": render_memory(memory, kg), "Question": question}
     )
 
 
@@ -246,8 +220,7 @@ def choose_action(
     candidates: Sequence[EntityId],
     observation: ObservationSubgraph,
     kg: KnowledgeGraph,
-    history: ActionHistory,
-    memory_extra: str = "",
+    history: Sequence[Action],
     temperature: float = DEFAULT_TEMPERATURE,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     max_retries: int = 2,
@@ -257,9 +230,7 @@ def choose_action(
     After max_retries corrections the fallback is NeighborExploration of the
     first candidate; the returned flag marks that case.
     """
-    base_prompt = build_action_prompt(
-        question, memory, candidates, observation, kg, history, memory_extra=memory_extra
-    )
+    base_prompt = build_action_prompt(question, memory, candidates, observation, kg, history)
     prompt = base_prompt
     attempts: list[ActionAttempt] = []
     for _ in range(max_retries + 1):

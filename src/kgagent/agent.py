@@ -14,8 +14,8 @@ from random import Random
 from typing import Callable, Iterable, Mapping
 
 from .action import (
+    Action,
     ActionAttempt,
-    ActionHistory,
     Answer,
     build_answer_prompt,
     choose_action,
@@ -182,8 +182,7 @@ def run(
         raise ValueError("run requires at least one seed entity")
     strategy = config.reflection.strategy
     memory = Memory()
-    facts: list[str] = []
-    history = ActionHistory()
+    history: list[Action] = []
     rng = Random(config.random_seed)
     # embeds the question on first use, so no_observation never embeds
     scorer = QuestionScorer(question, providers.embedder, providers.cache)
@@ -213,7 +212,6 @@ def run(
                 observation,
                 kg,
                 history,
-                memory_extra="\n".join(facts),
                 temperature=config.temperature,
                 max_tokens=config.max_tokens,
                 max_retries=config.action_retries,
@@ -242,7 +240,7 @@ def run(
                         question, config.reflection, providers.llm,
                         temperature=config.temperature, max_tokens=config.max_tokens,
                     )
-                    facts.extend(record.facts)
+                    memory.facts += record.facts
                 elif not outcome:
                     pass  # nothing to reflect on; entities carry over
                 elif strategy == "similarity":
@@ -270,7 +268,7 @@ def run(
                 break
 
         # the trace takes the answer only once the provider has returned it
-        prompt = build_answer_prompt(question, memory, kg, memory_extra="\n".join(facts))
+        prompt = build_answer_prompt(question, memory, kg)
         response = providers.llm.complete(
             CompletionRequest(prompt, config.temperature, config.max_tokens)
         )

@@ -12,7 +12,7 @@ from .agent import AgentConfig, AgentError, Providers, render_case, run, trace_t
 from .embedding import DeterministicEmbedder, EmbeddingCache, EmbeddingError, HttpEmbedder
 from .evaluation import DatasetError, load_dataset, run_eval
 from .kg import TripleParseError, extract_khop_subgraph, load_kg, load_triples, save_kg
-from .llm import HttpChatConfig, HttpChatProvider, ScriptedProvider, load_script
+from .llm import HttpChatConfig, HttpChatProvider, ScriptedProvider, ScriptError, load_script
 from .reflection import STRATEGIES
 
 
@@ -220,8 +220,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TripleParseError, DatasetError, EmbeddingError, OSError) as exc:
-        # an input file that is malformed or cannot be read
+    except (
+        TripleParseError, DatasetError, ScriptError, EmbeddingError, UnicodeDecodeError, OSError
+    ) as exc:
+        # an input file that is malformed, not UTF-8 or cannot be read (run turns
+        # a ScriptError into an AgentError, so one caught here is from load_script)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

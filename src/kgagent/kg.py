@@ -219,23 +219,29 @@ def _tsv_rows(
     newline or carriage return (a tab would have split the line). Any later
     field is free text. Each line gets one cheap test; only a line that fails
     it goes through _check_fields, which raises the detailed error, naming
-    the file when the source is a path.
+    the file when the source is a path. A line that is not UTF-8 raises
+    TripleParseError too; a text-mode handle decodes by chunk, so for it the
+    line named is the first one the handle failed to return.
     """
     path = source if isinstance(source, (str, Path)) else None
     checked = len(id_kinds)
-    for number, line in enumerate(_iter_text_lines(source), start=1):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if checked == width:
-            ids, text = fields, line
-        else:
-            ids = fields[:checked]
-            text = "\t".join(ids)
-        if len(fields) != width or "" in ids or "\r" in text or "\n" in text:
-            _check_fields(fields, width, id_kinds, number, path)
-        yield fields
+    number = 0
+    try:
+        for number, line in enumerate(_iter_text_lines(source), start=1):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if checked == width:
+                ids, text = fields, line
+            else:
+                ids = fields[:checked]
+                text = "\t".join(ids)
+            if len(fields) != width or "" in ids or "\r" in text or "\n" in text:
+                _check_fields(fields, width, id_kinds, number, path)
+            yield fields
+    except UnicodeDecodeError:
+        raise TripleParseError("not valid UTF-8", number + 1, path) from None
 
 
 def load_triples(

@@ -1,8 +1,10 @@
-"""Agent memory as an ordered network of triple chains.
+"""Agent memory: an ordered network of triple chains, then generated facts.
 
 A reflected triple extends the first existing path whose final tail equals
 the triple's head; otherwise it starts a new path. Consecutive links in a
-path always chain tail -> head.
+path always chain tail -> head. Facts are sentences the model wrote in
+place of KG reflection (the generated_fact strategy); they render after
+the paths.
 """
 
 from __future__ import annotations
@@ -36,12 +38,10 @@ class MemoryPath:
 @dataclass
 class Memory:
     paths: list[MemoryPath] = field(default_factory=list)
+    facts: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.paths)
-
-    def is_empty(self) -> bool:
-        return not self.paths
 
 
 def integrate(memory: Memory, reflected: Iterable[Triple]) -> Memory:
@@ -63,5 +63,6 @@ def integrate(memory: Memory, reflected: Iterable[Triple]) -> Memory:
 
 
 def render_memory(memory: Memory, kg: KnowledgeGraph) -> str:
-    """One line per path; links rendered with labels and joined by " -> "."""
-    return "\n".join(" -> ".join(map(kg.render_triple, path.links)) for path in memory.paths)
+    """One line per path, links rendered with labels and joined by " -> ", then one per fact."""
+    chains = (" -> ".join(map(kg.render_triple, path.links)) for path in memory.paths)
+    return "\n".join([*chains, *memory.facts])

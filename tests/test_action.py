@@ -5,7 +5,6 @@ import random
 import pytest
 
 from kgagent.action import (
-    ActionHistory,
     ActionParseError,
     ActionValidationError,
     Answer,
@@ -36,7 +35,7 @@ def tokyo_observation(tokyo_kg, embedder):
 class TestBuildActionPrompt:
     def test_tokyo_inputs_present(self, tokyo_kg, tokyo_observation):
         prompt = build_action_prompt(
-            TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation, tokyo_kg, ActionHistory()
+            TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation, tokyo_kg, []
         )
         assert "Q1490" in prompt
         assert "Q1490: Tokyo" in prompt
@@ -47,20 +46,20 @@ class TestBuildActionPrompt:
 
     def test_single_candidate_adds_constraint(self, tokyo_kg, tokyo_observation):
         prompt = build_action_prompt(
-            TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation, tokyo_kg, ActionHistory()
+            TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation, tokyo_kg, []
         )
         assert "If there are less than 2 entityIDs available" in prompt
 
     def test_two_candidates_omit_constraint(self, tokyo_kg, tokyo_observation):
         prompt = build_action_prompt(
             TOKYO_QUESTION, Memory(), ["Q1490", "Q17"], tokyo_observation, tokyo_kg,
-            ActionHistory(),
+            [],
         )
         assert "If there are less than 2 entityIDs available" not in prompt
 
     def test_empty_memory_slot_filled(self, tokyo_kg, tokyo_observation):
         prompt = build_action_prompt(
-            TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation, tokyo_kg, ActionHistory()
+            TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation, tokyo_kg, []
         )
         assert "Memory: \n" in prompt
         assert "[Memory]" not in prompt
@@ -69,26 +68,38 @@ class TestBuildActionPrompt:
     def test_empty_observation_line_omitted(self, tokyo_kg):
         prompt = build_action_prompt(
             TOKYO_QUESTION, Memory(), ["Q1490"], ObservationSubgraph(), tokyo_kg,
-            ActionHistory(),
+            [],
         )
         assert "Observation:" not in prompt
 
     def test_history_rendered(self, tokyo_kg, tokyo_observation):
-        history = ActionHistory([NeighborExploration("Q1490")])
+        history = [NeighborExploration("Q1490")]
         prompt = build_action_prompt(
             TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation, tokyo_kg, history
         )
         assert "GetNeighbor(Q1490)" in prompt
 
+    def test_facts_follow_paths_in_memory_slot(self, tokyo_kg, tokyo_observation):
+        memory = integrate(Memory(), [Triple("Q1490", "P36", "Q192724")])
+        memory.facts += ["Tokyo is the capital of Japan", "Shinjuku is a ward"]
+        prompt = build_action_prompt(
+            TOKYO_QUESTION, memory, ["Q1490"], tokyo_observation, tokyo_kg, []
+        )
+        assert (
+            "Memory: (Tokyo, capital, Shinjuku)\n"
+            "Tokyo is the capital of Japan\nShinjuku is a ward\n"
+            "Candidate EntityIDs: Q1490"
+        ) in prompt
+
     def test_requires_candidates(self, tokyo_kg, tokyo_observation):
         with pytest.raises(ValueError):
             build_action_prompt(
-                TOKYO_QUESTION, Memory(), [], tokyo_observation, tokyo_kg, ActionHistory()
+                TOKYO_QUESTION, Memory(), [], tokyo_observation, tokyo_kg, []
             )
 
     def test_golden_render(self, tokyo_kg, tokyo_observation, datadir):
         prompt = build_action_prompt(
-            TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation, tokyo_kg, ActionHistory()
+            TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation, tokyo_kg, []
         )
         golden = (datadir / "golden" / "action_prompt_tokyo_iter1.txt").read_text(
             encoding="utf-8"
@@ -207,7 +218,7 @@ class TestAnswerPrompt:
 
     def test_facts_lane_appended(self, tokyo_kg):
         prompt = build_answer_prompt(
-            TOKYO_QUESTION, Memory(), tokyo_kg, memory_extra="Tokyo is the capital of Japan"
+            TOKYO_QUESTION, Memory(facts=["Tokyo is the capital of Japan"]), tokyo_kg
         )
         assert "Tokyo is the capital of Japan" in prompt
 
@@ -244,14 +255,14 @@ class TestChooseAction:
         )
         action, attempts, fallback = choose_action(
             provider, TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation,
-            tokyo_kg, ActionHistory(),
+            tokyo_kg, [],
         )
         assert action == NeighborExploration("Q1490")
         assert len(attempts) == 1
         assert not fallback
 
     def test_repeated_action_triggers_reprompt(self, tokyo_kg, tokyo_observation):
-        history = ActionHistory([NeighborExploration("Q1490")])
+        history = [NeighborExploration("Q1490")]
         provider = ScriptedProvider(
             [
                 ScriptEntry("substring", "Candidate EntityIDs",
@@ -274,7 +285,7 @@ class TestChooseAction:
         )
         action, attempts, fallback = choose_action(
             provider, TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation,
-            tokyo_kg, ActionHistory(), max_retries=2,
+            tokyo_kg, [], max_retries=2,
         )
         assert fallback
         assert action == NeighborExploration("Q1490")

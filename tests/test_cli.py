@@ -390,6 +390,41 @@ class TestInputErrors:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_malformed_script_file(self, kg_dir, tmp_path, capsys):
+        script = tmp_path / "s.jsonl"
+        script.write_text("not json\n", encoding="utf-8")
+        code = main(
+            ["ask", "--kg", str(kg_dir), "--question", TOKYO_QUESTION, "--entities", "Q1490",
+             "--script", str(script)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {script}: bad script entry on line 1: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_triples_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "triples.tsv"
+        path.write_bytes(b"Q1\tP1\tQ2\nA\tr\t\xff\n")
+        assert main(["inspect", "--kg", str(tmp_path), "--entity", "Q1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: line 2: not valid UTF-8\n"
+        assert captured.out == ""
+
+    def test_dataset_file_not_utf8(self, kg_dir, tokyo_script_file, tmp_path, capsys):
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_bytes(b'{"question": "\xff"}\n')
+        code = main(
+            ["eval", "--kg", str(kg_dir), "--dataset", str(dataset),
+             "--script", str(tokyo_script_file), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_dataset_record_without_entities(self, kg_dir, tokyo_script_file, tmp_path, capsys):
         dataset = tmp_path / "dataset.jsonl"
         record = {"question": TOKYO_QUESTION, "entities": [], "answers": ["Shinjuku"]}

@@ -462,6 +462,18 @@ class TestLoaderErrors:
         assert str(excinfo.value) == f"{path}: line 2: empty id field"
         assert excinfo.value.line_number == 2
 
+    @pytest.mark.parametrize("as_source", ["path", "bytes"])
+    def test_a_line_that_is_not_utf8(self, tmp_path, as_source):
+        path = tmp_path / "triples.tsv"
+        path.write_bytes(b"A\tr\tB\n\nA\tr\t\xff\nB\tr\tC\n")
+        source = path if as_source == "path" else path.read_bytes().splitlines(keepends=True)
+        with pytest.raises(TripleParseError) as excinfo:
+            load_triples(source)
+        where = f"{path}: line 3" if as_source == "path" else "line 3"
+        assert str(excinfo.value) == f"{where}: not valid UTF-8"
+        assert excinfo.value.line_number == 3
+        assert excinfo.value.__cause__ is None
+
     def test_trailing_carriage_returns_are_stripped(self):
         assert load_triples(["A\tr\tB\r\r\n"]).triples == {Triple("A", "r", "B")}
 
@@ -477,23 +489,23 @@ def reference_check_id(value: str, kind: str, line_number: int, path) -> str:
     return sys.intern(value)
 
 
-def reference_text_lines(source):
+def reference_raw_lines(source):
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
-            for raw in handle:
-                yield raw.decode("utf-8")
+            yield from handle
         return
-    for raw in source:
-        if isinstance(raw, bytes):
-            yield raw.decode("utf-8")
-        else:
-            yield raw
+    yield from source
 
 
 def reference_tsv_rows(source, width: int):
     """(line number, fields, the path an error names) of each non-blank line."""
     path = source if isinstance(source, (str, Path)) else None
-    for number, line in enumerate(reference_text_lines(source), start=1):
+    for number, line in enumerate(reference_raw_lines(source), start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise TripleParseError("not valid UTF-8", number, path) from None
         line = line.rstrip("\r\n")
         if not line:
             continue

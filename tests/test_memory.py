@@ -137,6 +137,19 @@ class TestRenderMemory:
         memory = integrate(Memory(), [Triple("Q1", "P1", "Q2")])
         assert render_memory(memory, make_kg([])) == "(Q1, P1, Q2)"
 
+    def test_fact_lines_follow_path_lines(self):
+        kg = make_kg([], GOETHE_LABELS)
+        memory = integrate(
+            Memory(facts=["Goethe wrote Faust", "Faust has two parts"]),
+            [Triple("Q5879", "P451", "Q61597"), Triple("Q1", "P1", "Q2")],
+        )
+        assert render_memory(memory, kg) == (
+            "(Johann Wolfgang von Goethe, unmarried Partner, Lili Schöneman)\n"
+            "(Q1, P1, Q2)\n"
+            "Goethe wrote Faust\n"
+            "Faust has two parts"
+        )
+
     def test_deterministic(self):
         kg = make_kg([], GOETHE_LABELS)
         stream = [Triple("Q5879", "P451", "Q61597"), Triple("Q61597", "P19", "Q3042")]
