@@ -200,10 +200,7 @@ def run(
             if strategy == "no_observation":
                 observation = ObservationSubgraph()
             else:
-                observation = observe(
-                    kg, question, entities, config.observation,
-                    providers.embedder, providers.cache, scorer=scorer,
-                )
+                observation = observe(kg, scorer, entities, config.observation)
             action, attempts, fallback = choose_action(
                 providers.llm,
                 question,
@@ -244,10 +241,7 @@ def run(
                 elif not outcome:
                     pass  # nothing to reflect on; entities carry over
                 elif strategy == "similarity":
-                    result = reflect_similarity(
-                        question, outcome, kg, config.reflection,
-                        providers.embedder, providers.cache, scorer=scorer,
-                    )
+                    result = reflect_similarity(outcome, kg, config.reflection, scorer)
                 elif strategy == "random":
                     result = reflect_random(outcome, config.reflection, rng)
                 elif strategy in ("oda", "no_observation"):

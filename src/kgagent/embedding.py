@@ -64,15 +64,6 @@ def combined_text(relation_label: str, tail_label: str) -> str:
     return f"{relation_label} {tail_label}"
 
 
-def embed_text(
-    text: str,
-    provider: EmbeddingProvider,
-    cache: "EmbeddingCache | None" = None,
-) -> Vector:
-    """Embed one text through the cache; see embed_texts."""
-    return embed_texts([text], provider, cache)[0]
-
-
 def embed_texts(
     texts: Sequence[str],
     provider: EmbeddingProvider,
@@ -121,7 +112,7 @@ def score_candidate(
 ) -> float:
     """Cosine between the question vector and the embedded relation+tail text."""
     text = combined_text(relation_label, tail_label)
-    return cosine(question_vector, embed_text(text, provider, cache))
+    return cosine(question_vector, embed_texts([text], provider, cache)[0])
 
 
 class QuestionScorer:
@@ -148,12 +139,9 @@ class QuestionScorer:
     def question_vector(self) -> Vector:
         """The question's embedding; the first call embeds it."""
         if self._embedded is None:
-            vector = embed_text(self.question, self.provider, self.cache)
+            vector = embed_texts([self.question], self.provider, self.cache)[0]
             self._embedded = (vector, _norm(vector))
         return self._embedded[0]
-
-    def score(self, text: str) -> float:
-        return self.score_many([text])[0]
 
     def score_many(self, texts: Sequence[str]) -> list[float]:
         scores = self._scores

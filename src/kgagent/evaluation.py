@@ -10,14 +10,16 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
 from .agent import AgentConfig, AgentError, Providers, run, trace_to_json
-from .kg import EntityId, KnowledgeGraph
+from .kg import EntityId, KnowledgeGraph, _iter_text_lines
 
 
 class DatasetError(ValueError):
-    """Malformed dataset record; carries the 1-based line number."""
+    """Malformed dataset record; carries the 1-based line number. The message
+    names the line, led by the file's path when the input was read from one."""
 
-    def __init__(self, message: str, line_number: int) -> None:
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, message: str, line_number: int, path: str | Path | None = None) -> None:
+        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
+        super().__init__(f"{where}: {message}")
         self.line_number = line_number
 
 
@@ -36,27 +38,34 @@ class DatasetRecord:
             raise ValueError("gold answers must be non-empty")
 
 
-def load_dataset(source: str | Path | IO | Iterable[str]) -> list[DatasetRecord]:
-    """Read JSON-lines records with question / entities / answers fields."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_dataset(handle)
+def load_dataset(source: str | Path | IO | Iterable[str | bytes]) -> list[DatasetRecord]:
+    """Read JSON-lines records with question / entities / answers fields.
+
+    Each line is decoded as UTF-8 on its own; one that is not UTF-8 raises
+    DatasetError, as a malformed record does, naming the file when the
+    source is a path.
+    """
+    path = source if isinstance(source, (str, Path)) else None
     records: list[DatasetRecord] = []
-    for number, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-            if not isinstance(data["question"], str):
-                raise ValueError("question must be a JSON string")
-            for name in ("entities", "answers"):
-                value = data[name]
-                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                    raise ValueError(f"{name} must be a JSON array of strings")
-            records.append(DatasetRecord(data["question"], data["entities"], data["answers"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"bad dataset record: {exc}", number) from exc
+    number = 0
+    try:
+        for number, line in enumerate(_iter_text_lines(source), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                data = json.loads(line)
+                if not isinstance(data["question"], str):
+                    raise ValueError("question must be a JSON string")
+                for name in ("entities", "answers"):
+                    value = data[name]
+                    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                        raise ValueError(f"{name} must be a JSON array of strings")
+                records.append(DatasetRecord(data["question"], data["entities"], data["answers"]))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise DatasetError(f"bad dataset record: {exc}", number, path) from exc
+    except UnicodeDecodeError:
+        raise DatasetError("not valid UTF-8", number + 1, path) from None
     return records
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 
+from .kg import _iter_text_lines
+
 DEFAULT_TEMPERATURE = 0.4
 DEFAULT_MAX_TOKENS = 500
 
@@ -61,6 +63,8 @@ class ScriptEntry:
     def __post_init__(self) -> None:
         if self.kind not in ("substring", "exact"):
             raise ValueError(f"unknown match kind {self.kind!r}")
+        if not isinstance(self.match, str) or not isinstance(self.response, str):
+            raise ValueError("match and response must be strings")
 
     def matches(self, text: str) -> bool:
         if self.kind == "exact":
@@ -108,15 +112,22 @@ class ScriptedProvider:
 
 
 def load_script(source: str | Path) -> list[ScriptEntry]:
-    """Read a script file: one JSON object per line with kind/match/response."""
+    """Read a script file: one JSON object per line with kind/match/response.
+
+    Each line is decoded as UTF-8 on its own; a line that is not UTF-8 or
+    not a valid entry raises ScriptError naming the file and the line.
+    """
     entries: list[ScriptEntry] = []
-    with open(source, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
+    number = 0
+    try:
+        for number, line in enumerate(_iter_text_lines(source), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("a script entry must be a JSON object")
                 entries.append(
                     ScriptEntry(
                         record.get("kind", "substring"), record["match"], record["response"]
@@ -124,6 +135,8 @@ def load_script(source: str | Path) -> list[ScriptEntry]:
                 )
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 raise ScriptError(f"{source}: bad script entry on line {number}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ScriptError(f"{source}: line {number + 1}: not valid UTF-8") from None
     return entries
 
 

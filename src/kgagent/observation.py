@@ -23,7 +23,7 @@ from itertools import islice
 from math import ceil
 from typing import Iterable
 
-from .embedding import EmbeddingCache, EmbeddingProvider, QuestionScorer, combined_text
+from .embedding import QuestionScorer, combined_text
 from .kg import EntityId, KnowledgeGraph, Triple
 
 
@@ -59,7 +59,6 @@ class TurnRecord:
     seed: EntityId
     depth: int
     candidate_count: int
-    appended: list[ScoredTriple]
     frontier: list[EntityId]
 
 
@@ -71,12 +70,11 @@ class ObservationSubgraph:
     turns: list[TurnRecord] = field(default_factory=list)
     _index: set[Triple] = field(default_factory=set, repr=False)
 
-    def add(self, entry: ScoredTriple) -> bool:
-        if entry.triple in self._index:
-            return False
-        self._index.add(entry.triple)
-        self.entries.append(entry)
-        return True
+    def add(self, entry: ScoredTriple) -> None:
+        """Append entry unless its triple is already held."""
+        if entry.triple not in self._index:
+            self._index.add(entry.triple)
+            self.entries.append(entry)
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self._index
@@ -117,18 +115,13 @@ def top_scored(
 
 def observe(
     kg: KnowledgeGraph,
-    question: str,
+    scorer: QuestionScorer,
     entities: Iterable[EntityId],
     params: ObservationParams,
-    provider: EmbeddingProvider,
-    cache: EmbeddingCache | None = None,
-    *,
-    scorer: QuestionScorer | None = None,
 ) -> ObservationSubgraph:
     """Run the depth-bounded update/refine walk from every seed entity.
 
-    Candidates are scored through scorer, which must be built for this
-    question (one is made from provider and cache when absent): the
+    Candidates are scored against scorer.question through scorer: the
     question is embedded once per scorer and each distinct relation+tail
     text is scored once per scorer, however many turns, seeds and calls
     reach it. Seeds missing from the graph contribute nothing.
@@ -136,7 +129,6 @@ def observe(
     seeds = list(dict.fromkeys(entities))
     if not seeds:
         raise ValueError("observe requires at least one seed entity")
-    scorer = scorer or QuestionScorer(question, provider, cache)
     scorer.question_vector()  # first, even when no seed has edges: fixes the provider's call order
     subgraph = ObservationSubgraph()
     for seed in seeds:
@@ -170,15 +162,12 @@ def _walk(
         # a triple has one head, so no triple is in two lists: the merge's
         # prefix is the rank_scored_triples selection over all candidates
         selected = list(islice(heapq.merge(*lists), params.top_n))
-        appended = []
         for negative, triple in selected:
-            entry = ScoredTriple(triple, -negative, depth, seed)
-            if subgraph.add(entry):
-                appended.append(entry)
+            subgraph.add(ScoredTriple(triple, -negative, depth, seed))
         tails = [triple.tail for _, triple in selected[: params.refine_count]]
         frontier = [t for t in dict.fromkeys(tails) if t not in visited]
         visited.update(frontier)
-        subgraph.turns.append(TurnRecord(seed, depth, candidate_count, appended, frontier))
+        subgraph.turns.append(TurnRecord(seed, depth, candidate_count, frontier))
         if not frontier:
             break
 

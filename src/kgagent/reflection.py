@@ -5,12 +5,12 @@ deriving the next task-relevant entities, plus the ablation strategies
 from __future__ import annotations
 
 import logging
-import random
 import re
 from dataclasses import dataclass, field
+from random import Random
 from typing import Sequence
 
-from .embedding import EmbeddingCache, EmbeddingProvider, QuestionScorer
+from .embedding import QuestionScorer
 from .kg import EntityId, KnowledgeGraph, Triple
 from .action import fill_template, observed_template
 from .llm import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, CompletionRequest, LLMProvider
@@ -144,34 +144,23 @@ def reflect_with_model(
 
 
 def reflect_similarity(
-    question: str,
     candidates: Sequence[Triple],
     kg: KnowledgeGraph,
     params: ReflectionParams,
-    provider: EmbeddingProvider,
-    cache: EmbeddingCache | None = None,
-    *,
-    scorer: QuestionScorer | None = None,
+    scorer: QuestionScorer,
 ) -> ReflectionResult:
-    """Rank candidates by relation+tail similarity to the question; keep top k.
+    """Rank candidates by relation+tail similarity to scorer.question; keep top k.
 
-    scorer, when given, must be built for this question; observation and
-    reflection then share its memoized scores.
+    Observation and reflection share the scorer's memoized scores.
     """
-    if not candidates:
-        return ReflectionResult()
-    scorer = scorer or QuestionScorer(question, provider, cache)
     ranked = top_scored(candidates, kg, scorer, params.k_max)
     return ReflectionResult.from_kept([triple for _, triple in ranked])
 
 
 def reflect_random(
-    candidates: Sequence[Triple],
-    params: ReflectionParams,
-    rng_seed: int | random.Random = 0,
+    candidates: Sequence[Triple], params: ReflectionParams, rng: Random
 ) -> ReflectionResult:
     """Uniform sample without replacement of min(k_max, n) candidates."""
-    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
     kept = rng.sample(list(candidates), min(params.k_max, len(candidates)))
     return ReflectionResult.from_kept(kept)
 

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import chisquare
 
 from kgagent.agent import run, trace_to_json
-from kgagent.embedding import DeterministicEmbedder, cosine, score_candidate
+from kgagent.embedding import DeterministicEmbedder, QuestionScorer, cosine, score_candidate
 from kgagent.evaluation import DatasetRecord, run_eval, score_hit
 from kgagent.kg import Triple, extract_khop_subgraph, load_triples
 from kgagent.memory import Memory, integrate, render_memory
@@ -59,7 +59,7 @@ def test_c01_observation_oracle_equivalence():
         seeds = [f"Q{rng.randrange(60)}" for _ in range(rng.randrange(1, 4))]
         question = f"question number {trial}"
         params = ObservationParams(depth_limit=3, top_n=50, refine_percent=10.0)
-        result = observe(kg, question, seeds, params, embedder)
+        result = observe(kg, QuestionScorer(question, embedder), seeds, params)
         expected = brute_force_observe(kg, question, seeds, 3, 50, 10.0, embedder)
         assert entries_as_tuples(result) == expected  # order and content
     elapsed = time.monotonic() - started
@@ -76,7 +76,7 @@ def test_c02_coverage_cross_check():
         params = ObservationParams(
             depth_limit=3, top_n=len(kg.triples) + 1, refine_percent=100.0
         )
-        result = observe(kg, f"q{trial}", seeds, params, embedder)
+        result = observe(kg, QuestionScorer(f"q{trial}", embedder), seeds, params)
         assert set(result.triples()) == extract_khop_subgraph(kg, seeds, 3).triples
 
 
@@ -203,7 +203,7 @@ def test_c08_reflection_strategies():
         candidates = sorted(kg.triples)
         rng.shuffle(candidates)
         params = ReflectionParams(k_max=15)
-        result = reflect_similarity(f"q{trial}", candidates, kg, params, embedder)
+        result = reflect_similarity(candidates, kg, params, QuestionScorer(f"q{trial}", embedder))
         question_vector = embedder.embed(f"q{trial}")
         expected = sorted(
             candidates,
@@ -218,7 +218,7 @@ def test_c08_reflection_strategies():
     candidates = [Triple(f"Q{i}", "P", f"T{i}") for i in range(10)]
     counts = [0] * 10
     for seed in range(10_000):
-        first = reflect_random(candidates, ReflectionParams(k_max=3), rng_seed=seed).kept[0]
+        first = reflect_random(candidates, ReflectionParams(k_max=3), random.Random(seed)).kept[0]
         counts[int(first.head[1:])] += 1
     statistic, p_value = chisquare(counts)
     assert p_value > 0.01, f"chi-square p={p_value:.5f} (statistic {statistic:.2f})"

@@ -18,6 +18,7 @@ from kgagent.action import (
     parse_answer,
     render_action,
 )
+from kgagent.embedding import QuestionScorer
 from kgagent.kg import Triple
 from kgagent.llm import ScriptedProvider, ScriptEntry
 from kgagent.memory import Memory, integrate
@@ -29,7 +30,9 @@ from test_kg import dfs_paths_oracle
 
 @pytest.fixture
 def tokyo_observation(tokyo_kg, embedder):
-    return observe(tokyo_kg, TOKYO_QUESTION, ["Q1490"], ObservationParams(), embedder)
+    return observe(
+        tokyo_kg, QuestionScorer(TOKYO_QUESTION, embedder), ["Q1490"], ObservationParams()
+    )
 
 
 class TestBuildActionPrompt:

@@ -420,10 +420,35 @@ class TestInputErrors:
         )
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
-        assert captured.err.count("\n") == 1
+        assert captured.err == f"error: {dataset}: line 1: not valid UTF-8\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    def test_script_file_not_utf8(self, kg_dir, tmp_path, capsys):
+        script = tmp_path / "s.jsonl"
+        script.write_bytes(b'{"match": "a", "response": "b"}\n{"match": "\xff", "response": "b"}\n')
+        code = main(
+            ["ask", "--kg", str(kg_dir), "--question", TOKYO_QUESTION, "--entities", "Q1490",
+             "--script", str(script)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {script}: line 2: not valid UTF-8\n"
+        assert captured.out == ""
+
+    def test_malformed_script_record(self, kg_dir, tmp_path, capsys):
+        script = tmp_path / "s.jsonl"
+        script.write_text('{"match": "Agent", "response": 5}\n', encoding="utf-8")
+        code = main(
+            ["ask", "--kg", str(kg_dir), "--question", TOKYO_QUESTION, "--entities", "Q1490",
+             "--script", str(script)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {script}: bad script entry on line 1: match and response must be strings\n"
+        )
+        assert captured.out == ""
 
     def test_dataset_record_without_entities(self, kg_dir, tokyo_script_file, tmp_path, capsys):
         dataset = tmp_path / "dataset.jsonl"
@@ -440,7 +465,7 @@ class TestInputErrors:
         )
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: line 1: bad dataset record: entities must be non-empty\n"
+            f"error: {dataset}: line 1: bad dataset record: entities must be non-empty\n"
         )
 
     def test_truncated_embedding_cache(self, kg_dir, tokyo_script_file, tmp_path, capsys):

@@ -13,7 +13,7 @@ from kgagent.embedding import (
     EmbeddingProviderError,
     combined_text,
     cosine,
-    embed_text,
+    embed_texts,
     score_candidate,
 )
 
@@ -141,7 +141,7 @@ class TestEmbedTextProviderFailure:
 
         provider = FailingProvider()
         with pytest.raises(EmbeddingProviderError, match="boom"):
-            embed_text("x", provider)
+            embed_texts(["x"], provider)
         assert provider.calls == 1
 
 
@@ -261,7 +261,7 @@ class TestHttpEmbedderRequestPolicy:
 
         session = QueuedEmbeddingSession(outcomes)
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
-        return session, lambda: embed_text("text", provider)
+        return session, lambda: embed_texts(["text"], provider)[0]
 
     def test_transient_500_is_retried(self, sleeps):
         body = {"data": [{"embedding": [1.0, 2.0, 2.0]}]}
@@ -312,7 +312,7 @@ class TestCache:
         path = tmp_path / "cache.bin"
         with EmbeddingCache(path) as cache:
             texts = ["alpha", "beta gamma", "münchen \t tab"]
-            originals = {t: embed_text(t, embedder, cache) for t in texts}
+            originals = {t: embed_texts([t], embedder, cache)[0] for t in texts}
         with EmbeddingCache(path) as reloaded:
             for text, vector in originals.items():
                 assert reloaded.get(text) == vector
@@ -320,9 +320,9 @@ class TestCache:
     def test_append_only_across_sessions(self, tmp_path, embedder):
         path = tmp_path / "cache.bin"
         with EmbeddingCache(path) as cache:
-            embed_text("one", embedder, cache)
+            embed_texts(["one"], embedder, cache)
         with EmbeddingCache(path) as cache:
-            embed_text("two", embedder, cache)
+            embed_texts(["two"], embedder, cache)
             assert "one" in cache and "two" in cache
         with EmbeddingCache(path) as cache:
             assert len(cache) == 2
@@ -330,7 +330,7 @@ class TestCache:
     def test_truncated_file_raises(self, tmp_path, embedder):
         path = tmp_path / "cache.bin"
         with EmbeddingCache(path) as cache:
-            embed_text("one", embedder, cache)
+            embed_texts(["one"], embedder, cache)
         data = path.read_bytes()
         path.write_bytes(data[:-3])
         with pytest.raises(EmbeddingError):
@@ -339,8 +339,8 @@ class TestCache:
     def test_undecodable_text_raises_with_offset_and_path(self, tmp_path, embedder):
         path = tmp_path / "cache.bin"
         with EmbeddingCache(path) as cache:
-            embed_text("one", embedder, cache)
-            embed_text("two", embedder, cache)
+            embed_texts(["one"], embedder, cache)
+            embed_texts(["two"], embedder, cache)
         data = bytearray(path.read_bytes())
         second = len(data) // 2  # both records have the same length
         data[second + 4] = 0xFF  # first byte of the second record's text
@@ -350,7 +350,7 @@ class TestCache:
 
     def test_unpersisted_cache_works(self, embedder):
         cache = EmbeddingCache()
-        embed_text("one", embedder, cache)
+        embed_texts(["one"], embedder, cache)
         assert len(cache) == 1
 
 
@@ -403,7 +403,7 @@ class TestQuestionScorer:
             }
             scorer = QuestionScorer("question", TableProvider(vectors))
             for text in vectors:
-                assert scorer.score(text) == cosine(vectors["question"], vectors[text])
+                assert scorer.score_many([text])[0] == cosine(vectors["question"], vectors[text])
 
     def test_bit_identical_to_score_candidate(self, embedder):
         from kgagent.embedding import QuestionScorer
@@ -412,7 +412,7 @@ class TestQuestionScorer:
         scorer = QuestionScorer(question, embedder, EmbeddingCache())
         question_vector = embedder.embed(question)
         for relation, tail in [("capital", "Shinjuku"), ("country", "Japan"), ("a", "")]:
-            assert scorer.score(combined_text(relation, tail)) == score_candidate(
+            assert scorer.score_many([combined_text(relation, tail)])[0] == score_candidate(
                 question_vector, relation, tail, embedder
             )
 
@@ -423,7 +423,7 @@ class TestQuestionScorer:
         provider = TableProvider(vectors)
         scorer = QuestionScorer("q", provider)
         assert provider.calls == []
-        first = [scorer.score(text) for text in ("a", "b", "a", "b")]
+        first = [scorer.score_many([text])[0] for text in ("a", "b", "a", "b")]
         assert provider.calls == ["q", "a", "b"]
         assert first[0] == first[2] and first[1] == first[3]
         assert scorer.question_vector() == (1.0, 2.0)
@@ -434,16 +434,16 @@ class TestQuestionScorer:
 
         provider = TableProvider({"q": (1.0, 2.0), "a": (1.0, 2.0, 3.0)})
         with pytest.raises(EmbeddingError):
-            QuestionScorer("q", provider).score("a")
+            QuestionScorer("q", provider).score_many(["a"])
 
     def test_zero_norm_raises(self):
         from kgagent.embedding import QuestionScorer
 
         provider = TableProvider({"q": (1.0, 2.0), "zero": (0.0, 0.0), "zq": (0.0, 0.0)})
         with pytest.raises(EmbeddingError):
-            QuestionScorer("q", provider).score("zero")
+            QuestionScorer("q", provider).score_many(["zero"])
         with pytest.raises(EmbeddingError):
-            QuestionScorer("zq", provider).score("q")
+            QuestionScorer("zq", provider).score_many(["q"])
 
 
 class TestDeterministicEmbedderFrozen:

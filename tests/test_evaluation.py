@@ -89,6 +89,18 @@ class TestLoadDataset:
         with pytest.raises(DatasetError):
             load_dataset([json.dumps({"question": "q?", "entities": ["Q1"], "answers": []})])
 
+    @pytest.mark.parametrize("kind", ["path", "bytes"])
+    def test_a_line_that_is_not_utf8(self, tmp_path, kind):
+        good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
+        lines = [good.encode() + b"\n", b'{"question": "\xff"}\n']
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"".join(lines))
+        source, where = (path, f"{path}: line 2") if kind == "path" else (lines, "line 2")
+        with pytest.raises(DatasetError) as excinfo:
+            load_dataset(source)
+        assert str(excinfo.value) == f"{where}: not valid UTF-8"
+        assert excinfo.value.line_number == 2
+
     def test_fifty_record_round_trip(self, tmp_path):
         rng = random.Random(13)
         records = [

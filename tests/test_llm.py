@@ -93,6 +93,27 @@ class TestScriptFile:
         with pytest.raises(ScriptError, match="line 2"):
             load_script(path)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [("[1, 2]", "must be a JSON object"),
+         ('{"match": "Agent", "response": 5}', "must be strings"),
+         ('{"match": 5, "response": "x"}', "must be strings")],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, record, message):
+        path = tmp_path / "script.jsonl"
+        path.write_text('{"match": "a", "response": "b"}\n' + record + "\n", encoding="utf-8")
+        with pytest.raises(ScriptError) as excinfo:
+            load_script(path)
+        assert str(excinfo.value).startswith(f"{path}: bad script entry on line 2: ")
+        assert message in str(excinfo.value)
+
+    def test_line_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "script.jsonl"
+        path.write_bytes(b'{"match": "a", "response": "b"}\n{"match": "\xff", "response": "b"}\n')
+        with pytest.raises(ScriptError) as excinfo:
+            load_script(path)
+        assert str(excinfo.value) == f"{path}: line 2: not valid UTF-8"
+
     def test_default_kind_is_substring(self, tmp_path):
         path = tmp_path / "script.jsonl"
         path.write_text('{"match": "a", "response": "b"}\n', encoding="utf-8")

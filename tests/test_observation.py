@@ -5,7 +5,7 @@ from math import ceil
 
 import pytest
 
-from kgagent.embedding import DeterministicEmbedder, cosine
+from kgagent.embedding import DeterministicEmbedder, QuestionScorer, cosine
 from kgagent.kg import KnowledgeGraph, Triple, extract_khop_subgraph
 from kgagent.observation import (
     ObservationParams,
@@ -84,18 +84,18 @@ def entries_as_tuples(subgraph: ObservationSubgraph):
 class TestObserveBasics:
     def test_seed_without_edges_yields_empty_subgraph(self, embedder):
         kg = make_kg([("A", "r", "B")])
-        result = observe(kg, "q", ["B"], ObservationParams(), embedder)
+        result = observe(kg, QuestionScorer("q", embedder), ["B"], ObservationParams())
         assert result.is_empty()
 
     def test_unknown_seed_contributes_nothing(self, embedder):
         kg = make_kg([("A", "r", "B")])
-        result = observe(kg, "q", ["Zmissing", "A"], ObservationParams(), embedder)
+        result = observe(kg, QuestionScorer("q", embedder), ["Zmissing", "A"], ObservationParams())
         assert result.triples() == [Triple("A", "r", "B")]
 
     def test_star_graph_top_n_selection(self, embedder):
         kg = make_kg([("S", f"r{i}", f"T{i}") for i in range(7)])
         params = ObservationParams(depth_limit=1, top_n=5, refine_percent=20.0)
-        result = observe(kg, "which tee", ["S"], params, embedder)
+        result = observe(kg, QuestionScorer("which tee", embedder), ["S"], params)
         # oracle: score all 7 candidates exhaustively, sort, take 5
         question_vector = embedder.embed("which tee")
         ranked = sorted(
@@ -111,7 +111,7 @@ class TestObserveBasics:
 
     def test_chain_is_fully_covered_under_caps(self, embedder):
         kg = make_kg([("A", "r", "B"), ("B", "r", "C"), ("C", "r", "D")])
-        result = observe(kg, "q", ["A"], ObservationParams(), embedder)
+        result = observe(kg, QuestionScorer("q", embedder), ["A"], ObservationParams())
         assert set(result.triples()) == set(kg.triples)
 
     def test_validation(self):
@@ -137,7 +137,7 @@ class TestObserveOracle:
             kg = random_kg(rng, n_entities=24, n_triples=300)
             seeds = [f"Q{rng.randrange(24)}" for _ in range(rng.randrange(1, 4))]
             params = ObservationParams(depth_limit=3, top_n=50, refine_percent=10.0)
-            result = observe(kg, "some question", seeds, params, embedder)
+            result = observe(kg, QuestionScorer("some question", embedder), seeds, params)
             expected = brute_force_observe(
                 kg, "some question", seeds, 3, 50, 10.0, embedder
             )
@@ -149,7 +149,7 @@ class TestObserveOracle:
             kg = random_kg(rng, n_entities=15, n_triples=120)
             seeds = [f"Q{rng.randrange(15)}"]
             params = ObservationParams(depth_limit=3, top_n=4, refine_percent=30.0)
-            result = observe(kg, "another question", seeds, params, embedder)
+            result = observe(kg, QuestionScorer("another question", embedder), seeds, params)
             expected = brute_force_observe(
                 kg, "another question", seeds, 3, 4, 30.0, embedder
             )
@@ -186,21 +186,19 @@ class TestRankedOncePerQuestion:
         return calls
 
     def test_second_observe_sends_no_text_and_ranks_no_entity(self, monkeypatch):
-        from kgagent.embedding import QuestionScorer
-
         rng = random.Random(71)
         kg = random_kg(rng, n_entities=24, n_triples=300)
         provider = RecordingEmbedder()
         scorer = QuestionScorer("a question", provider)
         params = ObservationParams(depth_limit=3, top_n=6, refine_percent=50.0)
         neighbors = self._counting_neighbors(kg, monkeypatch)
-        first = observe(kg, "a question", ["Q1", "Q2"], params, provider, scorer=scorer)
+        first = observe(kg, scorer, ["Q1", "Q2"], params)
         assert len(neighbors) == len(set(neighbors))  # each entity fetched once
         requests = list(provider.requests)
         # one request for the question, then at most one per turn
         assert len(requests) <= 1 + len(first.turns)
         neighbors.clear()
-        second = observe(kg, "a question", ["Q1", "Q2"], params, provider, scorer=scorer)
+        second = observe(kg, scorer, ["Q1", "Q2"], params)
         assert provider.requests == requests
         assert neighbors == []
         assert second.entries == first.entries and second.turns == first.turns
@@ -209,7 +207,7 @@ class TestRankedOncePerQuestion:
         rng = random.Random(73)
         kg = random_kg(rng, n_entities=20, n_triples=160)
         params = ObservationParams(depth_limit=3, top_n=5, refine_percent=60.0)
-        result = observe(kg, "q", ["Q0", "Q5"], params, embedder)
+        result = observe(kg, QuestionScorer("q", embedder), ["Q0", "Q5"], params)
         frontier: dict[str, list[str]] = {}
         for turn in result.turns:
             current = frontier.get(turn.seed, [turn.seed]) if turn.depth else [turn.seed]
@@ -217,8 +215,6 @@ class TestRankedOncePerQuestion:
             frontier[turn.seed] = turn.frontier
 
     def test_rankings_shared_across_calls_match_brute_force(self, embedder):
-        from kgagent.embedding import QuestionScorer
-
         rng = random.Random(79)
         for _ in range(10):
             kg = random_kg(rng, n_entities=18, n_triples=200)
@@ -226,7 +222,7 @@ class TestRankedOncePerQuestion:
             for _ in range(3):
                 seeds = [f"Q{rng.randrange(18)}" for _ in range(rng.randrange(1, 4))]
                 params = ObservationParams(depth_limit=3, top_n=rng.randrange(1, 12))
-                result = observe(kg, "shared", seeds, params, embedder, scorer=scorer)
+                result = observe(kg, scorer, seeds, params)
                 expected = brute_force_observe(
                     kg, "shared", seeds, 3, params.top_n, 10.0, embedder
                 )
@@ -239,7 +235,7 @@ class TestObserveProperties:
         kg = random_kg(rng, n_entities=20, n_triples=250)
         seeds = ["Q0", "Q1", "Q2"]
         params = ObservationParams(depth_limit=3, top_n=10, refine_percent=50.0)
-        result = observe(kg, "q", seeds, params, embedder)
+        result = observe(kg, QuestionScorer("q", embedder), seeds, params)
         assert len(result) <= len(seeds) * params.depth_limit * params.top_n
 
     def test_frontier_provenance_single_seed(self, embedder):
@@ -247,7 +243,7 @@ class TestObserveProperties:
         for _ in range(10):
             kg = random_kg(rng, n_entities=18, n_triples=150)
             params = ObservationParams(depth_limit=3, top_n=8, refine_percent=25.0)
-            result = observe(kg, "q", ["Q0"], params, embedder)
+            result = observe(kg, QuestionScorer("q", embedder), ["Q0"], params)
             refine = params.refine_count
             by_depth: dict[int, list[ScoredTriple]] = {}
             for entry in result.entries:
@@ -263,8 +259,8 @@ class TestObserveProperties:
         rng = random.Random(79)
         kg = random_kg(rng, n_entities=20, n_triples=200)
         params = ObservationParams()
-        first = observe(kg, "q", ["Q0", "Q5"], params, embedder)
-        second = observe(kg, "q", ["Q0", "Q5"], params, embedder)
+        first = observe(kg, QuestionScorer("q", embedder), ["Q0", "Q5"], params)
+        second = observe(kg, QuestionScorer("q", embedder), ["Q0", "Q5"], params)
         assert first.turns == second.turns
         assert entries_as_tuples(first) == entries_as_tuples(second)
 
@@ -276,7 +272,7 @@ class TestObserveProperties:
             params = ObservationParams(
                 depth_limit=3, top_n=len(kg.triples) + 1, refine_percent=100.0
             )
-            result = observe(kg, "q", seeds, params, embedder)
+            result = observe(kg, QuestionScorer("q", embedder), seeds, params)
             expected = extract_khop_subgraph(kg, seeds, 3).triples
             assert set(result.triples()) == expected
 
@@ -285,10 +281,10 @@ class TestObserveProperties:
         kg = random_kg(rng, n_entities=12, n_triples=120)
         seeds = ["Q0", "Q1"]
         small = observe(
-            kg, "q", seeds, ObservationParams(depth_limit=1, top_n=5), embedder
+            kg, QuestionScorer("q", embedder), seeds, ObservationParams(depth_limit=1, top_n=5)
         )
         large = observe(
-            kg, "q", seeds, ObservationParams(depth_limit=1, top_n=9), embedder
+            kg, QuestionScorer("q", embedder), seeds, ObservationParams(depth_limit=1, top_n=9)
         )
         assert set(small.triples()) <= set(large.triples())
 
@@ -305,7 +301,8 @@ class TestConcurrency:
         params = ObservationParams()
 
         def worker(_: int):
-            result = observe(kg, "shared question", ["Q0", "Q3"], params, embedder, cache)
+            scorer = QuestionScorer("shared question", embedder, cache)
+            result = observe(kg, scorer, ["Q0", "Q3"], params)
             return entries_as_tuples(result)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -316,7 +313,7 @@ class TestConcurrency:
 
 class TestRendering:
     def test_render_uses_labels(self, tokyo_kg, embedder):
-        result = observe(tokyo_kg, "q", ["Q1490"], ObservationParams(), embedder)
+        result = observe(tokyo_kg, QuestionScorer("q", embedder), ["Q1490"], ObservationParams())
         text = render_observation(result, tokyo_kg)
         assert "(Tokyo, capital, Shinjuku)" in text
 

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from kgagent.embedding import cosine
+from kgagent.embedding import QuestionScorer, cosine
 from kgagent.kg import Triple
 from kgagent.llm import ScriptedProvider, ScriptEntry
 from kgagent.memory import Memory
 from kgagent.observation import ObservationParams, ObservationSubgraph, observe
 from kgagent.reflection import (
     ReflectionParams,
+    ReflectionResult,
     build_reflection_prompt,
     parse_reflected,
     reflect_generated_fact,
@@ -19,6 +20,7 @@ from kgagent.reflection import (
 )
 
 from conftest import TOKYO_QUESTION, make_kg, random_kg
+from test_observation import RecordingEmbedder
 
 TOKYO_CANDIDATES = [
     Triple("Q1490", "P31", "Q50337"),
@@ -30,7 +32,7 @@ TOKYO_CANDIDATES = [
 class TestBuildReflectionPrompt:
     def test_tokyo_candidates_rendered_with_labels(self, tokyo_kg, embedder):
         observation = observe(
-            tokyo_kg, TOKYO_QUESTION, ["Q1490"], ObservationParams(), embedder
+            tokyo_kg, QuestionScorer(TOKYO_QUESTION, embedder), ["Q1490"], ObservationParams()
         )
         prompt = build_reflection_prompt(
             TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, observation, Memory()
@@ -54,7 +56,7 @@ class TestBuildReflectionPrompt:
 
     def test_golden_render(self, tokyo_kg, embedder, datadir):
         observation = observe(
-            tokyo_kg, TOKYO_QUESTION, ["Q1490"], ObservationParams(), embedder
+            tokyo_kg, QuestionScorer(TOKYO_QUESTION, embedder), ["Q1490"], ObservationParams()
         )
         prompt = build_reflection_prompt(
             TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, observation, Memory()
@@ -110,7 +112,7 @@ class TestParseReflected:
 class TestReflectSimilarity:
     def test_under_cap_keeps_all_sorted(self, tokyo_kg, embedder):
         result = reflect_similarity(
-            TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, ReflectionParams(), embedder
+            TOKYO_CANDIDATES, tokyo_kg, ReflectionParams(), QuestionScorer(TOKYO_QUESTION, embedder)
         )
         assert set(result.kept) == set(TOKYO_CANDIDATES)
         question_vector = embedder.embed(TOKYO_QUESTION)
@@ -130,7 +132,9 @@ class TestReflectSimilarity:
         candidates = sorted(kg.triples)[:40]
         rng.shuffle(candidates)
         params = ReflectionParams(k_max=15)
-        result = reflect_similarity("some question", candidates, kg, params, embedder)
+        result = reflect_similarity(
+            candidates, kg, params, QuestionScorer("some question", embedder)
+        )
         question_vector = embedder.embed("some question")
         expected = sorted(
             candidates,
@@ -144,29 +148,39 @@ class TestReflectSimilarity:
     def test_equal_scores_break_lexicographically(self, embedder):
         # identical relation+tail text means identical score
         candidates = [Triple("B", "P1", "X"), Triple("A", "P1", "X")]
-        result = reflect_similarity("q", candidates, make_kg([]), ReflectionParams(), embedder)
+        result = reflect_similarity(
+            candidates, make_kg([]), ReflectionParams(), QuestionScorer("q", embedder)
+        )
         assert result.kept == [Triple("A", "P1", "X"), Triple("B", "P1", "X")]
 
     def test_empty_candidates(self, embedder):
-        result = reflect_similarity("q", [], make_kg([]), ReflectionParams(), embedder)
+        scorer = QuestionScorer("q", embedder)
+        result = reflect_similarity([], make_kg([]), ReflectionParams(), scorer)
         assert result.is_empty()
+
+    def test_empty_candidates_send_no_text(self):
+        provider = RecordingEmbedder()
+        scorer = QuestionScorer("q", provider)
+        result = reflect_similarity([], make_kg([]), ReflectionParams(), scorer)
+        assert result == ReflectionResult()
+        assert provider.requests == []  # not even the question
 
 
 class TestReflectRandom:
     def test_under_cap_keeps_all(self):
         candidates = [Triple(f"Q{i}", "P", "T") for i in range(5)]
-        result = reflect_random(candidates, ReflectionParams(k_max=15), rng_seed=3)
+        result = reflect_random(candidates, ReflectionParams(k_max=15), random.Random(3))
         assert set(result.kept) == set(candidates)
 
     def test_fixed_seed_reproducible(self):
         candidates = [Triple(f"Q{i}", "P", f"T{i}") for i in range(30)]
-        first = reflect_random(candidates, ReflectionParams(k_max=10), rng_seed=12)
-        second = reflect_random(candidates, ReflectionParams(k_max=10), rng_seed=12)
+        first = reflect_random(candidates, ReflectionParams(k_max=10), random.Random(12))
+        second = reflect_random(candidates, ReflectionParams(k_max=10), random.Random(12))
         assert first.kept == second.kept
 
     def test_sample_without_replacement(self):
         candidates = [Triple(f"Q{i}", "P", f"T{i}") for i in range(30)]
-        result = reflect_random(candidates, ReflectionParams(k_max=10), rng_seed=5)
+        result = reflect_random(candidates, ReflectionParams(k_max=10), random.Random(5))
         assert len(result.kept) == 10
         assert len(set(result.kept)) == 10
 
