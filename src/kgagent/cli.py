@@ -220,9 +220,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TripleParseError, DatasetError, ScriptError, EmbeddingError, OSError) as exc:
+    except (
+        TripleParseError, DatasetError, ScriptError, EmbeddingError, UnicodeDecodeError, OSError
+    ) as exc:
         # an input file that is malformed, not UTF-8 or cannot be read (run turns
-        # a ScriptError into an AgentError, so one caught here is from load_script)
+        # a ScriptError into an AgentError, so one caught here is from load_script;
+        # a UnicodeDecodeError is from the --seeds file, read whole)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,11 +6,12 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
 from .agent import AgentConfig, AgentError, Providers, run, trace_to_json
-from .kg import EntityId, KnowledgeGraph, _iter_text_lines
+from .kg import EntityId, KnowledgeGraph, numbered_text_lines
 
 
 class DatasetError(ValueError):
@@ -45,27 +46,23 @@ def load_dataset(source: str | Path | IO | Iterable[str | bytes]) -> list[Datase
     DatasetError, as a malformed record does, naming the file when the
     source is a path.
     """
-    path = source if isinstance(source, (str, Path)) else None
+    error = partial(DatasetError, path=source if isinstance(source, (str, Path)) else None)
     records: list[DatasetRecord] = []
-    number = 0
-    try:
-        for number, line in enumerate(_iter_text_lines(source), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                if not isinstance(data["question"], str):
-                    raise ValueError("question must be a JSON string")
-                for name in ("entities", "answers"):
-                    value = data[name]
-                    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                        raise ValueError(f"{name} must be a JSON array of strings")
-                records.append(DatasetRecord(data["question"], data["entities"], data["answers"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DatasetError(f"bad dataset record: {exc}", number, path) from exc
-    except UnicodeDecodeError:
-        raise DatasetError("not valid UTF-8", number + 1, path) from None
+    for number, line in numbered_text_lines(source, error):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+            if not isinstance(data["question"], str):
+                raise ValueError("question must be a JSON string")
+            for name in ("entities", "answers"):
+                value = data[name]
+                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                    raise ValueError(f"{name} must be a JSON array of strings")
+            records.append(DatasetRecord(data["question"], data["entities"], data["answers"]))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise error(f"bad dataset record: {exc}", number) from exc
     return records
 
 

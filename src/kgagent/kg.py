@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 EntityId = str
 RelationId = str
@@ -182,16 +182,31 @@ class KnowledgeGraph:
         return suffixes
 
 
-def _iter_text_lines(source: str | Path | IO | Iterable[str | bytes]) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as handle:
-            yield from map(bytes.decode, handle)  # UTF-8, line by line
-        return
-    for raw in source:
-        if isinstance(raw, bytes):
-            yield raw.decode("utf-8")
-        else:
-            yield raw
+def _as_text(raw: str | bytes) -> str:
+    return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+
+
+def numbered_text_lines(
+    source: str | Path | IO | Iterable[str | bytes], error: Callable[[str, int], Exception]
+) -> Iterator[tuple[int, str]]:
+    """Each line of ``source`` with its 1-based number, as text.
+
+    A path is read in binary and each line decoded as UTF-8 on its own, as
+    is each bytes line of another source. A line that is not UTF-8 raises
+    ``error("not valid UTF-8", number)``; a text-mode handle decodes by
+    chunk, so for it the number is that of the first line it failed to return.
+    """
+    number = 0
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "rb") as handle:
+                for number, line in enumerate(map(bytes.decode, handle), start=1):
+                    yield number, line
+            return
+        for number, line in enumerate(map(_as_text, source), start=1):
+            yield number, line
+    except UnicodeDecodeError:
+        raise error("not valid UTF-8", number + 1) from None
 
 
 def _check_fields(
@@ -220,28 +235,23 @@ def _tsv_rows(
     field is free text. Each line gets one cheap test; only a line that fails
     it goes through _check_fields, which raises the detailed error, naming
     the file when the source is a path. A line that is not UTF-8 raises
-    TripleParseError too; a text-mode handle decodes by chunk, so for it the
-    line named is the first one the handle failed to return.
+    TripleParseError too, from numbered_text_lines.
     """
     path = source if isinstance(source, (str, Path)) else None
     checked = len(id_kinds)
-    number = 0
-    try:
-        for number, line in enumerate(_iter_text_lines(source), start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if checked == width:
-                ids, text = fields, line
-            else:
-                ids = fields[:checked]
-                text = "\t".join(ids)
-            if len(fields) != width or "" in ids or "\r" in text or "\n" in text:
-                _check_fields(fields, width, id_kinds, number, path)
-            yield fields
-    except UnicodeDecodeError:
-        raise TripleParseError("not valid UTF-8", number + 1, path) from None
+    for number, line in numbered_text_lines(source, partial(TripleParseError, path=path)):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if checked == width:
+            ids, text = fields, line
+        else:
+            ids = fields[:checked]
+            text = "\t".join(ids)
+        if len(fields) != width or "" in ids or "\r" in text or "\n" in text:
+            _check_fields(fields, width, id_kinds, number, path)
+        yield fields
 
 
 def load_triples(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 
-from .kg import _iter_text_lines
+from .kg import numbered_text_lines
 
 DEFAULT_TEMPERATURE = 0.4
 DEFAULT_MAX_TOKENS = 500
@@ -115,28 +115,25 @@ def load_script(source: str | Path) -> list[ScriptEntry]:
     """Read a script file: one JSON object per line with kind/match/response.
 
     Each line is decoded as UTF-8 on its own; a line that is not UTF-8 or
-    not a valid entry raises ScriptError naming the file and the line.
+    not a valid entry raises ScriptError ``<path>: line N: <message>``.
     """
+    def error(message: str, number: int) -> ScriptError:
+        return ScriptError(f"{source}: line {number}: {message}")
+
     entries: list[ScriptEntry] = []
-    number = 0
-    try:
-        for number, line in enumerate(_iter_text_lines(source), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("a script entry must be a JSON object")
-                entries.append(
-                    ScriptEntry(
-                        record.get("kind", "substring"), record["match"], record["response"]
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ScriptError(f"{source}: bad script entry on line {number}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise ScriptError(f"{source}: line {number + 1}: not valid UTF-8") from None
+    for number, line in numbered_text_lines(source, error):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("a script entry must be a JSON object")
+            entries.append(
+                ScriptEntry(record.get("kind", "substring"), record["match"], record["response"])
+            )
+        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            raise error(f"bad script entry: {exc}", number) from exc
     return entries
 
 

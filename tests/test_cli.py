@@ -399,7 +399,7 @@ class TestInputErrors:
         )
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {script}: bad script entry on line 1: ")
+        assert captured.err.startswith(f"error: {script}: line 1: bad script entry: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
@@ -424,6 +424,21 @@ class TestInputErrors:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_seeds_file_not_utf8(self, kg_dir, tmp_path, capsys):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_bytes(b"Q1490\n\xff\n")
+        out = tmp_path / "sub"
+        code = main(
+            ["build-subgraph", "--triples", str(kg_dir / "triples.tsv"), "--seeds", str(seeds),
+             "--k", "1", "--out", str(out)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_script_file_not_utf8(self, kg_dir, tmp_path, capsys):
         script = tmp_path / "s.jsonl"
         script.write_bytes(b'{"match": "a", "response": "b"}\n{"match": "\xff", "response": "b"}\n')
@@ -446,7 +461,7 @@ class TestInputErrors:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: {script}: bad script entry on line 1: match and response must be strings\n"
+            f"error: {script}: line 1: bad script entry: match and response must be strings\n"
         )
         assert captured.out == ""
 

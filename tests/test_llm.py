@@ -104,7 +104,7 @@ class TestScriptFile:
         path.write_text('{"match": "a", "response": "b"}\n' + record + "\n", encoding="utf-8")
         with pytest.raises(ScriptError) as excinfo:
             load_script(path)
-        assert str(excinfo.value).startswith(f"{path}: bad script entry on line 2: ")
+        assert str(excinfo.value).startswith(f"{path}: line 2: bad script entry: ")
         assert message in str(excinfo.value)
 
     def test_line_not_utf8_names_file_and_line(self, tmp_path):
