@@ -56,11 +56,10 @@ from .llm import (
     ScriptError,
     load_script,
 )
-from .memory import Memory, MemoryPath, integrate, render_memory
+from .memory import Memory, integrate, render_memory
 from .observation import ObservationParams, ObservationSubgraph, ScoredTriple, observe
 from .reflection import (
     ReflectionParams,
-    ReflectionResult,
     build_reflection_prompt,
     parse_reflected,
     reflect_generated_fact,

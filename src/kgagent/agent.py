@@ -36,7 +36,6 @@ from .memory import Memory, integrate
 from .observation import ObservationParams, ObservationSubgraph, ScoredTriple, observe
 from .reflection import (
     ReflectionParams,
-    ReflectionResult,
     reflect_generated_fact,
     reflect_random,
     reflect_similarity,
@@ -231,7 +230,7 @@ def run(
                 )
                 history.append(action)
                 record.outcome_count = len(outcome)
-                result = ReflectionResult()
+                kept: list[Triple] = []
                 if strategy == "generated_fact":
                     record.facts = reflect_generated_fact(
                         question, config.reflection, providers.llm,
@@ -241,22 +240,22 @@ def run(
                 elif not outcome:
                     pass  # nothing to reflect on; entities carry over
                 elif strategy == "similarity":
-                    result = reflect_similarity(outcome, kg, config.reflection, scorer)
+                    kept = reflect_similarity(outcome, kg, config.reflection, scorer)
                 elif strategy == "random":
-                    result = reflect_random(outcome, config.reflection, rng)
+                    kept = reflect_random(outcome, config.reflection, rng)
                 elif strategy in ("oda", "no_observation"):
-                    result, record.reflection_prompt, record.reflection_response = (
+                    kept, record.reflection_prompt, record.reflection_response = (
                         reflect_with_model(
                             providers.llm, question, outcome, kg, observation, memory,
                             config.reflection,
                             temperature=config.temperature, max_tokens=config.max_tokens,
                         )
                     )
-                if not result.is_empty():
-                    integrate(memory, result.kept)
-                    entities = list(result.next_entities)
-                record.reflected = list(result.kept)
-            record.memory_snapshot = [list(p.links) for p in memory.paths]
+                if kept:  # the kept tails, first seen first, are the next entities
+                    integrate(memory, kept)
+                    entities = list(dict.fromkeys(t.tail for t in kept))
+                record.reflected = kept
+            record.memory_snapshot = [list(path) for path in memory.paths]
             trace.iterations.append(record)
             if answered:
                 break

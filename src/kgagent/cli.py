@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("eval", help="run the evaluation harness over a dataset")
     evaluate.add_argument("--kg", required=True)
     evaluate.add_argument("--dataset", required=True)
-    evaluate.add_argument("--workers", type=int, default=1)
+    evaluate.add_argument("--workers", type=_int_range(1), default=1)
     evaluate.add_argument("--out", help="directory for report.json and traces/")
     evaluate.add_argument("--match", choices=("normalized", "strict"), default="normalized")
     _add_provider_flags(evaluate)

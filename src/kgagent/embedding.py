@@ -72,9 +72,9 @@ def embed_texts(
     """Embed texts through the cache; cache hits return the stored vector bit-for-bit.
 
     Each distinct text is looked up once; the misses go to the provider in
-    one call, in first-seen order (embed_many, when the provider has it, for
-    two or more) and are stored only if every vector is valid. Any provider
-    exception becomes EmbeddingProviderError, without a retry.
+    one call, in first-seen order (embed_many, when the provider has it) and
+    are stored only if every vector is valid. Any provider exception becomes
+    EmbeddingProviderError, without a retry.
     """
     vectors: dict[str, Vector | None] = dict.fromkeys(texts)
     if cache is not None:
@@ -84,7 +84,7 @@ def embed_texts(
     if misses:
         embed_many = getattr(provider, "embed_many", None)
         try:
-            if embed_many is None or len(misses) == 1:
+            if embed_many is None:
                 raws = [provider.embed(text) for text in misses]
             else:
                 raws = embed_many(misses)
@@ -217,28 +217,25 @@ class HttpEmbedder:
         return self._dimension
 
     def embed(self, text: str) -> Vector:
-        return self._request(text)[0]
+        return self._request([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> list[Vector]:
         """One request per _MAX_BATCH texts; vectors in the order of texts."""
         batches = (list(texts[i : i + _MAX_BATCH]) for i in range(0, len(texts), _MAX_BATCH))
         return [vector for batch in batches for vector in self._request(batch)]
 
-    def _request(self, inputs: str | list[str]) -> list[Vector]:
-        """Embed one text, or a list placed by each reply item's index."""
+    def _request(self, inputs: list[str]) -> list[Vector]:
+        """Embed a list of texts, each vector placed by its reply item's index."""
         payload = {"model": self.config.model, "input": inputs}
         body = post_json(
             self._session, self.config, "embeddings", payload, EmbeddingProviderError, "embedding"
         )
         try:
             data = body["data"]
-            if isinstance(inputs, str):
-                raws = [data[0]["embedding"]]
-            else:
-                by_index = {item["index"]: item["embedding"] for item in data}
-                if len(data) != len(inputs) or by_index.keys() != set(range(len(inputs))):
-                    raise ValueError(f"{len(data)} items for {len(inputs)} inputs, bad indexes")
-                raws = [by_index[index] for index in range(len(inputs))]
+            by_index = {item["index"]: item["embedding"] for item in data}
+            if len(data) != len(inputs) or by_index.keys() != set(range(len(inputs))):
+                raise ValueError(f"{len(data)} items for {len(inputs)} inputs, bad indexes")
+            raws = [by_index[index] for index in range(len(inputs))]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise EmbeddingProviderError(f"malformed embedding body: {exc!r}") from exc
         return [self._vector(raw) for raw in raws]

@@ -1,17 +1,17 @@
-"""Reflection: selecting up to k_max triples from an action's output and
-deriving the next task-relevant entities, plus the ablation strategies
-(similarity ranking, seeded random pick, free-text generated facts)."""
+"""Reflection: selecting up to k_max triples from an action's output, plus
+the ablation strategies (similarity ranking, seeded random pick, free-text
+generated facts). Each triple strategy returns the kept triples as a list."""
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
 from .embedding import QuestionScorer
-from .kg import EntityId, KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple
 from .action import fill_template, observed_template
 from .llm import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, CompletionRequest, LLMProvider
 from .memory import Memory, render_memory
@@ -38,20 +38,6 @@ class ReflectionParams:
             raise ValueError("k_max must be >= 1")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
-
-
-@dataclass
-class ReflectionResult:
-    kept: list[Triple] = field(default_factory=list)
-    next_entities: list[EntityId] = field(default_factory=list)
-
-    @classmethod
-    def from_kept(cls, kept: Sequence[Triple]) -> "ReflectionResult":
-        """Next entities are the kept tails, deduplicated in first-seen order."""
-        return cls(list(kept), list(dict.fromkeys(t.tail for t in kept)))
-
-    def is_empty(self) -> bool:
-        return not self.kept
 
 
 def build_reflection_prompt(
@@ -102,7 +88,7 @@ def _iter_triads(text: str):
 
 def parse_reflected(
     response: str, candidates: Sequence[Triple], params: ReflectionParams
-) -> ReflectionResult:
+) -> list[Triple]:
     """Keep candidate id-triads from the response, capped at k_max.
 
     Triads absent from the candidates (hallucinations) are dropped and
@@ -110,18 +96,14 @@ def parse_reflected(
     agent to keep its previous task-relevant entities.
     """
     candidate_set = set(candidates)
-    kept: list[Triple] = []
-    seen: set[Triple] = set()
+    kept: dict[Triple, None] = {}
     for head, relation, tail in _iter_triads(response):
         triple = Triple(head, relation, tail)
-        if triple not in candidate_set:
+        if triple in candidate_set:
+            kept[triple] = None
+        else:
             logger.info("dropping reflected triple not in candidates: %s", triple.to_tsv())
-            continue
-        if triple in seen:
-            continue
-        seen.add(triple)
-        kept.append(triple)
-    return ReflectionResult.from_kept(kept[: params.k_max])
+    return list(kept)[: params.k_max]
 
 
 def reflect_with_model(
@@ -134,8 +116,8 @@ def reflect_with_model(
     params: ReflectionParams,
     temperature: float = DEFAULT_TEMPERATURE,
     max_tokens: int = DEFAULT_MAX_TOKENS,
-) -> tuple[ReflectionResult, str, str]:
-    """Full prompt/complete/parse round trip; returns (result, prompt, response)."""
+) -> tuple[list[Triple], str, str]:
+    """Full prompt/complete/parse round trip; returns (kept, prompt, response)."""
     prompt = build_reflection_prompt(
         question, candidates, kg, observation, memory, k_max=params.k_max
     )
@@ -148,21 +130,19 @@ def reflect_similarity(
     kg: KnowledgeGraph,
     params: ReflectionParams,
     scorer: QuestionScorer,
-) -> ReflectionResult:
+) -> list[Triple]:
     """Rank candidates by relation+tail similarity to scorer.question; keep top k.
 
     Observation and reflection share the scorer's memoized scores.
     """
-    ranked = top_scored(candidates, kg, scorer, params.k_max)
-    return ReflectionResult.from_kept([triple for _, triple in ranked])
+    return [triple for _, triple in top_scored(candidates, kg, scorer, params.k_max)]
 
 
 def reflect_random(
     candidates: Sequence[Triple], params: ReflectionParams, rng: Random
-) -> ReflectionResult:
+) -> list[Triple]:
     """Uniform sample without replacement of min(k_max, n) candidates."""
-    kept = rng.sample(list(candidates), min(params.k_max, len(candidates)))
-    return ReflectionResult.from_kept(kept)
+    return rng.sample(list(candidates), min(params.k_max, len(candidates)))
 
 
 def reflect_generated_fact(
@@ -176,8 +156,8 @@ def reflect_generated_fact(
 
     Facts live in a separate text lane, never in the path memory.
     """
-    prompt = GENERATED_FACTS_PROMPT.replace("[KMax]", str(params.k_max)).replace(
-        "[Question]", question
+    prompt = fill_template(
+        GENERATED_FACTS_PROMPT, {"KMax": str(params.k_max), "Question": question}
     )
     response = provider.complete(CompletionRequest(prompt, temperature, max_tokens))
     facts = []

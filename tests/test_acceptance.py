@@ -40,7 +40,7 @@ from conftest import (
 )
 from test_agent import RING_SCRIPT
 from test_kg import bfs_levels_oracle, dfs_paths_oracle
-from test_memory import random_stream, replay_oracle
+from test_memory import is_chained, random_stream, replay_oracle
 from test_observation import brute_force_observe, entries_as_tuples
 
 
@@ -113,8 +113,8 @@ def test_c04_memory_replay():
         memory = Memory()
         for triple in stream:
             integrate(memory, [triple])
-            assert all(path.is_chained() for path in memory.paths)
-        assert [path.links for path in memory.paths] == replay_oracle(stream)
+            assert all(map(is_chained, memory.paths))
+        assert memory.paths == replay_oracle(stream)
 
     # the worked two-triple chain: both reflected triples join one path
     kg = make_kg([], GOETHE_LABELS)
@@ -212,13 +212,13 @@ def test_c08_reflection_strategies():
                 t.as_tuple(),
             ),
         )[:15]
-        assert result.kept == expected
+        assert result == expected
 
     # chi-square uniformity of the first sampled candidate over 10^4 seeded draws
     candidates = [Triple(f"Q{i}", "P", f"T{i}") for i in range(10)]
     counts = [0] * 10
     for seed in range(10_000):
-        first = reflect_random(candidates, ReflectionParams(k_max=3), random.Random(seed)).kept[0]
+        first = reflect_random(candidates, ReflectionParams(k_max=3), random.Random(seed))[0]
         counts[int(first.head[1:])] += 1
     statistic, p_value = chisquare(counts)
     assert p_value > 0.01, f"chi-square p={p_value:.5f} (statistic {statistic:.2f})"
@@ -231,8 +231,8 @@ def test_c08_reflection_strategies():
         response_lines.append(",".join(real.as_tuple()))
         response_lines.append(",".join(fake.as_tuple()))
     result = parse_reflected("\n".join(response_lines), pool, ReflectionParams())
-    assert result.kept == pool
-    assert not set(injected) & set(result.kept)
+    assert result == pool
+    assert not set(injected) & set(result)
 
 
 HAND_SCORED_CASES = [

@@ -205,6 +205,27 @@ class TestStrategies:
         assert "Tokyo is the capital of Japan" in result.trace.answer_prompt
 
 
+class TestNextEntities:
+    def test_kept_tails_deduplicated_in_first_seen_order(self):
+        kg = make_kg([
+            ("S", "e", "A"), ("S", "e", "B"), ("S", "e", "C"),
+            ("A", "r", "X"), ("B", "r", "X"), ("C", "r", "Y"),
+            ("X", "e", "G"), ("Y", "e", "G"),
+        ])
+        script = [
+            ("substring", "Candidate EntityIDs: S, G", "Action: GetPath\nEntity_id: S, G"),
+            ("substring", "select related triples", "A,r,X\nB,r,X\nC,r,Y"),
+            ("substring", "Candidate EntityIDs: X, Y", "Action: Answer"),
+            ("substring", "reference memory", "G"),
+        ]
+        result = run("how does S reach G?", ["S", "G"], kg, make_providers(script))
+        records = result.trace.iterations
+        assert records[0].reflected == [
+            Triple("A", "r", "X"), Triple("B", "r", "X"), Triple("C", "r", "Y")
+        ]
+        assert records[1].entities == ["X", "Y"]
+
+
 class TestEmptyReflection:
     def test_keeps_previous_entities(self, tokyo_kg):
         script = [
@@ -339,7 +360,7 @@ class CountingEmbeddingSession:
         self.requests = 0
 
     def post(self, url, json=None, headers=None, timeout=None):
-        batch = json["input"] if isinstance(json["input"], list) else [json["input"]]
+        batch = json["input"]
         self.requests += 1
         self.inputs += batch
         data = [

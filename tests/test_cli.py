@@ -503,6 +503,24 @@ class TestInputErrors:
         assert captured.out == ""
         assert cache.read_bytes() == b"\x05\x00\x00\x00ab"
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one(self, kg_dir, tokyo_script_file, dataset_file, capsys, workers):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "eval",
+                    "--kg", str(kg_dir),
+                    "--dataset", str(dataset_file),
+                    "--provider", "scripted",
+                    "--script", str(tokyo_script_file),
+                    "--workers", workers,
+                ]
+            )
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument --workers: must be >= 1, got {workers}" in captured.err
+        assert captured.out == ""
+
     def test_config_file_that_is_not_json(self, kg_dir, tokyo_script_file, tmp_path):
         config = tmp_path / "config.json"
         config.write_text('{"max_iterations": 2,', encoding="utf-8")

@@ -187,7 +187,7 @@ class FakeEmbeddingSession:
 
             @staticmethod
             def json() -> dict:
-                return {"data": [{"embedding": vector}]}
+                return {"data": [{"index": 0, "embedding": vector}]}
 
         return Response()
 
@@ -202,7 +202,7 @@ class TestHttpEmbedder:
             provider.dimension  # unknown before the first call
         assert provider.embed("text") == (1.0, 2.0, 3.0)
         assert provider.dimension == 3
-        assert session.calls[0]["json"] == {"model": "embed-x", "input": "text"}
+        assert session.calls[0]["json"] == {"model": "embed-x", "input": ["text"]}
 
     def test_dimension_change_rejected(self):
         from kgagent.embedding import HttpEmbedder
@@ -264,7 +264,7 @@ class TestHttpEmbedderRequestPolicy:
         return session, lambda: embed_texts(["text"], provider)[0]
 
     def test_transient_500_is_retried(self, sleeps):
-        body = {"data": [{"embedding": [1.0, 2.0, 2.0]}]}
+        body = {"data": [{"index": 0, "embedding": [1.0, 2.0, 2.0]}]}
         session, embed = self._embed([QueuedResponse(500), QueuedResponse(200, body)])
         assert embed() == (1.0, 2.0, 2.0)
         assert (session.calls, sleeps) == (2, [0.5])
@@ -285,8 +285,8 @@ class TestHttpEmbedderRequestPolicy:
 
     @pytest.mark.parametrize(
         "body",
-        [{}, {"data": []}, {"data": [{}]}, {"data": [{"embedding": [1.0, "x"]}]},
-         {"data": [{"embedding": "123"}]}, ["data"]],
+        [{}, {"data": []}, {"data": [{}]}, {"data": [{"index": 0, "embedding": [1.0, "x"]}]},
+         {"data": [{"index": 0, "embedding": "123"}]}, ["data"]],
     )
     def test_malformed_body_is_not_retried(self, sleeps, body):
         session, embed = self._embed([QueuedResponse(200, body)] * 3)
@@ -570,12 +570,12 @@ class TestEmbedTexts:
         assert embed_texts(["a", "d"], provider, cache) == [self.VECTORS["a"], self.VECTORS["d"]]
         assert len(provider.batches) == 1  # all hits
 
-    def test_one_miss_goes_through_embed(self):
+    def test_a_single_miss_goes_through_embed_many(self):
         from kgagent.embedding import embed_texts
 
         provider = BatchTableProvider(self.VECTORS)
         assert embed_texts(["a", "a"], provider) == [self.VECTORS["a"]] * 2
-        assert (provider.batches, provider.calls) == ([], ["a"])
+        assert (provider.batches, provider.calls) == ([["a"]], [])
 
     def test_a_provider_without_embed_many_gets_one_call_per_miss(self):
         from kgagent.embedding import embed_texts
@@ -612,10 +612,10 @@ class TestEmbedTexts:
         provider = BatchTableProvider({"q": (1.0, 2.0), **self.VECTORS})
         scorer = QuestionScorer("q", provider)
         scores = scorer.score_many(["c", "a", "c", "d"])
-        assert (provider.calls, provider.batches) == (["q"], [["c", "a", "d"]])
+        assert (provider.calls, provider.batches) == ([], [["q"], ["c", "a", "d"]])
         assert scores == [cosine((1.0, 2.0), self.VECTORS[t]) for t in ("c", "a", "c", "d")]
         assert scorer.score_many(["d", "a"]) == [scores[3], scores[1]]
-        assert len(provider.batches) == 1
+        assert len(provider.batches) == 2
 
 
 def frozen_put(handle, text: str, vector) -> None:

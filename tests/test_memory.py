@@ -2,17 +2,11 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgagent.kg import Triple
-from kgagent.memory import (
-    Memory,
-    MemoryPath,
-    integrate,
-    render_memory,
-)
+from kgagent.memory import Memory, integrate, render_memory
 
 from conftest import GOETHE_LABELS, make_kg
 
@@ -31,6 +25,11 @@ def replay_oracle(stream: list[Triple]) -> list[list[Triple]]:
     return paths
 
 
+def is_chained(path: list[Triple]) -> bool:
+    """A non-empty path whose consecutive links chain tail -> head."""
+    return bool(path) and all(a.tail == b.head for a, b in zip(path, path[1:]))
+
+
 def random_stream(rng: random.Random, length: int) -> list[Triple]:
     return [
         Triple(
@@ -45,45 +44,39 @@ def random_stream(rng: random.Random, length: int) -> list[Triple]:
 class TestIntegrate:
     def test_first_triple_creates_path(self):
         memory = integrate(Memory(), [Triple("Q5879", "P451", "Q61597")])
-        assert len(memory) == 1
-        assert memory.paths[0].links == [Triple("Q5879", "P451", "Q61597")]
+        assert memory.paths == [[Triple("Q5879", "P451", "Q61597")]]
 
     def test_chain_extension(self):
         memory = integrate(Memory(), [Triple("Q5879", "P451", "Q61597")])
         integrate(memory, [Triple("Q61597", "P19", "Q3042")])
-        assert len(memory) == 1
-        assert len(memory.paths[0].links) == 2
-        assert memory.paths[0].tail == "Q3042"
+        assert len(memory.paths) == 1
+        assert len(memory.paths[0]) == 2
+        assert memory.paths[0][-1].tail == "Q3042"
 
     def test_first_match_rule(self):
-        memory = Memory(
-            [
-                MemoryPath([Triple("A", "r", "X")]),
-                MemoryPath([Triple("B", "r", "X")]),
-            ]
-        )
+        memory = Memory([[Triple("A", "r", "X")], [Triple("B", "r", "X")]])
         integrate(memory, [Triple("X", "s", "Y")])
-        assert len(memory.paths[0].links) == 2
-        assert len(memory.paths[1].links) == 1
+        assert len(memory.paths[0]) == 2
+        assert len(memory.paths[1]) == 1
 
     def test_duplicate_of_last_link_skipped(self):
         loop = Triple("X", "r", "X")
         memory = integrate(Memory(), [loop])
         integrate(memory, [loop])
-        assert [path.links for path in memory.paths] == [[loop]]
+        assert memory.paths == [[loop]]
 
     def test_no_match_appends_new_path(self):
         memory = integrate(Memory(), [Triple("A", "r", "B")])
-        before = len(memory)
+        before = len(memory.paths)
         integrate(memory, [Triple("Z", "r", "W")])
-        assert len(memory) == before + 1
+        assert len(memory.paths) == before + 1
 
     def test_thirty_triple_streams_match_replay_oracle(self):
         rng = random.Random(41)
         for _ in range(50):
             stream = random_stream(rng, 30)
             memory = integrate(Memory(), stream)
-            assert [p.links for p in memory.paths] == replay_oracle(stream)
+            assert memory.paths == replay_oracle(stream)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -101,9 +94,9 @@ class TestIntegrate:
         count = 0
         for head, relation, tail in raw:
             integrate(memory, [Triple(head, relation, tail)])
-            assert all(path.is_chained() for path in memory.paths)
-            assert len(memory) >= count  # path count never decreases
-            count = len(memory)
+            assert all(map(is_chained, memory.paths))
+            assert len(memory.paths) >= count  # path count never decreases
+            count = len(memory.paths)
 
     def test_existing_links_never_reordered(self):
         rng = random.Random(43)
@@ -112,7 +105,7 @@ class TestIntegrate:
         previous: list[list[Triple]] = []
         for triple in stream:
             integrate(memory, [triple])
-            current = [list(path.links) for path in memory.paths]
+            current = [list(path) for path in memory.paths]
             for old, new in zip(previous, current):
                 assert new[: len(old)] == old
             previous = current
@@ -156,11 +149,3 @@ class TestRenderMemory:
         first = render_memory(integrate(Memory(), stream), kg)
         second = render_memory(integrate(Memory(), stream), kg)
         assert first == second
-
-
-class TestSnapshot:
-    def test_invalid_path_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryPath([Triple("A", "r", "B"), Triple("C", "r", "D")])
-        with pytest.raises(ValueError):
-            MemoryPath([])

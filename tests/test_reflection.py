@@ -11,7 +11,6 @@ from kgagent.memory import Memory
 from kgagent.observation import ObservationParams, ObservationSubgraph, observe
 from kgagent.reflection import (
     ReflectionParams,
-    ReflectionResult,
     build_reflection_prompt,
     parse_reflected,
     reflect_generated_fact,
@@ -72,41 +71,42 @@ class TestParseReflected:
         params = ReflectionParams()
         response = "Q1490,P31,Q50337\nQ1490,P36,Q192724"
         result = parse_reflected(response, TOKYO_CANDIDATES, params)
-        assert result.kept == [TOKYO_CANDIDATES[0], TOKYO_CANDIDATES[1]]
-        assert result.next_entities == ["Q50337", "Q192724"]
+        assert result == [TOKYO_CANDIDATES[0], TOKYO_CANDIDATES[1]]
 
     def test_hallucinated_triple_dropped(self):
         response = "Q1490,P31,Q50337\nQ9999,P1,Q8888"
         result = parse_reflected(response, TOKYO_CANDIDATES, ReflectionParams())
-        assert result.kept == [TOKYO_CANDIDATES[0]]
+        assert result == [TOKYO_CANDIDATES[0]]
 
     def test_truncation_to_k_max(self):
         candidates = [Triple(f"Q{i}", "P1", f"Q{i + 100}") for i in range(20)]
         response = "\n".join(f"Q{i},P1,Q{i + 100}" for i in range(20))
         result = parse_reflected(response, candidates, ReflectionParams(k_max=15))
-        assert len(result.kept) == 15
-        assert result.kept == candidates[:15]
+        assert len(result) == 15
+        assert result == candidates[:15]
 
     def test_parenthesized_tuples(self):
         response = "Triples: (Q1490, P31, Q50337), (Q1490, P36, Q192724)"
         result = parse_reflected(response, TOKYO_CANDIDATES, ReflectionParams())
-        assert len(result.kept) == 2
+        assert len(result) == 2
 
     def test_zero_valid_triples_is_empty_signal(self):
         result = parse_reflected("nothing useful", TOKYO_CANDIDATES, ReflectionParams())
-        assert result.is_empty()
-        assert result.next_entities == []
+        assert result == []
 
     def test_repeats_keep_first_position(self):
         response = "Q1490,P36,Q17\nQ1490,P31,Q50337\nQ1490,P36,Q17"
         result = parse_reflected(response, TOKYO_CANDIDATES, ReflectionParams())
-        assert result.kept == [TOKYO_CANDIDATES[2], TOKYO_CANDIDATES[0]]
+        assert result == [TOKYO_CANDIDATES[2], TOKYO_CANDIDATES[0]]
 
-    def test_next_entities_deduplicated(self):
-        candidates = [Triple("A", "r", "X"), Triple("B", "s", "X"), Triple("C", "t", "Y")]
-        response = "A,r,X\nB,s,X\nC,t,Y"
-        result = parse_reflected(response, candidates, ReflectionParams())
-        assert result.next_entities == ["X", "Y"]
+    def test_each_dropped_triad_is_logged(self, caplog):
+        response = "Q9999,P1,Q8888\nQ1490,P31,Q50337\nQ1490,P31,Q50337\nQ9999,P1,Q8888"
+        with caplog.at_level("INFO", logger="kgagent.reflection"):
+            result = parse_reflected(response, TOKYO_CANDIDATES, ReflectionParams())
+        assert result == [TOKYO_CANDIDATES[0]]
+        assert caplog.messages == [
+            "dropping reflected triple not in candidates: Q9999\tP1\tQ8888"
+        ] * 2
 
 
 class TestReflectSimilarity:
@@ -114,7 +114,7 @@ class TestReflectSimilarity:
         result = reflect_similarity(
             TOKYO_CANDIDATES, tokyo_kg, ReflectionParams(), QuestionScorer(TOKYO_QUESTION, embedder)
         )
-        assert set(result.kept) == set(TOKYO_CANDIDATES)
+        assert set(result) == set(TOKYO_CANDIDATES)
         question_vector = embedder.embed(TOKYO_QUESTION)
 
         def score(t: Triple) -> float:
@@ -123,7 +123,7 @@ class TestReflectSimilarity:
                 embedder.embed(f"{tokyo_kg.label_of(t.relation)} {tokyo_kg.label_of(t.tail)}"),
             )
 
-        scores = [score(t) for t in result.kept]
+        scores = [score(t) for t in result]
         assert scores == sorted(scores, reverse=True)
 
     def test_matches_brute_force_oracle(self, embedder):
@@ -143,7 +143,7 @@ class TestReflectSimilarity:
                 t.as_tuple(),
             ),
         )[:15]
-        assert result.kept == expected
+        assert result == expected
 
     def test_equal_scores_break_lexicographically(self, embedder):
         # identical relation+tail text means identical score
@@ -151,18 +151,18 @@ class TestReflectSimilarity:
         result = reflect_similarity(
             candidates, make_kg([]), ReflectionParams(), QuestionScorer("q", embedder)
         )
-        assert result.kept == [Triple("A", "P1", "X"), Triple("B", "P1", "X")]
+        assert result == [Triple("A", "P1", "X"), Triple("B", "P1", "X")]
 
     def test_empty_candidates(self, embedder):
         scorer = QuestionScorer("q", embedder)
         result = reflect_similarity([], make_kg([]), ReflectionParams(), scorer)
-        assert result.is_empty()
+        assert result == []
 
     def test_empty_candidates_send_no_text(self):
         provider = RecordingEmbedder()
         scorer = QuestionScorer("q", provider)
         result = reflect_similarity([], make_kg([]), ReflectionParams(), scorer)
-        assert result == ReflectionResult()
+        assert result == []
         assert provider.requests == []  # not even the question
 
 
@@ -170,19 +170,19 @@ class TestReflectRandom:
     def test_under_cap_keeps_all(self):
         candidates = [Triple(f"Q{i}", "P", "T") for i in range(5)]
         result = reflect_random(candidates, ReflectionParams(k_max=15), random.Random(3))
-        assert set(result.kept) == set(candidates)
+        assert set(result) == set(candidates)
 
     def test_fixed_seed_reproducible(self):
         candidates = [Triple(f"Q{i}", "P", f"T{i}") for i in range(30)]
         first = reflect_random(candidates, ReflectionParams(k_max=10), random.Random(12))
         second = reflect_random(candidates, ReflectionParams(k_max=10), random.Random(12))
-        assert first.kept == second.kept
+        assert first == second
 
     def test_sample_without_replacement(self):
         candidates = [Triple(f"Q{i}", "P", f"T{i}") for i in range(30)]
         result = reflect_random(candidates, ReflectionParams(k_max=10), random.Random(5))
-        assert len(result.kept) == 10
-        assert len(set(result.kept)) == 10
+        assert len(result) == 10
+        assert len(set(result)) == 10
 
 
 class TestReflectGeneratedFact:
