@@ -10,10 +10,9 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .kg import EntityId, KnowledgeGraph, Triple
-from .llm import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, CompletionRequest, LLMProvider
 from .memory import Memory, render_memory
 from .observation import ObservationSubgraph, render_observation
 
@@ -77,7 +76,7 @@ def fill_template(template: str, slots: Mapping[str, str]) -> str:
 def observed_template(name: str, observation: ObservationSubgraph) -> str:
     """The named template, without its [Observation] line when the subgraph is empty."""
     template = load_template(name)
-    if not observation.is_empty():
+    if observation.entries:
         return template
     return "\n".join(line for line in template.splitlines() if "[Observation]" not in line) + "\n"
 
@@ -214,15 +213,13 @@ class ActionAttempt:
 
 
 def choose_action(
-    provider: LLMProvider,
+    complete: Callable[[str], str],
     question: str,
     memory: Memory,
     candidates: Sequence[EntityId],
     observation: ObservationSubgraph,
     kg: KnowledgeGraph,
     history: Sequence[Action],
-    temperature: float = DEFAULT_TEMPERATURE,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
     max_retries: int = 2,
 ) -> tuple[Action, list[ActionAttempt], bool]:
     """Prompt for an action, re-prompting on invalid or repeated choices.
@@ -234,7 +231,7 @@ def choose_action(
     prompt = base_prompt
     attempts: list[ActionAttempt] = []
     for _ in range(max_retries + 1):
-        response = provider.complete(CompletionRequest(prompt, temperature, max_tokens))
+        response = complete(prompt)
         attempts.append(ActionAttempt(prompt, response))
         try:
             action = parse_action(response, candidates, labels=kg.labels)

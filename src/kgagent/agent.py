@@ -190,6 +190,11 @@ def run(
         time.monotonic() + config.question_timeout if config.question_timeout else None
     )
 
+    def complete(prompt: str) -> str:
+        """The one model call of this run, with the configured sampling settings."""
+        request = CompletionRequest(prompt, config.temperature, config.max_tokens)
+        return providers.llm.complete(request)
+
     try:
         for index in range(1, config.max_iterations + 1):
             if deadline is not None and time.monotonic() > deadline:
@@ -201,15 +206,7 @@ def run(
             else:
                 observation = observe(kg, scorer, entities, config.observation)
             action, attempts, fallback = choose_action(
-                providers.llm,
-                question,
-                memory,
-                entities,
-                observation,
-                kg,
-                history,
-                temperature=config.temperature,
-                max_tokens=config.max_tokens,
+                complete, question, memory, entities, observation, kg, history,
                 max_retries=config.action_retries,
             )
             record = IterationRecord(
@@ -232,10 +229,7 @@ def run(
                 record.outcome_count = len(outcome)
                 kept: list[Triple] = []
                 if strategy == "generated_fact":
-                    record.facts = reflect_generated_fact(
-                        question, config.reflection, providers.llm,
-                        temperature=config.temperature, max_tokens=config.max_tokens,
-                    )
+                    record.facts = reflect_generated_fact(question, config.reflection, complete)
                     memory.facts += record.facts
                 elif not outcome:
                     pass  # nothing to reflect on; entities carry over
@@ -246,9 +240,8 @@ def run(
                 elif strategy in ("oda", "no_observation"):
                     kept, record.reflection_prompt, record.reflection_response = (
                         reflect_with_model(
-                            providers.llm, question, outcome, kg, observation, memory,
+                            complete, question, outcome, kg, observation, memory,
                             config.reflection,
-                            temperature=config.temperature, max_tokens=config.max_tokens,
                         )
                     )
                 if kept:  # the kept tails, first seen first, are the next entities
@@ -262,9 +255,7 @@ def run(
 
         # the trace takes the answer only once the provider has returned it
         prompt = build_answer_prompt(question, memory, kg)
-        response = providers.llm.complete(
-            CompletionRequest(prompt, config.temperature, config.max_tokens)
-        )
+        response = complete(prompt)
         answers = parse_answer(response)
         trace.answer_prompt, trace.answer_response = prompt, response
         trace.answers = list(answers)

@@ -16,6 +16,10 @@ from .llm import HttpChatConfig, HttpChatProvider, ScriptedProvider, ScriptError
 from .reflection import STRATEGIES
 
 
+class UsageError(Exception):
+    """A flag or config value that the command cannot run with."""
+
+
 def _build_config(args: argparse.Namespace) -> AgentConfig:
     try:
         data = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
@@ -30,21 +34,21 @@ def _build_config(args: argparse.Namespace) -> AgentConfig:
             overrides["question_timeout"] = args.timeout or None
         return replace(config, **overrides)
     except (TypeError, ValueError) as exc:  # TypeError: an unknown key or a mistyped value
-        raise SystemExit(f"invalid agent config: {exc}") from exc
+        raise UsageError(f"invalid agent config: {exc}") from exc
 
 
 def _build_providers(args: argparse.Namespace) -> Providers:
     if args.provider == "scripted":
         if not args.script:
-            raise SystemExit("--script is required with --provider scripted")
+            raise UsageError("--script is required with --provider scripted")
         llm = ScriptedProvider(load_script(args.script), sequential=args.script_mode == "sequence")
     else:
         if not args.endpoint or not args.model:
-            raise SystemExit("--endpoint and --model are required with --provider live")
+            raise UsageError("--endpoint and --model are required with --provider live")
         llm = HttpChatProvider(HttpChatConfig(args.endpoint, args.model, args.api_key_env))
     if args.embedder == "http":
         if not args.embed_endpoint or not args.embed_model:
-            raise SystemExit("--embed-endpoint and --embed-model are required for http embedder")
+            raise UsageError("--embed-endpoint and --embed-model are required for http embedder")
         embedder = HttpEmbedder(args.embed_endpoint, args.embed_model, args.api_key_env)
     else:
         embedder = DeterministicEmbedder(seed=args.embed_seed, dimension=args.embed_dim)
@@ -221,11 +225,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        TripleParseError, DatasetError, ScriptError, EmbeddingError, UnicodeDecodeError, OSError
+        UsageError, TripleParseError, DatasetError, ScriptError, EmbeddingError,
+        UnicodeDecodeError, OSError,
     ) as exc:
-        # an input file that is malformed, not UTF-8 or cannot be read (run turns
-        # a ScriptError into an AgentError, so one caught here is from load_script;
-        # a UnicodeDecodeError is from the --seeds file, read whole)
+        # a usage or config error, or an input file that is malformed, not UTF-8
+        # or cannot be read (run turns a ScriptError into an AgentError, so one
+        # caught here is from load_script; a UnicodeDecodeError is from the
+        # --seeds file, read whole)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -105,11 +105,6 @@ class ScriptedProvider:
             self._cursor += 1
             return entry.response
 
-    @property
-    def remaining(self) -> int:
-        with self._lock:
-            return len(self.entries) - self._cursor if self.sequential else len(self.entries)
-
 
 def load_script(source: str | Path) -> list[ScriptEntry]:
     """Read a script file: one JSON object per line with kind/match/response.

@@ -64,29 +64,10 @@ class TurnRecord:
 
 @dataclass
 class ObservationSubgraph:
-    """Ordered, scored, deduplicated triple set built by one observe call."""
+    """Ordered, scored, deduplicated triples built by one observe call."""
 
     entries: list[ScoredTriple] = field(default_factory=list)
     turns: list[TurnRecord] = field(default_factory=list)
-    _index: set[Triple] = field(default_factory=set, repr=False)
-
-    def add(self, entry: ScoredTriple) -> None:
-        """Append entry unless its triple is already held."""
-        if entry.triple not in self._index:
-            self._index.add(entry.triple)
-            self.entries.append(entry)
-
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self._index
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def triples(self) -> list[Triple]:
-        return [entry.triple for entry in self.entries]
 
 
 def rank_scored_triples(
@@ -130,10 +111,11 @@ def observe(
     if not seeds:
         raise ValueError("observe requires at least one seed entity")
     scorer.question_vector()  # first, even when no seed has edges: fixes the provider's call order
-    subgraph = ObservationSubgraph()
+    held: dict[Triple, ScoredTriple] = {}  # each triple's first selection, in selection order
+    turns: list[TurnRecord] = []
     for seed in seeds:
-        _walk(kg, seed, params, scorer, subgraph)
-    return subgraph
+        _walk(kg, seed, params, scorer, held, turns)
+    return ObservationSubgraph(list(held.values()), turns)
 
 
 def _walk(
@@ -141,7 +123,8 @@ def _walk(
     seed: EntityId,
     params: ObservationParams,
     scorer: QuestionScorer,
-    subgraph: ObservationSubgraph,
+    held: dict[Triple, ScoredTriple],
+    turns: list[TurnRecord],
 ) -> None:
     ranked = scorer.ranked
     frontier = [seed]
@@ -163,11 +146,12 @@ def _walk(
         # prefix is the rank_scored_triples selection over all candidates
         selected = list(islice(heapq.merge(*lists), params.top_n))
         for negative, triple in selected:
-            subgraph.add(ScoredTriple(triple, -negative, depth, seed))
+            if triple not in held:
+                held[triple] = ScoredTriple(triple, -negative, depth, seed)
         tails = [triple.tail for _, triple in selected[: params.refine_count]]
         frontier = [t for t in dict.fromkeys(tails) if t not in visited]
         visited.update(frontier)
-        subgraph.turns.append(TurnRecord(seed, depth, candidate_count, frontier))
+        turns.append(TurnRecord(seed, depth, candidate_count, frontier))
         if not frontier:
             break
 

@@ -8,12 +8,11 @@ import logging
 import re
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .embedding import QuestionScorer
 from .kg import KnowledgeGraph, Triple
 from .action import fill_template, observed_template
-from .llm import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, CompletionRequest, LLMProvider
 from .memory import Memory, render_memory
 from .observation import ObservationSubgraph, render_observation, top_scored
 
@@ -107,21 +106,19 @@ def parse_reflected(
 
 
 def reflect_with_model(
-    provider: LLMProvider,
+    complete: Callable[[str], str],
     question: str,
     candidates: Sequence[Triple],
     kg: KnowledgeGraph,
     observation: ObservationSubgraph,
     memory: Memory,
     params: ReflectionParams,
-    temperature: float = DEFAULT_TEMPERATURE,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> tuple[list[Triple], str, str]:
     """Full prompt/complete/parse round trip; returns (kept, prompt, response)."""
     prompt = build_reflection_prompt(
         question, candidates, kg, observation, memory, k_max=params.k_max
     )
-    response = provider.complete(CompletionRequest(prompt, temperature, max_tokens))
+    response = complete(prompt)
     return parse_reflected(response, candidates, params), prompt, response
 
 
@@ -146,11 +143,7 @@ def reflect_random(
 
 
 def reflect_generated_fact(
-    question: str,
-    params: ReflectionParams,
-    provider: LLMProvider,
-    temperature: float = DEFAULT_TEMPERATURE,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
+    question: str, params: ReflectionParams, complete: Callable[[str], str]
 ) -> list[str]:
     """Ask the model for up to k_max free-text facts about the question.
 
@@ -159,7 +152,7 @@ def reflect_generated_fact(
     prompt = fill_template(
         GENERATED_FACTS_PROMPT, {"KMax": str(params.k_max), "Question": question}
     )
-    response = provider.complete(CompletionRequest(prompt, temperature, max_tokens))
+    response = complete(prompt)
     facts = []
     for line in response.splitlines():
         line = re.sub(r"^\s*(?:[-*]|\d+[.)])\s*", "", line).strip()

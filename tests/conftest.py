@@ -257,6 +257,13 @@ def make_script_provider(script: list[tuple[str, str, str]], sequential: bool = 
     )
 
 
+def complete_with(provider):
+    """A step's complete(prompt), sending the default sampling settings to provider."""
+    from kgagent.llm import CompletionRequest
+
+    return lambda prompt: provider.complete(CompletionRequest(prompt))
+
+
 def make_providers(script: list[tuple[str, str, str]], sequential: bool = True, seed: int = 7):
     from kgagent.agent import Providers
 

@@ -77,7 +77,7 @@ def test_c02_coverage_cross_check():
             depth_limit=3, top_n=len(kg.triples) + 1, refine_percent=100.0
         )
         result = observe(kg, QuestionScorer(f"q{trial}", embedder), seeds, params)
-        assert set(result.triples()) == extract_khop_subgraph(kg, seeds, 3).triples
+        assert {e.triple for e in result.entries} == extract_khop_subgraph(kg, seeds, 3).triples
 
 
 def test_c03_cosine_properties():

@@ -24,7 +24,7 @@ from kgagent.llm import ScriptedProvider, ScriptEntry
 from kgagent.memory import Memory, integrate
 from kgagent.observation import ObservationParams, ObservationSubgraph, observe
 
-from conftest import TOKYO_QUESTION, make_kg, random_kg
+from conftest import TOKYO_QUESTION, complete_with, make_kg, random_kg
 from test_kg import dfs_paths_oracle
 
 
@@ -257,7 +257,7 @@ class TestChooseAction:
                          "Action: GetNeighbor\nEntity_id: Q1490")]
         )
         action, attempts, fallback = choose_action(
-            provider, TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation,
+            complete_with(provider), TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation,
             tokyo_kg, [],
         )
         assert action == NeighborExploration("Q1490")
@@ -275,7 +275,7 @@ class TestChooseAction:
             ]
         )
         action, attempts, fallback = choose_action(
-            provider, TOKYO_QUESTION, Memory(), ["Q1490", "Q17"], tokyo_observation,
+            complete_with(provider), TOKYO_QUESTION, Memory(), ["Q1490", "Q17"], tokyo_observation,
             tokyo_kg, history,
         )
         assert action == NeighborExploration("Q17")
@@ -287,7 +287,7 @@ class TestChooseAction:
             [ScriptEntry("substring", "", "Action: Teleport")], sequential=False
         )
         action, attempts, fallback = choose_action(
-            provider, TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation,
+            complete_with(provider), TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation,
             tokyo_kg, [], max_retries=2,
         )
         assert fallback

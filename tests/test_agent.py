@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from kgagent.agent import (
 )
 from kgagent.embedding import DeterministicEmbedder
 from kgagent.kg import Triple
-from kgagent.llm import ScriptedProvider
+from kgagent.llm import CompletionRequest, ScriptedProvider
 from kgagent.reflection import STRATEGIES, ReflectionParams
 
 from conftest import (
@@ -144,6 +145,14 @@ class TestIterationCap:
         assert [record.index for record in result.trace.iterations] == list(range(1, 9))
 
 
+GENERATED_FACT_SCRIPT = [
+    ("substring", "Candidate EntityIDs: Q1490", "Action: GetNeighbor\nEntity_id: Q1490"),
+    ("substring", "factual statements", "Tokyo is the capital of Japan"),
+    ("substring", "Candidate EntityIDs: Q1490", "Action: Answer"),
+    ("substring", "reference memory", "Tokyo"),
+]
+
+
 class TestStrategies:
     def test_no_observation_skips_observe(self, tokyo_kg):
         script = [
@@ -189,15 +198,9 @@ class TestStrategies:
         assert first.trace.iterations[0].reflected == second.trace.iterations[0].reflected
 
     def test_generated_fact_keeps_entities_and_collects_facts(self, tokyo_kg):
-        script = [
-            ("substring", "Candidate EntityIDs: Q1490",
-             "Action: GetNeighbor\nEntity_id: Q1490"),
-            ("substring", "factual statements", "Tokyo is the capital of Japan"),
-            ("substring", "Candidate EntityIDs: Q1490", "Action: Answer"),
-            ("substring", "reference memory", "Tokyo"),
-        ]
         config = AgentConfig(reflection=ReflectionParams(strategy="generated_fact"))
-        result = run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, make_providers(script), config)
+        providers = make_providers(GENERATED_FACT_SCRIPT)
+        result = run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, providers, config)
         records = result.trace.iterations
         assert records[0].facts == ["Tokyo is the capital of Japan"]
         assert records[1].entities == ["Q1490"]  # unchanged: facts have no tails
@@ -288,6 +291,54 @@ class TestTraceAndConfig:
         assert config.path_max_len == 3
         assert config.temperature == 0.4
         assert config.max_tokens == 500
+
+
+class RecordingProvider:
+    """Answers from a script and records each request's step and sampling settings."""
+
+    STEPS = {
+        "Action History": "action",
+        "You queried some candidate triples": "reflection",
+        "factual statements": "facts",
+        "reference memory": "answer",
+    }
+
+    def __init__(self, script: list[tuple[str, str, str]]) -> None:
+        self.script = make_providers(script).llm
+        self.requests: list[tuple[str, float, int]] = []
+
+    def complete(self, request: CompletionRequest) -> str:
+        (step,) = [name for marker, name in self.STEPS.items() if marker in request.text()]
+        self.requests.append((step, request.temperature, request.max_tokens))
+        return self.script.complete(request)
+
+
+class TestSamplingSettings:
+    """run sends its config's temperature and max_tokens on every model request."""
+
+    @pytest.mark.parametrize(
+        "strategy, script, steps",
+        [
+            ("oda", TOKYO_SCRIPT, {"action", "reflection", "answer"}),
+            ("generated_fact", GENERATED_FACT_SCRIPT, {"action", "facts", "answer"}),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (AgentConfig(temperature=0.7, max_tokens=32), (0.7, 32)),
+            (AgentConfig(), (0.4, 500)),
+        ],
+    )
+    def test_every_request_carries_the_config(
+        self, tokyo_kg, strategy, script, steps, config, expected
+    ):
+        provider = RecordingProvider(script)
+        config = replace(config, reflection=ReflectionParams(strategy=strategy))
+        providers = Providers(llm=provider, embedder=DeterministicEmbedder(seed=7, dimension=32))
+        run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, providers, config)
+        assert {step for step, _, _ in provider.requests} == steps
+        assert {(t, m) for _, t, m in provider.requests} == {expected}
 
 
 class CountingEmbedder(DeterministicEmbedder):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 import warnings
 
 import pytest
@@ -140,17 +141,56 @@ class TestAsk:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_missing_script_flag_exits(self, kg_dir):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "ask",
-                    "--kg", str(kg_dir),
-                    "--question", "q?",
-                    "--entities", "Q1490",
-                    "--provider", "scripted",
-                ]
-            )
+    def test_missing_script_flag_exits(self, kg_dir, capsys):
+        code = main(
+            [
+                "ask",
+                "--kg", str(kg_dir),
+                "--question", "q?",
+                "--entities", "Q1490",
+                "--provider", "scripted",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --script is required with --provider scripted\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--provider", "live"], "--endpoint and --model are required with --provider live"),
+            (
+                ["--provider", "live", "--endpoint", "http://localhost:9/v1"],
+                "--endpoint and --model are required with --provider live",
+            ),
+            (
+                ["--embedder", "http"],
+                "--embed-endpoint and --embed-model are required for http embedder",
+            ),
+            (
+                ["--embedder", "http", "--embed-model", "m"],
+                "--embed-endpoint and --embed-model are required for http embedder",
+            ),
+        ],
+    )
+    def test_missing_live_client_flags_exit_2(
+        self, kg_dir, tokyo_script_file, capsys, flags, message
+    ):
+        code = main(
+            [
+                "ask",
+                "--kg", str(kg_dir),
+                "--question", TOKYO_QUESTION,
+                "--entities", "Q1490",
+                "--script", str(tokyo_script_file),
+                *flags,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -215,25 +255,28 @@ class TestAsk:
         ],
     )
     def test_invalid_config_exits_before_any_provider_call(
-        self, kg_dir, tmp_path, config, flags, message
+        self, kg_dir, tmp_path, capsys, config, flags, message
     ):
         empty_script = tmp_path / "empty.jsonl"
         save_script([], empty_script)
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps(config), encoding="utf-8")
-        with pytest.raises(SystemExit, match=message):
-            main(
-                [
-                    "ask",
-                    "--kg", str(kg_dir),
-                    "--question", TOKYO_QUESTION,
-                    "--entities", "Q1490",
-                    "--provider", "scripted",
-                    "--script", str(empty_script),
-                    "--config", str(config_file),
-                    *flags,
-                ]
-            )
+        code = main(
+            [
+                "ask",
+                "--kg", str(kg_dir),
+                "--question", TOKYO_QUESTION,
+                "--entities", "Q1490",
+                "--provider", "scripted",
+                "--script", str(empty_script),
+                "--config", str(config_file),
+                *flags,
+            ]
+        )
+        assert code == 2  # a run would have failed on the empty script with code 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(f"error: invalid agent config: .*{message}.*\n", captured.err)
+        assert captured.out == ""
 
 
 @pytest.fixture
@@ -521,21 +564,24 @@ class TestInputErrors:
         assert f"argument --workers: must be >= 1, got {workers}" in captured.err
         assert captured.out == ""
 
-    def test_config_file_that_is_not_json(self, kg_dir, tokyo_script_file, tmp_path):
+    def test_config_file_that_is_not_json(self, kg_dir, tokyo_script_file, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"max_iterations": 2,', encoding="utf-8")
-        with pytest.raises(SystemExit, match=r"^invalid agent config: .+: line 1 column 22"):
-            main(
-                [
-                    "ask",
-                    "--kg", str(kg_dir),
-                    "--question", TOKYO_QUESTION,
-                    "--entities", "Q1490",
-                    "--provider", "scripted",
-                    "--script", str(tokyo_script_file),
-                    "--config", str(config),
-                ]
-            )
+        code = main(
+            [
+                "ask",
+                "--kg", str(kg_dir),
+                "--question", TOKYO_QUESTION,
+                "--entities", "Q1490",
+                "--provider", "scripted",
+                "--script", str(tokyo_script_file),
+                "--config", str(config),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: invalid agent config: .+: line 1 column 22.*\n", captured.err)
+        assert captured.out == ""
 
 
 class TestInspect:

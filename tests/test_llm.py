@@ -56,7 +56,8 @@ class TestScriptedProvider:
         )
         assert provider.complete(CompletionRequest("one")) == "1"
         assert provider.complete(CompletionRequest("two")) == "2"
-        assert provider.remaining == 0
+        with pytest.raises(ScriptError, match="script exhausted"):
+            provider.complete(CompletionRequest("two"))
 
     def test_sequential_mismatch_raises(self):
         provider = ScriptedProvider([ScriptEntry("substring", "one", "1")])

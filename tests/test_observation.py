@@ -85,12 +85,12 @@ class TestObserveBasics:
     def test_seed_without_edges_yields_empty_subgraph(self, embedder):
         kg = make_kg([("A", "r", "B")])
         result = observe(kg, QuestionScorer("q", embedder), ["B"], ObservationParams())
-        assert result.is_empty()
+        assert result.entries == []
 
     def test_unknown_seed_contributes_nothing(self, embedder):
         kg = make_kg([("A", "r", "B")])
         result = observe(kg, QuestionScorer("q", embedder), ["Zmissing", "A"], ObservationParams())
-        assert result.triples() == [Triple("A", "r", "B")]
+        assert [entry.triple for entry in result.entries] == [Triple("A", "r", "B")]
 
     def test_star_graph_top_n_selection(self, embedder):
         kg = make_kg([("S", f"r{i}", f"T{i}") for i in range(7)])
@@ -112,7 +112,7 @@ class TestObserveBasics:
     def test_chain_is_fully_covered_under_caps(self, embedder):
         kg = make_kg([("A", "r", "B"), ("B", "r", "C"), ("C", "r", "D")])
         result = observe(kg, QuestionScorer("q", embedder), ["A"], ObservationParams())
-        assert set(result.triples()) == set(kg.triples)
+        assert {entry.triple for entry in result.entries} == set(kg.triples)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -236,7 +236,7 @@ class TestObserveProperties:
         seeds = ["Q0", "Q1", "Q2"]
         params = ObservationParams(depth_limit=3, top_n=10, refine_percent=50.0)
         result = observe(kg, QuestionScorer("q", embedder), seeds, params)
-        assert len(result) <= len(seeds) * params.depth_limit * params.top_n
+        assert len(result.entries) <= len(seeds) * params.depth_limit * params.top_n
 
     def test_frontier_provenance_single_seed(self, embedder):
         rng = random.Random(73)
@@ -274,7 +274,7 @@ class TestObserveProperties:
             )
             result = observe(kg, QuestionScorer("q", embedder), seeds, params)
             expected = extract_khop_subgraph(kg, seeds, 3).triples
-            assert set(result.triples()) == expected
+            assert {entry.triple for entry in result.entries} == expected
 
     def test_depth_zero_prefix_monotone_in_n(self, embedder):
         rng = random.Random(89)
@@ -286,7 +286,7 @@ class TestObserveProperties:
         large = observe(
             kg, QuestionScorer("q", embedder), seeds, ObservationParams(depth_limit=1, top_n=9)
         )
-        assert set(small.triples()) <= set(large.triples())
+        assert {e.triple for e in small.entries} <= {e.triple for e in large.entries}
 
 
 class TestConcurrency:

@@ -18,7 +18,7 @@ from kgagent.reflection import (
     reflect_similarity,
 )
 
-from conftest import TOKYO_QUESTION, make_kg, random_kg
+from conftest import TOKYO_QUESTION, complete_with, make_kg, random_kg
 from test_observation import RecordingEmbedder
 
 TOKYO_CANDIDATES = [
@@ -190,24 +190,24 @@ class TestReflectGeneratedFact:
         provider = ScriptedProvider(
             [ScriptEntry("substring", "factual statements", "Tokyo is the capital of Japan")]
         )
-        facts = reflect_generated_fact(TOKYO_QUESTION, ReflectionParams(), provider)
+        facts = reflect_generated_fact(TOKYO_QUESTION, ReflectionParams(), complete_with(provider))
         assert facts == ["Tokyo is the capital of Japan"]
 
     def test_empty_response_empty_facts(self):
         provider = ScriptedProvider([ScriptEntry("substring", "", "")], sequential=False)
-        assert reflect_generated_fact("q", ReflectionParams(), provider) == []
+        assert reflect_generated_fact("q", ReflectionParams(), complete_with(provider)) == []
 
     def test_k_max_enforced(self):
         response = "\n".join(f"fact {i}" for i in range(20))
         provider = ScriptedProvider([ScriptEntry("substring", "", response)], sequential=False)
-        facts = reflect_generated_fact("q", ReflectionParams(k_max=15), provider)
+        facts = reflect_generated_fact("q", ReflectionParams(k_max=15), complete_with(provider))
         assert len(facts) == 15
 
     def test_bullets_and_numbering_stripped(self):
         provider = ScriptedProvider(
             [ScriptEntry("substring", "", "- first\n2. second\n* third")], sequential=False
         )
-        facts = reflect_generated_fact("q", ReflectionParams(), provider)
+        facts = reflect_generated_fact("q", ReflectionParams(), complete_with(provider))
         assert facts == ["first", "second", "third"]
 
 
