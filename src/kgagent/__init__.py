@@ -38,6 +38,7 @@ from .evaluation import (
     score_hit,
 )
 from .kg import (
+    InputError,
     KnowledgeGraph,
     Triple,
     TripleParseError,

@@ -6,13 +6,16 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .agent import AgentConfig, AgentError, Providers, render_case, run, trace_to_json
 from .embedding import DeterministicEmbedder, EmbeddingCache, EmbeddingError, HttpEmbedder
-from .evaluation import DatasetError, load_dataset, run_eval
-from .kg import TripleParseError, extract_khop_subgraph, load_kg, load_triples, save_kg
-from .llm import HttpChatConfig, HttpChatProvider, ScriptedProvider, ScriptError, load_script
+from .evaluation import load_dataset, run_eval
+from .kg import (
+    InputError, extract_khop_subgraph, load_kg, load_triples, numbered_text_lines, save_kg,
+)
+from .llm import HttpChatConfig, HttpChatProvider, ScriptedProvider, load_script
 from .reflection import STRATEGIES
 
 
@@ -52,8 +55,7 @@ def _build_providers(args: argparse.Namespace) -> Providers:
         embedder = HttpEmbedder(args.embed_endpoint, args.embed_model, args.api_key_env)
     else:
         embedder = DeterministicEmbedder(seed=args.embed_seed, dimension=args.embed_dim)
-    cache = EmbeddingCache(args.embed_cache) if args.embed_cache else EmbeddingCache()
-    return Providers(llm=llm, embedder=embedder, cache=cache)
+    return Providers(llm=llm, embedder=embedder, cache=EmbeddingCache(args.embed_cache))
 
 
 def _int_range(minimum: int, maximum: int | None = None):
@@ -107,12 +109,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_build_subgraph(args: argparse.Namespace) -> int:
+    lines = numbered_text_lines(args.seeds, partial(InputError, path=args.seeds))
+    seeds = [line.strip() for _, line in lines if line.strip()]
     kg = load_triples(args.triples, args.labels)
-    seeds = [
-        line.strip()
-        for line in Path(args.seeds).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
     subgraph = extract_khop_subgraph(kg, seeds, args.k)
     save_kg(subgraph, args.out)
     print(f"wrote {len(subgraph)} triples for {len(seeds)} seeds to {args.out}")
@@ -120,10 +119,10 @@ def _cmd_build_subgraph(args: argparse.Namespace) -> int:
 
 
 def _cmd_ask(args: argparse.Namespace) -> int:
-    kg = load_kg(args.kg)
     config = _build_config(args)
     providers = _build_providers(args)
     try:
+        kg = load_kg(args.kg)
         result = run(args.question, args.entities, kg, providers, config)
     except AgentError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -148,11 +147,15 @@ def _write_trace(trace, out_dir: str) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    kg = load_kg(args.kg)
+    if args.provider == "scripted" and args.script_mode == "sequence" and args.workers > 1:
+        # one script cursor shared by concurrent questions: the order, and so
+        # the answers, would depend on thread timing
+        raise UsageError("--workers > 1 needs --script-mode lookup with --provider scripted")
     config = _build_config(args)
-    dataset = load_dataset(args.dataset)
     providers = _build_providers(args)
     try:
+        kg = load_kg(args.kg)
+        dataset = load_dataset(args.dataset)
         report = run_eval(
             dataset, kg, providers, config,
             workers=args.workers, out_dir=args.out, match_mode=args.match,
@@ -224,14 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        UsageError, TripleParseError, DatasetError, ScriptError, EmbeddingError,
-        UnicodeDecodeError, OSError,
-    ) as exc:
+    except (UsageError, InputError, EmbeddingError, OSError) as exc:
         # a usage or config error, or an input file that is malformed, not UTF-8
-        # or cannot be read (run turns a ScriptError into an AgentError, so one
-        # caught here is from load_script; a UnicodeDecodeError is from the
-        # --seeds file, read whole)
+        # or cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,17 +11,11 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
 from .agent import AgentConfig, AgentError, Providers, run, trace_to_json
-from .kg import EntityId, KnowledgeGraph, numbered_text_lines
+from .kg import EntityId, InputError, KnowledgeGraph, numbered_text_lines
 
 
-class DatasetError(ValueError):
-    """Malformed dataset record; carries the 1-based line number. The message
-    names the line, led by the file's path when the input was read from one."""
-
-    def __init__(self, message: str, line_number: int, path: str | Path | None = None) -> None:
-        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
-        super().__init__(f"{where}: {message}")
-        self.line_number = line_number
+class DatasetError(InputError):
+    """Malformed dataset record."""
 
 
 @dataclass

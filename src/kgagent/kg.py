@@ -21,14 +21,19 @@ TRIPLES_FILENAME = "triples.tsv"
 LABELS_FILENAME = "labels.tsv"
 
 
-class TripleParseError(ValueError):
-    """Malformed TSV input; carries the 1-based line number. The message
-    names the line, led by the file's path when the input was read from one."""
+class InputError(ValueError):
+    """A malformed input file or line; carries the 1-based line number. The
+    message names the line, led by the file's path when the input was read
+    from one."""
 
     def __init__(self, message: str, line_number: int, path: str | Path | None = None) -> None:
         where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
         super().__init__(f"{where}: {message}")
         self.line_number = line_number
+
+
+class TripleParseError(InputError):
+    """Malformed TSV input."""
 
 
 class Triple(NamedTuple):

@@ -9,10 +9,11 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Protocol
 
-from .kg import numbered_text_lines
+from .kg import InputError, numbered_text_lines
 
 DEFAULT_TEMPERATURE = 0.4
 DEFAULT_MAX_TOKENS = 500
@@ -110,11 +111,9 @@ def load_script(source: str | Path) -> list[ScriptEntry]:
     """Read a script file: one JSON object per line with kind/match/response.
 
     Each line is decoded as UTF-8 on its own; a line that is not UTF-8 or
-    not a valid entry raises ScriptError ``<path>: line N: <message>``.
+    not a valid entry raises InputError ``<path>: line N: <message>``.
     """
-    def error(message: str, number: int) -> ScriptError:
-        return ScriptError(f"{source}: line {number}: {message}")
-
+    error = partial(InputError, path=source)
     entries: list[ScriptEntry] = []
     for number, line in numbered_text_lines(source, error):
         line = line.strip()

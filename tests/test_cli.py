@@ -314,6 +314,107 @@ def test_embedding_cache_file_is_closed(
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def test_embedding_cache_file_is_closed_when_the_graph_fails_to_load(
+    tokyo_script_file, tmp_path, capsys
+):
+    cache = tmp_path / "cache.bin"
+    missing = tmp_path / "missing"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code = main(
+            [
+                "ask",
+                "--kg", str(missing),
+                "--question", TOKYO_QUESTION,
+                "--entities", "Q1490",
+                "--script", str(tokyo_script_file),
+                "--embed-cache", str(cache),
+            ]
+        )
+        gc.collect()
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
+    assert cache.stat().st_size == 0  # opened with the providers, before the graph
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class TestFlagsBeforeFiles:
+    """A usage or config error exits 2 before --kg or --dataset is opened:
+    both name missing paths here, so opening either would report that instead."""
+
+    @pytest.mark.parametrize("command", ["ask", "eval"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--provider", "live"], "--endpoint and --model are required with --provider live"),
+            (["--script", "{script}", "--max-iterations", "0"],
+             "invalid agent config: max_iterations must be >= 1"),
+            (["--script", "{script}", "--embedder", "http"],
+             "--embed-endpoint and --embed-model are required for http embedder"),
+        ],
+        ids=["live-without-endpoint", "config", "http-embedder"],
+    )
+    def test_usage_error_is_reported_before_the_graph_is_read(
+        self, tokyo_script_file, tmp_path, capsys, command, flags, message
+    ):
+        missing = tmp_path / "missing"
+        if command == "ask":
+            inputs = ["--question", "q", "--entities", "A"]
+        else:
+            inputs = ["--dataset", str(missing / "dataset.jsonl")]
+        flags = [flag.format(script=tokyo_script_file) for flag in flags]
+        code = main([command, "--kg", str(missing), *inputs, *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_sequence_script_with_workers_is_refused(self, tokyo_script_file, tmp_path, capsys):
+        # one script cursor shared by concurrent questions would make the
+        # answers depend on thread timing
+        missing = tmp_path / "missing"
+        code = main(
+            [
+                "eval",
+                "--kg", str(missing),
+                "--dataset", str(missing / "dataset.jsonl"),
+                "--script", str(tokyo_script_file),
+                "--workers", "2",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --workers > 1 needs --script-mode lookup with --provider scripted\n"
+        )
+        assert captured.out == ""
+
+    def test_lookup_script_runs_with_workers(self, kg_dir, tmp_path, capsys):
+        script = tmp_path / "lookup.jsonl"
+        save_script(
+            [
+                ScriptEntry("substring", "Action History", "Action: Answer"),
+                ScriptEntry("substring", "reference memory", "Answer: Shinjuku"),
+            ],
+            script,
+        )
+        dataset = tmp_path / "dataset.jsonl"
+        record = {"question": TOKYO_QUESTION, "entities": ["Q1490"], "answers": ["Shinjuku"]}
+        dataset.write_text((json.dumps(record) + "\n") * 2, encoding="utf-8")
+        code = main(
+            [
+                "eval",
+                "--kg", str(kg_dir),
+                "--dataset", str(dataset),
+                "--script", str(script),
+                "--script-mode", "lookup",
+                "--workers", "2",
+            ]
+        )
+        assert code == 0
+        assert "total=2 hits=2 accuracy=1.0000" in capsys.readouterr().out
+
+
 class TestEval:
     def test_eval_writes_report(self, kg_dir, tokyo_script_file, tmp_path, capsys):
         dataset = tmp_path / "dataset.jsonl"
@@ -477,8 +578,7 @@ class TestInputErrors:
         )
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
-        assert captured.err.count("\n") == 1
+        assert captured.err == f"error: {seeds}: line 2: not valid UTF-8\n"
         assert captured.out == ""
         assert not out.exists()
 

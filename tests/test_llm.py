@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from kgagent.kg import InputError
 from kgagent.llm import (
     CompletionRequest,
     ScriptedProvider,
@@ -91,7 +92,7 @@ class TestScriptFile:
     def test_bad_line_raises_with_number(self, tmp_path):
         path = tmp_path / "script.jsonl"
         path.write_text('{"match": "a", "response": "b"}\nnot json\n', encoding="utf-8")
-        with pytest.raises(ScriptError, match="line 2"):
+        with pytest.raises(InputError, match="line 2"):
             load_script(path)
 
     @pytest.mark.parametrize(
@@ -103,7 +104,7 @@ class TestScriptFile:
     def test_malformed_record_names_file_and_line(self, tmp_path, record, message):
         path = tmp_path / "script.jsonl"
         path.write_text('{"match": "a", "response": "b"}\n' + record + "\n", encoding="utf-8")
-        with pytest.raises(ScriptError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_script(path)
         assert str(excinfo.value).startswith(f"{path}: line 2: bad script entry: ")
         assert message in str(excinfo.value)
@@ -111,7 +112,7 @@ class TestScriptFile:
     def test_line_not_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "script.jsonl"
         path.write_bytes(b'{"match": "a", "response": "b"}\n{"match": "\xff", "response": "b"}\n')
-        with pytest.raises(ScriptError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_script(path)
         assert str(excinfo.value) == f"{path}: line 2: not valid UTF-8"
 
