@@ -204,7 +204,9 @@ def run(
             if strategy == "no_observation":
                 observation = ObservationSubgraph()
             else:
-                observation = observe(kg, scorer, entities, config.observation)
+                observation = observe(
+                    kg, scorer, entities, config.observation, config.neighbor_limit
+                )
             action, attempts, fallback = choose_action(
                 complete, question, memory, entities, observation, kg, history,
                 max_retries=config.action_retries,

@@ -10,15 +10,19 @@ IEEE-exact operations.
 from __future__ import annotations
 
 import hashlib
+import logging
+import os
 import struct
 import threading
 from itertools import repeat
 from math import ceil, fsum, isfinite, sqrt
-from operator import mul
+from operator import mul, truediv
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .llm import HttpChatConfig, post_json
+
+logger = logging.getLogger(__name__)
 
 Vector = tuple[float, ...]
 
@@ -157,11 +161,11 @@ class QuestionScorer:
 class DeterministicEmbedder:
     """Keyed-hash unit vectors, stable across runs and platforms.
 
-    Components come from signed 64-bit chunks of a keyed BLAKE2b stream;
-    normalization uses only correctly rounded IEEE operations.
+    BLAKE2b states keyed by seed and counter are built once. embed copies each
+    (never updating it, so threads may share an embedder), hashes the UTF-8
+    text, and reads the components as little-endian signed 64-bit words of the
+    joined digests with one unpack; the fsum norm and division are IEEE-exact.
     """
-
-    _WORDS = struct.Struct("<8q")  # one 64-byte digest -> eight signed 64-bit ints
 
     def __init__(self, seed: int = 0, dimension: int = 64) -> None:
         if dimension < 2:
@@ -170,22 +174,24 @@ class DeterministicEmbedder:
             raise ValueError(f"seed must fit a signed 64-bit integer, got {seed}")
         self.seed = seed
         self.dimension = dimension
-        key = seed.to_bytes(8, "little", signed=True)
-        # one digest per eight components, keyed by seed and counter
-        self._keys = [key + counter.to_bytes(4, "little") for counter in range(ceil(dimension / 8))]
+        seed_key = seed.to_bytes(8, "little", signed=True)
+        keys = (seed_key + counter.to_bytes(4, "little") for counter in range(ceil(dimension / 8)))
+        self._states = [hashlib.blake2b(key=key, digest_size=64) for key in keys]
+        self._unpack = struct.Struct(f"<{dimension}q").unpack_from
 
     def embed(self, text: str) -> Vector:
         data = text.encode("utf-8")
-        components: list[float] = []
-        for key in self._keys:
-            digest = hashlib.blake2b(data, key=key, digest_size=64).digest()
-            components.extend(map(float, self._WORDS.unpack(digest)))
-        del components[self.dimension :]
+        digests = []
+        for state in self._states:
+            keyed = state.copy()
+            keyed.update(data)
+            digests.append(keyed.digest())
+        components = list(map(float, self._unpack(b"".join(digests))))
         norm = _norm(components)
         if norm == 0.0:  # unreachable in practice; keep the contract total
             components[0] = 1.0
             norm = 1.0
-        return tuple(x / norm for x in components)
+        return tuple(map(truediv, components, repeat(norm)))
 
 
 class HttpEmbedder:
@@ -276,24 +282,25 @@ class EmbeddingCache:
 
     def _load(self, path: Path) -> None:
         blob = path.read_bytes()
-        offset = 0
-
-        def take(count: int) -> bytes:
-            nonlocal offset
-            if offset + count > len(blob):
-                raise EmbeddingError(f"truncated cache record at byte {offset} in {path}")
-            piece = blob[offset : offset + count]
-            offset += count
-            return piece
-
-        while offset < len(blob):
-            (text_length,) = _RECORD_LENGTH.unpack(take(4))
+        offset = 0  # the start of the next record
+        while offset + 4 <= len(blob):
+            (text_length,) = _RECORD_LENGTH.unpack_from(blob, offset)
+            text_end = offset + 4 + text_length
+            if text_end + 4 > len(blob):
+                break
             try:
-                text = take(text_length).decode("utf-8")
+                text = blob[offset + 4 : text_end].decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise EmbeddingError(f"bad UTF-8 at byte {offset - text_length} in {path}") from exc
-            (dimension,) = _RECORD_LENGTH.unpack(take(4))
-            self._entries[text] = take(8 * dimension)
+                raise EmbeddingError(f"bad UTF-8 at byte {offset + 4} in {path}") from exc
+            (dimension,) = _RECORD_LENGTH.unpack_from(blob, text_end)
+            record_end = text_end + 4 + 8 * dimension
+            if record_end > len(blob):
+                break
+            self._entries[text] = blob[text_end + 4 : record_end]
+            offset = record_end
+        if offset < len(blob):  # a torn last record, as from a write cut short: cut it off
+            logger.warning("dropped a truncated cache record at byte %d in %s", offset, path)
+            os.truncate(path, offset)
 
     def get(self, text: str) -> Vector | None:
         with self._lock:

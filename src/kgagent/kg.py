@@ -306,11 +306,6 @@ def dump_triples(kg: KnowledgeGraph) -> Iterator[str]:
             yield triple.to_tsv() + "\n"
 
 
-def dump_labels(kg: KnowledgeGraph) -> Iterator[str]:
-    for identifier, label in kg.labels.items():
-        yield f"{identifier}\t{label}\n"
-
-
 def extract_khop_subgraph(
     kg: KnowledgeGraph, seeds: Iterable[EntityId], k: int
 ) -> KnowledgeGraph:
@@ -355,7 +350,7 @@ def save_kg(kg: KnowledgeGraph, directory: str | Path) -> None:
     with open(directory / TRIPLES_FILENAME, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(dump_triples(kg))
     with open(directory / LABELS_FILENAME, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(dump_labels(kg))
+        fh.writelines(f"{identifier}\t{label}\n" for identifier, label in kg.labels.items())
 
 
 def load_kg(directory: str | Path) -> KnowledgeGraph:

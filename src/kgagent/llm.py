@@ -131,12 +131,6 @@ def load_script(source: str | Path) -> list[ScriptEntry]:
     return entries
 
 
-def save_script(entries: Iterable[ScriptEntry], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for entry in entries:
-            handle.write(json.dumps(vars(entry), sort_keys=True) + "\n")
-
-
 @dataclass
 class HttpChatConfig:
     """One OpenAI-style endpoint and its request policy (see post_json)."""

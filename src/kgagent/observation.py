@@ -1,12 +1,12 @@
 """Recursive update/refine observation over the knowledge graph.
 
 Each seed entity is walked independently for up to depth_limit turns. A
-turn collects the out-edges of the current frontier, scores every candidate
-against the question embedding, appends the top_n best (skipping triples the
-subgraph already holds), and promotes the tails of the top refine_percent of
-that selection to the next frontier, never revisiting an entity for the same
-seed. The selection is ranked before deduplication so that seeds stay
-independent of each other.
+turn collects the out-edges of the current frontier (at most neighbor_limit
+per entity, in load order), scores every candidate against the question
+embedding, appends the top_n best (skipping triples the subgraph already
+holds), and promotes the tails of the top refine_percent of that selection
+to the next frontier, never revisiting an entity for the same seed. The
+selection is ranked before deduplication so that seeds stay independent.
 
 Scores come from a QuestionScorer: the question is embedded once per agent
 run, and each distinct "relation tail" text is scored once per question, so
@@ -99,6 +99,7 @@ def observe(
     scorer: QuestionScorer,
     entities: Iterable[EntityId],
     params: ObservationParams,
+    neighbor_limit: int | None = None,
 ) -> ObservationSubgraph:
     """Run the depth-bounded update/refine walk from every seed entity.
 
@@ -114,7 +115,7 @@ def observe(
     held: dict[Triple, ScoredTriple] = {}  # each triple's first selection, in selection order
     turns: list[TurnRecord] = []
     for seed in seeds:
-        _walk(kg, seed, params, scorer, held, turns)
+        _walk(kg, seed, params, neighbor_limit, scorer, held, turns)
     return ObservationSubgraph(list(held.values()), turns)
 
 
@@ -122,6 +123,7 @@ def _walk(
     kg: KnowledgeGraph,
     seed: EntityId,
     params: ObservationParams,
+    neighbor_limit: int | None,
     scorer: QuestionScorer,
     held: dict[Triple, ScoredTriple],
     turns: list[TurnRecord],
@@ -131,7 +133,7 @@ def _walk(
     visited = {seed}
     for depth in range(params.depth_limit):
         unranked = [entity for entity in frontier if entity not in ranked]
-        edges = [kg.get_neighbors(entity) for entity in unranked]
+        edges = [kg.get_neighbors(entity, neighbor_limit) for entity in unranked]
         scores = iter(_score_all([t for group in edges for t in group], kg, scorer))
         for entity, group in zip(unranked, edges):
             # (-score, triple) sorts in rank order with no key function, and

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -255,6 +256,13 @@ def make_script_provider(script: list[tuple[str, str, str]], sequential: bool = 
         [ScriptEntry(kind, match, response) for kind, match, response in script],
         sequential=sequential,
     )
+
+
+def save_script(entries, path: str | Path) -> None:
+    """Write ScriptEntry objects as the JSONL script files that load_script reads."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        for entry in entries:
+            handle.write(json.dumps(vars(entry), sort_keys=True) + "\n")
 
 
 def complete_with(provider):

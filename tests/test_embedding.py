@@ -1,8 +1,15 @@
 from __future__ import annotations
 
 import random
+import string
+import struct
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath import sqrt as mp_sqrt
 
@@ -327,14 +334,44 @@ class TestCache:
         with EmbeddingCache(path) as cache:
             assert len(cache) == 2
 
-    def test_truncated_file_raises(self, tmp_path, embedder):
+    def test_truncated_file_drops_the_torn_record(self, tmp_path, embedder, caplog):
         path = tmp_path / "cache.bin"
         with EmbeddingCache(path) as cache:
             embed_texts(["one"], embedder, cache)
-        data = path.read_bytes()
-        path.write_bytes(data[:-3])
-        with pytest.raises(EmbeddingError):
-            EmbeddingCache(path)
+        whole = path.read_bytes()
+        with EmbeddingCache(path) as cache:
+            embed_texts(["two"], embedder, cache)
+        path.write_bytes(path.read_bytes()[:-3])
+        with caplog.at_level("WARNING", logger="kgagent.embedding"):
+            with EmbeddingCache(path) as cache:
+                assert "one" in cache and "two" not in cache
+        assert caplog.messages == [
+            f"dropped a truncated cache record at byte {len(whole)} in {path}"
+        ]
+        assert path.read_bytes() == whole
+
+    @settings(max_examples=20, deadline=None)
+    @given(texts=st.lists(st.text(max_size=10), min_size=1, max_size=4, unique=True))
+    def test_a_cut_anywhere_in_the_last_record_loses_only_that_record(self, texts):
+        embedder = DeterministicEmbedder(seed=7, dimension=3)
+        vectors = {text: embedder.embed(text) for text in texts + ["after"]}
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "cache.bin"
+            with EmbeddingCache(path) as cache:
+                cache.put_many((text, vectors[text]) for text in texts)
+            whole = path.read_bytes()
+            last = len(whole) - (8 + len(texts[-1].encode("utf-8")) + 8 * 3)
+            for cut in range(last + 1, len(whole)):
+                path.write_bytes(whole[:cut])
+                with EmbeddingCache(path) as cache:
+                    assert len(cache) == len(texts) - 1 and texts[-1] not in cache
+                    assert path.read_bytes() == whole[:last]
+                    cache.put_many((text, vectors[text]) for text in [texts[-1], "after"])
+                with EmbeddingCache(path) as reloaded:
+                    assert len(reloaded) == len(vectors)
+                    for text, vector in vectors.items():
+                        assert packed(reloaded.get(text)) == packed(vector)
+                assert path.read_bytes()[: len(whole)] == whole
 
     def test_undecodable_text_raises_with_offset_and_path(self, tmp_path, embedder):
         path = tmp_path / "cache.bin"
@@ -446,15 +483,52 @@ class TestQuestionScorer:
             QuestionScorer("zq", provider).score_many(["q"])
 
 
-class TestDeterministicEmbedderFrozen:
-    @pytest.mark.parametrize("dimension", [2, 7, 8, 9, 64, 256])
-    @pytest.mark.parametrize("seed", [0, 1, -3])
-    def test_matches_frozen_loop(self, seed, dimension):
-        from kgagent.embedding import DeterministicEmbedder
+def frozen_texts() -> list[str]:
+    """Empty, Cyrillic, CJK, long and random printable ASCII texts."""
+    rng = random.Random(41)
+    texts = ["", "probe", "capital Shinjuku", "множество", "東京都 首都", "a b c d" * 40, "x" * 280]
+    for _ in range(60):
+        texts.append("".join(rng.choices(string.printable, k=rng.randrange(1, 90))))
+    return texts
 
+
+def packed(vector) -> bytes:
+    """The float64 bytes of a vector, so that -0.0 and 0.0 differ."""
+    return struct.pack(f"<{len(vector)}d", *vector)
+
+
+class TestDeterministicEmbedderFrozen:
+    PAIRS = [(seed, dimension) for seed in (-3, 0, 1) for dimension in (2, 7, 8, 9, 64, 256)] + [
+        (3, 13), (-5, 100), (2, 2), (2**63 - 1, 64), (-(2**63), 9),
+    ]
+
+    @pytest.mark.parametrize("seed, dimension", PAIRS)
+    def test_matches_frozen_loop(self, seed, dimension):
         provider = DeterministicEmbedder(seed=seed, dimension=dimension)
-        for text in ("", "probe", "capital Shinjuku", "множество", "a b c d" * 40):
-            assert provider.embed(text) == frozen_deterministic_embed(seed, dimension, text)
+        for text in frozen_texts():
+            expected = frozen_deterministic_embed(seed, dimension, text)
+            assert packed(provider.embed(text)) == packed(expected)
+
+    def test_one_embedder_shared_by_threads_matches_a_serial_run(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        texts = frozen_texts() * 4
+        serial = [packed(DeterministicEmbedder(seed=3, dimension=64).embed(t)) for t in texts]
+        shared = DeterministicEmbedder(seed=3, dimension=64)
+
+        def embed_all(offset: int) -> list[bytes]:
+            rotated = texts[offset:] + texts[:offset]  # threads hash different texts at once
+            vectors = [packed(shared.embed(text)) for text in rotated]
+            return vectors[len(texts) - offset :] + vectors[: len(texts) - offset]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside embed too
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(embed_all, [0, 17, 101, 173], timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial] * 4
 
 
 class ListEmbeddingSession:
@@ -620,8 +694,6 @@ class TestEmbedTexts:
 
 def frozen_put(handle, text: str, vector) -> None:
     """EmbeddingCache.put's file write as first written: one record per call."""
-    import struct
-
     data = text.encode("utf-8")
     handle.write(struct.pack("<I", len(data)))
     handle.write(data)

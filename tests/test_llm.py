@@ -11,8 +11,9 @@ from kgagent.llm import (
     ScriptEntry,
     ScriptError,
     load_script,
-    save_script,
 )
+
+from conftest import save_script
 
 
 class TestCompletionRequest:

@@ -16,7 +16,9 @@ from kgagent.observation import (
     render_observation,
 )
 
-from conftest import make_kg, random_kg
+from kgagent.agent import AgentConfig, run
+
+from conftest import TOKYO_QUESTION, TOKYO_SCRIPT, make_kg, make_providers, random_kg
 
 
 def brute_force_observe(
@@ -287,6 +289,37 @@ class TestObserveProperties:
             kg, QuestionScorer("q", embedder), seeds, ObservationParams(depth_limit=1, top_n=9)
         )
         assert {e.triple for e in small.entries} <= {e.triple for e in large.entries}
+
+
+class TestNeighborLimit:
+    def test_a_hub_past_the_limit_scores_its_first_edges_in_load_order(self, embedder):
+        limit = 5
+        order = random.Random(11).sample(range(limit + 7), limit + 7)  # load order is not sorted
+        kg = make_kg([("H", f"P{i % 3}", f"T{i}") for i in order])
+        scored: list[str] = []
+
+        class SpyScorer(QuestionScorer):
+            def score_many(self, texts):
+                scored.extend(texts)
+                return super().score_many(texts)
+
+        params = ObservationParams(depth_limit=1, top_n=limit + 7)
+        result = observe(kg, SpyScorer("q", embedder), ["H"], params, neighbor_limit=limit)
+        first = kg.get_neighbors("H")[:limit]
+        assert [turn.candidate_count for turn in result.turns] == [limit]
+        assert scored == [f"{t.relation} {t.tail}" for t in first]
+        assert {entry.triple for entry in result.entries} == set(first)
+
+    def test_run_passes_the_agent_neighbor_limit(self, tokyo_kg):
+        result = run(
+            TOKYO_QUESTION, ["Q1490"], tokyo_kg, make_providers(TOKYO_SCRIPT, sequential=False),
+            AgentConfig(max_iterations=1, neighbor_limit=2),
+        )
+        entries = result.trace.iterations[0].observation
+        assert entries and all(
+            entry.triple in tokyo_kg.get_neighbors(entry.triple.head)[:2] for entry in entries
+        )
+        assert any(len(tokyo_kg.get_neighbors(entry.triple.head)) > 2 for entry in entries)
 
 
 class TestConcurrency:
