@@ -248,7 +248,7 @@ def run(
                     )
                 if kept:  # the kept tails, first seen first, are the next entities
                     integrate(memory, kept)
-                    entities = list(dict.fromkeys(t.tail for t in kept))
+                    entities = list(dict.fromkeys(tail for _, _, tail in kept))
                 record.reflected = kept
             record.memory_snapshot = [list(path) for path in memory.paths]
             trace.iterations.append(record)

@@ -177,7 +177,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     triples = kg.get_neighbors(args.entity, limit=args.limit)
     print(f"{args.entity} ({kg.label_of(args.entity)}): {len(triples)} triples")
     for triple in triples:
-        print(f"  {triple.to_tsv()}\t{kg.render_triple(triple)}")
+        print("  " + "\t".join(triple), kg.render_triple(triple), sep="\t")
     return 0
 
 

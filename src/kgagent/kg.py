@@ -39,27 +39,27 @@ class TripleParseError(InputError):
 class Triple(NamedTuple):
     """One directed edge (head entity, relation, tail entity).
 
-    A named tuple: it hashes, compares and sorts as the plain tuple
-    ``(head, relation, tail)``, and equals it.
+    The named constructor for an edge. The graph itself stores and returns
+    every edge as the plain tuple ``(head, relation, tail)``, read by
+    position: the cyclic garbage collector untracks an exact tuple of
+    strings at its first collection but never a tuple subclass, so a graph
+    of Triples would be walked again by every collection it survives. A
+    Triple hashes, compares and sorts as the plain tuple, and equals it, so
+    the two mix freely.
     """
 
     head: EntityId
     relation: RelationId
     tail: EntityId
 
-    def as_tuple(self) -> tuple[str, str, str]:
-        return (self.head, self.relation, self.tail)
-
-    def to_tsv(self) -> str:
-        return f"{self.head}\t{self.relation}\t{self.tail}"
-
 
 @dataclass
 class KnowledgeGraph:
     """Directed labeled graph with head-indexed adjacency and a label map.
 
-    Adjacency is the only edge store: each edge is held once, in the list of
-    its head, in first-seen load order, and no list holds a duplicate.
+    Adjacency is the only edge store: each edge is held once, as a plain
+    ``(head, relation, tail)`` tuple, in the list of its head, in first-seen
+    load order, and no list holds a duplicate.
     """
 
     adjacency: dict[EntityId, list[Triple]] = field(default_factory=dict)
@@ -80,7 +80,7 @@ class KnowledgeGraph:
     def render_triple(self, triple: Triple) -> str:
         """Labeled "(head, relation, tail)"."""
         label = self.labels.get
-        head, relation, tail = triple.head, triple.relation, triple.tail
+        head, relation, tail = triple
         return f"({label(head, head)}, {label(relation, relation)}, {label(tail, tail)})"
 
     def render_legend(self, identifiers: Iterable[str]) -> str:
@@ -102,7 +102,7 @@ class KnowledgeGraph:
         in_edges: dict[EntityId, list[Triple]] = {}
         for triples in self.adjacency.values():
             for triple in triples:
-                in_edges.setdefault(triple.tail, []).append(triple)
+                in_edges.setdefault(triple[2], []).append(triple)
         return in_edges
 
     def find_paths(
@@ -134,7 +134,7 @@ class KnowledgeGraph:
         def walk(node: EntityId, visited: set[EntityId], chain: list[Triple]) -> None:
             if len(chain) + 1 == forward_hops:
                 for triple in adjacency.get(node, ()):
-                    tail = triple.tail
+                    tail = triple[2]
                     if tail == goal:
                         paths.append(chain + [triple])
                     elif tail in suffixes and tail not in visited:
@@ -146,7 +146,7 @@ class KnowledgeGraph:
                         )
                 return
             for triple in adjacency.get(node, ()):
-                tail = triple.tail
+                tail = triple[2]
                 if tail == goal:
                     paths.append(chain + [triple])
                 elif tail not in visited:
@@ -175,7 +175,7 @@ class KnowledgeGraph:
         def walk(node: EntityId, inside: frozenset[EntityId], suffix: list[Triple]) -> None:
             # inside: the intermediates of every suffix that starts one edge before node
             for triple in in_edges.get(node, ()):
-                head = triple.head
+                head = triple[0]
                 if head == goal or head in inside:
                     continue
                 longer = [triple] + suffix
@@ -272,18 +272,19 @@ def load_triples(
     return. Only a line that fails it is checked field by field, to raise a
     TripleParseError naming the line and the first fault (the width, then
     the head, relation and tail).
+
+    Every edge is a plain tuple of interned strings, never a Triple, so the
+    garbage collector untracks it at its first collection and later ones do
+    not walk the whole graph again (see Triple).
     """
-    adjacency: dict[EntityId, list[Triple]] = {}
-    seen: set[Triple] = set()
     intern = sys.intern
-    for head, relation, tail in _tsv_rows(source, 3, ("head", "relation", "tail")):
-        head = intern(head)
-        # tuple.__new__ skips the Python-level __new__ that Triple(...) runs
-        triple = tuple.__new__(Triple, (head, intern(relation), intern(tail)))
-        size = len(seen)
-        seen.add(triple)
-        if len(seen) != size:
-            adjacency.setdefault(head, []).append(triple)
+    edges = dict.fromkeys(
+        (intern(head), intern(relation), intern(tail))
+        for head, relation, tail in _tsv_rows(source, 3, ("head", "relation", "tail"))
+    )
+    adjacency: dict[EntityId, list[Triple]] = {}
+    for triple in edges:
+        adjacency.setdefault(triple[0], []).append(triple)
     return KnowledgeGraph(adjacency, load_labels(labels) if labels is not None else {})
 
 
@@ -303,7 +304,7 @@ def dump_triples(kg: KnowledgeGraph) -> Iterator[str]:
     """TSV lines in adjacency order; load_triples(dump_triples(kg)) == kg."""
     for triples in kg.adjacency.values():
         for triple in triples:
-            yield triple.to_tsv() + "\n"
+            yield "\t".join(triple) + "\n"
 
 
 def extract_khop_subgraph(
@@ -327,17 +328,17 @@ def extract_khop_subgraph(
             if not triples:
                 continue
             adjacency[entity] = list(triples)
-            for triple in triples:
-                if triple.tail not in visited:
-                    visited.add(triple.tail)
-                    next_frontier.append(triple.tail)
+            for _, _, tail in triples:
+                if tail not in visited:
+                    visited.add(tail)
+                    next_frontier.append(tail)
         if not next_frontier:
             break
         frontier = next_frontier
     labels: dict[str, str] = {}
     for triples in adjacency.values():
         for triple in triples:
-            for identifier in triple.as_tuple():
+            for identifier in triple:
                 if identifier in kg.labels:
                     labels[identifier] = kg.labels[identifier]
     return KnowledgeGraph(adjacency, labels)

@@ -30,7 +30,7 @@ def integrate(memory: Memory, reflected: Iterable[Triple]) -> Memory:
     """
     for triple in reflected:
         for path in memory.paths:
-            if path[-1].tail == triple.head:
+            if path[-1][2] == triple[0]:
                 if path[-1] != triple:
                     path.append(triple)
                 break

@@ -82,7 +82,7 @@ def _score_all(candidates: list[Triple], kg: KnowledgeGraph, scorer: QuestionSco
     """The candidates' relation+tail similarities, from one score_many call."""
     label = kg.label_of
     return scorer.score_many(
-        [combined_text(label(triple.relation), label(triple.tail)) for triple in candidates]
+        [combined_text(label(relation), label(tail)) for _, relation, tail in candidates]
     )
 
 
@@ -150,7 +150,7 @@ def _walk(
         for negative, triple in selected:
             if triple not in held:
                 held[triple] = ScoredTriple(triple, -negative, depth, seed)
-        tails = [triple.tail for _, triple in selected[: params.refine_count]]
+        tails = [triple[2] for _, triple in selected[: params.refine_count]]
         frontier = [t for t in dict.fromkeys(tails) if t not in visited]
         visited.update(frontier)
         turns.append(TurnRecord(seed, depth, candidate_count, frontier))

@@ -59,7 +59,7 @@ def build_reflection_prompt(
         observed_template("reflection.txt", observation),
         {
             "Triples": ", ".join(map(kg.render_triple, candidates)),
-            "EntityLabels": kg.render_legend(i for t in candidates for i in t.as_tuple()),
+            "EntityLabels": kg.render_legend(i for t in candidates for i in t),
             "Question": question,
             "Observation": render_observation(observation, kg),
             "Memory": render_memory(memory, kg),
@@ -96,12 +96,11 @@ def parse_reflected(
     """
     candidate_set = set(candidates)
     kept: dict[Triple, None] = {}
-    for head, relation, tail in _iter_triads(response):
-        triple = Triple(head, relation, tail)
+    for triple in _iter_triads(response):  # plain tuples, as the graph's edges are
         if triple in candidate_set:
             kept[triple] = None
         else:
-            logger.info("dropping reflected triple not in candidates: %s", triple.to_tsv())
+            logger.info("dropping reflected triple not in candidates: %s", "\t".join(triple))
     return list(kept)[: params.k_max]
 
 

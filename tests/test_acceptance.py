@@ -182,12 +182,12 @@ def test_c07_path_discovery_oracle():
     started = time.monotonic()
     for _ in range(100):
         kg = random_kg(rng, n_entities=15, n_triples=rng.randrange(5, 60))
-        entities = sorted({t.head for t in kg.triples} | {t.tail for t in kg.triples})
+        entities = sorted({t[0] for t in kg.triples} | {t[2] for t in kg.triples})
         e1, e2 = rng.choice(entities), rng.choice(entities)
         found = kg.find_paths(e1, e2, 3)
         expected = dfs_paths_oracle(kg, e1, e2, 3)
-        assert {tuple(t.as_tuple() for t in p) for p in found} == {
-            tuple(t.as_tuple() for t in p) for p in expected
+        assert {tuple(p) for p in found} == {
+            tuple(p) for p in expected
         }
         assert found == expected  # ordering is deterministic too
     elapsed = time.monotonic() - started
@@ -208,8 +208,8 @@ def test_c08_reflection_strategies():
         expected = sorted(
             candidates,
             key=lambda t: (
-                -cosine(question_vector, embedder.embed(f"{t.relation} {t.tail}")),
-                t.as_tuple(),
+                -cosine(question_vector, embedder.embed(f"{t[1]} {t[2]}")),
+                t,
             ),
         )[:15]
         assert result == expected
@@ -219,7 +219,7 @@ def test_c08_reflection_strategies():
     counts = [0] * 10
     for seed in range(10_000):
         first = reflect_random(candidates, ReflectionParams(k_max=3), random.Random(seed))[0]
-        counts[int(first.head[1:])] += 1
+        counts[int(first[0][1:])] += 1
     statistic, p_value = chisquare(counts)
     assert p_value > 0.01, f"chi-square p={p_value:.5f} (statistic {statistic:.2f})"
 
@@ -228,8 +228,8 @@ def test_c08_reflection_strategies():
     injected = [Triple(f"X{i}", "P9", f"Y{i}") for i in range(10)]
     response_lines = []
     for real, fake in zip(pool, injected):
-        response_lines.append(",".join(real.as_tuple()))
-        response_lines.append(",".join(fake.as_tuple()))
+        response_lines.append(",".join(real))
+        response_lines.append(",".join(fake))
     result = parse_reflected("\n".join(response_lines), pool, ReflectionParams())
     assert result == pool
     assert not set(injected) & set(result)

@@ -196,9 +196,9 @@ class TestExecuteAction:
         kg = random_kg(rng, n_entities=10, n_triples=45)
         for entity in list(kg.adjacency)[:5]:
             assert execute_action(kg, NeighborExploration(entity)) == [
-                t for triples in kg.adjacency.values() for t in triples if t.head == entity
+                t for triples in kg.adjacency.values() for t in triples if t[0] == entity
             ]
-        entities = sorted({t.head for t in kg.triples})
+        entities = sorted({t[0] for t in kg.triples})
         for e1, e2 in [(entities[0], entities[1]), (entities[2], entities[0])]:
             expected_paths = dfs_paths_oracle(kg, e1, e2, 3)
             expected = list(dict.fromkeys(t for path in expected_paths for t in path))

@@ -20,7 +20,7 @@ from kgagent.agent import (
     trace_to_json,
 )
 from kgagent.embedding import DeterministicEmbedder
-from kgagent.kg import Triple
+from kgagent.kg import KnowledgeGraph, Triple
 from kgagent.llm import CompletionRequest, ScriptedProvider
 from kgagent.reflection import STRATEGIES, ReflectionParams
 
@@ -377,7 +377,7 @@ class TestEmbeddingCalls:
 
     @staticmethod
     def _texts(kg, triples):
-        return {f"{kg.label_of(t.relation)} {kg.label_of(t.tail)}" for t in triples}
+        return {f"{kg.label_of(t[1])} {kg.label_of(t[2])}" for t in triples}
 
     @pytest.mark.parametrize("strategy", ["oda", "similarity"])
     def test_one_call_per_distinct_text(self, tokyo_kg, strategy):
@@ -630,3 +630,28 @@ def test_trace_bytes_pinned_per_strategy(strategy):
     )
     digest = hashlib.sha256(trace_to_json(result.trace).encode("utf-8")).hexdigest()
     assert digest == PINNED_TRACE_DIGESTS[strategy]
+
+
+@pytest.mark.parametrize("strategy", ["oda", "no_observation"])
+def test_a_graph_of_triples_gives_the_loaded_graph_s_trace_bytes(strategy):
+    # load_triples stores plain tuples; a caller may build the same graph from
+    # Triple instances, and the two kinds of edge must run alike
+    loaded = make_kg(PINNED_TRIPLES, PINNED_LABELS)
+    built = KnowledgeGraph(
+        {head: [Triple(*t) for t in triples] for head, triples in loaded.adjacency.items()},
+        dict(PINNED_LABELS),
+    )
+    assert built == loaded
+    assert {type(t) for t in built.triples} == {Triple}
+    assert {type(t) for t in loaded.triples} == {tuple}
+    config = AgentConfig(
+        max_iterations=5, reflection=ReflectionParams(strategy=strategy), random_seed=5
+    )
+    question = "Which entity does Alpha reach in two hops?"
+    traces = [
+        trace_to_json(
+            run(question, ["A"], kg, make_providers(PINNED_SCRIPT, sequential=False), config).trace
+        )
+        for kg in (loaded, built)
+    ]
+    assert traces[0] == traces[1]

@@ -63,7 +63,7 @@ class TestBuildSubgraph:
         )
         assert code == 0
         kg = load_kg(out)
-        assert {t.as_tuple() for t in kg.triples} == {
+        assert kg.triples == {
             ("Q1", "P1", "Q2"),
             ("Q2", "P1", "Q3"),
             ("Q3", "P1", "Q4"),
@@ -693,6 +693,13 @@ class TestInspect:
         assert code == 0
         assert "Q1490 (Tokyo): 4 triples" in captured
         assert "(Tokyo, capital, Shinjuku)" in captured
+        assert captured == (
+            "Q1490 (Tokyo): 4 triples\n"
+            "  Q1490\tP31\tQ50337\t(Tokyo, instance of, prefecture of Japan)\n"
+            "  Q1490\tP36\tQ192724\t(Tokyo, capital, Shinjuku)\n"
+            "  Q1490\tP36\tQ17\t(Tokyo, capital, Japan)\n"
+            "  Q1490\tP17\tQ17\t(Tokyo, country, Japan)\n"
+        )
 
     def test_negative_limit_is_a_usage_error(self, kg_dir, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import pickle
 import random
@@ -38,7 +39,7 @@ class TestLoadTriples:
 
     def test_line_order_preserved_in_adjacency(self):
         kg = load_triples(["A\tr2\tC\n", "A\tr1\tB\n", "B\tr3\tA\n"])
-        assert [t.as_tuple() for t in kg.get_neighbors("A")] == [
+        assert kg.get_neighbors("A") == [
             ("A", "r2", "C"),
             ("A", "r1", "B"),
         ]
@@ -55,7 +56,7 @@ class TestLoadTriples:
     def test_an_id_is_one_string_across_lines(self):
         kg = load_triples(io.BytesIO(b"Q1\tP31\tQ2\nQ2\tP31\tQ1\n"))
         first, second = kg.get_neighbors("Q1")[0], kg.get_neighbors("Q2")[0]
-        assert first.tail is second.head and first.relation is second.relation
+        assert first[2] is second[0] and first[1] is second[1]
 
     def test_accepts_byte_stream(self):
         kg = load_triples(io.BytesIO(b"Q1\tP1\tQ2\nQ3\tP1\tQ4\n"))
@@ -118,7 +119,7 @@ class TestGetNeighbors:
 
     def test_head_filter(self):
         kg = make_kg([("A", "r1", "B"), ("A", "r2", "C"), ("B", "r3", "A")])
-        assert [t.as_tuple() for t in kg.get_neighbors("A")] == [
+        assert kg.get_neighbors("A") == [
             ("A", "r1", "B"),
             ("A", "r2", "C"),
         ]
@@ -129,8 +130,8 @@ class TestGetNeighbors:
 
     def test_matches_full_scan_oracle(self):
         kg = random_kg(random.Random(3), n_entities=25, n_triples=200)
-        for entity in {t.head for t in kg.triples} | {"Qmissing"}:
-            expected = [t for t in _scan_order(kg) if t.head == entity]
+        for entity in {t[0] for t in kg.triples} | {"Qmissing"}:
+            expected = [t for t in _scan_order(kg) if t[0] == entity]
             assert kg.get_neighbors(entity) == expected
 
     def test_groups_partition_triples(self):
@@ -155,22 +156,22 @@ def dfs_paths_oracle(
 
     def explore(chain: list[Triple]) -> None:
         if chain:
-            if chain[-1].tail == goal:
+            if chain[-1][2] == goal:
                 found.append(list(chain))
                 return
             if len(chain) == max_len:
                 return
-        node = chain[-1].tail if chain else start
-        seen = {start} | {t.tail for t in chain}
+        node = chain[-1][2] if chain else start
+        seen = {start} | {t[2] for t in chain}
         for triple in all_triples:
-            if triple.head != node:
+            if triple[0] != node:
                 continue
-            if triple.tail != goal and triple.tail in seen:
+            if triple[2] != goal and triple[2] in seen:
                 continue
             explore(chain + [triple])
 
     explore([])
-    found.sort(key=lambda p: (len(p), [t.as_tuple() for t in p]))
+    found.sort(key=lambda p: (len(p), p))
     return found
 
 
@@ -196,17 +197,17 @@ class TestFindPaths:
         rng = random.Random(99)
         for trial in range(30):
             kg = random_kg(rng, n_entities=12, n_triples=rng.randrange(10, 45))
-            entities = sorted({t.head for t in kg.triples} | {t.tail for t in kg.triples})
+            entities = sorted({t[0] for t in kg.triples} | {t[2] for t in kg.triples})
             e1, e2 = rng.choice(entities), rng.choice(entities)
             assert kg.find_paths(e1, e2, 3) == dfs_paths_oracle(kg, e1, e2, 3)
 
     def test_paths_chain_and_connect_endpoints(self):
         kg = random_kg(random.Random(5), n_entities=10, n_triples=40)
         for path in kg.find_paths("Q1", "Q5", 3):
-            assert path[0].head == "Q1"
-            assert path[-1].tail == "Q5"
+            assert path[0][0] == "Q1"
+            assert path[-1][2] == "Q5"
             for left, right in zip(path, path[1:]):
-                assert left.tail == right.head
+                assert left[2] == right[0]
 
     def test_matches_oracle_and_recursive_walk_up_to_five_edges(self):
         rng = random.Random(606)
@@ -269,7 +270,7 @@ def recursive_walk_paths(
 
     def walk(node: str, visited: set[str], chain: list[Triple]) -> None:
         for triple in kg.adjacency.get(node, ()):
-            tail = triple.tail
+            tail = triple[2]
             if tail == goal:
                 paths.append(chain + [triple])
                 continue
@@ -281,7 +282,7 @@ def recursive_walk_paths(
                 visited.discard(tail)
 
     walk(start, {start}, [])
-    paths.sort(key=lambda p: (len(p), [t.as_tuple() for t in p]))
+    paths.sort(key=lambda p: (len(p), p))
     return paths
 
 
@@ -292,7 +293,7 @@ def bfs_levels_oracle(kg: KnowledgeGraph, seeds: list[str], k: int) -> set[Tripl
     for _ in range(k):
         step = [t for e in frontier for t in kg.get_neighbors(e)]
         collected.update(step)
-        frontier = {t.tail for t in step}
+        frontier = {t[2] for t in step}
         if not frontier:
             break
     return collected
@@ -306,7 +307,7 @@ class TestKhopSubgraph:
     def test_chain_depth_cutoff(self):
         kg = make_kg([("A", "r", "B"), ("B", "r", "C"), ("C", "r", "D"), ("D", "r", "E")])
         out = extract_khop_subgraph(kg, ["A"], 3)
-        assert {t.as_tuple() for t in out.triples} == {
+        assert out.triples == {
             ("A", "r", "B"),
             ("B", "r", "C"),
             ("C", "r", "D"),
@@ -364,16 +365,16 @@ def reference_extract_khop_subgraph(
             for triple in kg.adjacency.get(entity, ()):
                 if triple not in held:
                     held.add(triple)
-                    out.adjacency.setdefault(triple.head, []).append(triple)
-                if triple.tail not in visited:
-                    visited.add(triple.tail)
-                    next_frontier.append(triple.tail)
+                    out.adjacency.setdefault(triple[0], []).append(triple)
+                if triple[2] not in visited:
+                    visited.add(triple[2])
+                    next_frontier.append(triple[2])
         if not next_frontier:
             break
         frontier = next_frontier
     for triples in out.adjacency.values():
         for triple in triples:
-            for identifier in triple.as_tuple():
+            for identifier in triple:
                 if identifier in kg.labels:
                     out.labels[identifier] = kg.labels[identifier]
     return out
@@ -530,7 +531,7 @@ def reference_load_triples(source) -> KnowledgeGraph:
         )
         if triple not in held:
             held.add(triple)
-            kg.adjacency.setdefault(triple.head, []).append(triple)
+            kg.adjacency.setdefault(triple[0], []).append(triple)
     return kg
 
 
@@ -595,7 +596,7 @@ class TestLoaderParity:
 class TestTriple:
     def test_hash_and_equality_are_the_plain_tuple_s(self):
         triple = Triple("A", "r", "B")
-        assert hash(triple) == hash(triple.as_tuple()) == hash(("A", "r", "B"))
+        assert hash(triple) == hash(tuple(triple)) == hash(("A", "r", "B"))
         assert triple == ("A", "r", "B")
 
     def test_repr(self):
@@ -605,7 +606,7 @@ class TestTriple:
     @given(st.lists(st.tuples(*[st.sampled_from(["A", "B", "b", "r", ""])] * 3), max_size=12))
     def test_sort_order_is_the_plain_tuple_order(self, rows):
         triples = [Triple(*row) for row in rows]
-        assert sorted(triples) == sorted(triples, key=Triple.as_tuple)
+        assert sorted(triples) == sorted(triples, key=tuple)
 
     def test_fields_cannot_be_set(self):
         triple = Triple("A", "r", "B")
@@ -620,6 +621,24 @@ class TestTriple:
         assert restored == triple and type(restored) is Triple
 
 
+class TestEdgesArePlainTuples:
+    """The graph's edges are exact tuples, which the garbage collector
+    untracks at a collection; a Triple, a tuple subclass, it never untracks."""
+
+    def test_loaded_and_extracted_edges_are_untracked_after_a_collection(self, tmp_path):
+        save_kg(random_kg(random.Random(8), n_entities=30, n_triples=200), tmp_path)
+        loaded = load_kg(tmp_path)
+        extracted = extract_khop_subgraph(loaded, ["Q1", "Q2"], 2)
+        named = Triple("A", "r", "B")
+        gc.collect()
+        assert gc.is_tracked(named)
+        for kg in (loaded, extracted):
+            edges = _scan_order(kg)
+            assert edges
+            assert {type(triple) for triple in edges} == {tuple}
+            assert not any(map(gc.is_tracked, edges))
+
+
 class TestGetNeighborsCopy:
     @pytest.mark.parametrize("limit", [None, 1, 5])
     def test_get_neighbors_returns_a_copy(self, limit):
@@ -627,4 +646,4 @@ class TestGetNeighborsCopy:
         neighbors = kg.get_neighbors("A", limit=limit)
         neighbors.clear()
         assert kg.get_neighbors("Z", limit=limit) == []
-        assert [t.tail for t in kg.get_neighbors("A")] == ["B", "C"]
+        assert [t[2] for t in kg.get_neighbors("A")] == ["B", "C"]

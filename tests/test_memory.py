@@ -16,7 +16,7 @@ def replay_oracle(stream: list[Triple]) -> list[list[Triple]]:
     paths: list[list[Triple]] = []
     for triple in stream:
         for path in paths:
-            if path[-1].tail == triple.head:
+            if path[-1][2] == triple[0]:
                 if path[-1] != triple:
                     path.append(triple)
                 break
@@ -27,7 +27,7 @@ def replay_oracle(stream: list[Triple]) -> list[list[Triple]]:
 
 def is_chained(path: list[Triple]) -> bool:
     """A non-empty path whose consecutive links chain tail -> head."""
-    return bool(path) and all(a.tail == b.head for a, b in zip(path, path[1:]))
+    return bool(path) and all(a[2] == b[0] for a, b in zip(path, path[1:]))
 
 
 def random_stream(rng: random.Random, length: int) -> list[Triple]:
@@ -51,7 +51,7 @@ class TestIntegrate:
         integrate(memory, [Triple("Q61597", "P19", "Q3042")])
         assert len(memory.paths) == 1
         assert len(memory.paths[0]) == 2
-        assert memory.paths[0][-1].tail == "Q3042"
+        assert memory.paths[0][-1][2] == "Q3042"
 
     def test_first_match_rule(self):
         memory = Memory([[Triple("A", "r", "X")], [Triple("B", "r", "X")]])

@@ -41,7 +41,7 @@ def brute_force_observe(
     def score(triple: Triple) -> float:
         label = lambda i: kg.labels.get(i, i)
         return cosine(
-            question_vector, provider.embed(f"{label(triple.relation)} {label(triple.tail)}")
+            question_vector, provider.embed(f"{label(triple[1])} {label(triple[2])}")
         )
 
     refine_count = max(1, ceil(refine_percent / 100.0 * top_n))
@@ -58,17 +58,17 @@ def brute_force_observe(
                 break
             ranked = sorted(
                 ((score(t), t) for t in candidates),
-                key=lambda pair: (-pair[0], pair[1].as_tuple()),
+                key=lambda pair: (-pair[0], pair[1]),
             )
             selected = ranked[:top_n]
             for value, triple in selected:
                 if triple not in present:
                     present.add(triple)
-                    output.append((triple.as_tuple(), value, depth, seed))
+                    output.append((triple, value, depth, seed))
             tails = []
             for _, triple in selected[:refine_count]:
-                if triple.tail not in tails:
-                    tails.append(triple.tail)
+                if triple[2] not in tails:
+                    tails.append(triple[2])
             frontier = [t for t in tails if t not in visited]
             visited.update(frontier)
             if not frontier:
@@ -78,7 +78,7 @@ def brute_force_observe(
 
 def entries_as_tuples(subgraph: ObservationSubgraph):
     return [
-        (entry.triple.as_tuple(), entry.score, entry.depth, entry.seed)
+        (entry.triple, entry.score, entry.depth, entry.seed)
         for entry in subgraph.entries
     ]
 
@@ -108,7 +108,7 @@ class TestObserveBasics:
             key=lambda pair: (-pair[0], pair[1]),
         )
         expected = [relation for _, relation in ranked[:5]]
-        assert [entry.triple.relation for entry in result.entries] == expected
+        assert [entry.triple[1] for entry in result.entries] == expected
         assert all(entry.depth == 0 for entry in result.entries)
 
     def test_chain_is_fully_covered_under_caps(self, embedder):
@@ -253,9 +253,9 @@ class TestObserveProperties:
             for depth, entries in by_depth.items():
                 if depth == 0:
                     continue
-                allowed = {e.triple.tail for e in by_depth.get(depth - 1, [])[:refine]}
+                allowed = {e.triple[2] for e in by_depth.get(depth - 1, [])[:refine]}
                 for entry in entries:
-                    assert entry.triple.head in allowed
+                    assert entry.triple[0] in allowed
 
     def test_deterministic_byte_for_byte(self, embedder):
         rng = random.Random(79)
@@ -307,7 +307,7 @@ class TestNeighborLimit:
         result = observe(kg, SpyScorer("q", embedder), ["H"], params, neighbor_limit=limit)
         first = kg.get_neighbors("H")[:limit]
         assert [turn.candidate_count for turn in result.turns] == [limit]
-        assert scored == [f"{t.relation} {t.tail}" for t in first]
+        assert scored == [f"{t[1]} {t[2]}" for t in first]
         assert {entry.triple for entry in result.entries} == set(first)
 
     def test_run_passes_the_agent_neighbor_limit(self, tokyo_kg):
@@ -317,9 +317,9 @@ class TestNeighborLimit:
         )
         entries = result.trace.iterations[0].observation
         assert entries and all(
-            entry.triple in tokyo_kg.get_neighbors(entry.triple.head)[:2] for entry in entries
+            entry.triple in tokyo_kg.get_neighbors(entry.triple[0])[:2] for entry in entries
         )
-        assert any(len(tokyo_kg.get_neighbors(entry.triple.head)) > 2 for entry in entries)
+        assert any(len(tokyo_kg.get_neighbors(entry.triple[0])) > 2 for entry in entries)
 
 
 class TestConcurrency:
@@ -360,6 +360,6 @@ class TestRankLimit:
                  Triple(f"Q{rng.randrange(4)}", f"P{rng.randrange(3)}", f"Q{rng.randrange(4)}"))
                 for _ in range(rng.randrange(0, 40))
             ]
-            full = sorted(pairs, key=lambda pair: (-pair[0], pair[1].as_tuple()))
+            full = sorted(pairs, key=lambda pair: (-pair[0], pair[1]))
             for limit in (0, 1, 3, 10, 50):
                 assert rank_scored_triples(iter(pairs), limit) == full[:limit]

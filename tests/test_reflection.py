@@ -85,6 +85,12 @@ class TestParseReflected:
         assert len(result) == 15
         assert result == candidates[:15]
 
+    def test_kept_triples_are_plain_tuples_like_the_graph_s_edges(self):
+        # memory then holds one kind of triple whatever kind the candidates are
+        result = parse_reflected("Q1490,P31,Q50337", TOKYO_CANDIDATES, ReflectionParams())
+        assert result == [TOKYO_CANDIDATES[0]]
+        assert [type(triple) for triple in result] == [tuple]
+
     def test_parenthesized_tuples(self):
         response = "Triples: (Q1490, P31, Q50337), (Q1490, P36, Q192724)"
         result = parse_reflected(response, TOKYO_CANDIDATES, ReflectionParams())
@@ -120,7 +126,7 @@ class TestReflectSimilarity:
         def score(t: Triple) -> float:
             return cosine(
                 question_vector,
-                embedder.embed(f"{tokyo_kg.label_of(t.relation)} {tokyo_kg.label_of(t.tail)}"),
+                embedder.embed(f"{tokyo_kg.label_of(t[1])} {tokyo_kg.label_of(t[2])}"),
             )
 
         scores = [score(t) for t in result]
@@ -139,8 +145,8 @@ class TestReflectSimilarity:
         expected = sorted(
             candidates,
             key=lambda t: (
-                -cosine(question_vector, embedder.embed(f"{t.relation} {t.tail}")),
-                t.as_tuple(),
+                -cosine(question_vector, embedder.embed(f"{t[1]} {t[2]}")),
+                t,
             ),
         )[:15]
         assert result == expected
