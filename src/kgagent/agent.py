@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterable, Mapping
 
@@ -79,9 +79,6 @@ class AgentConfig:
             raise ValueError("action_retries must be >= 0")
         if self.question_timeout is not None and self.question_timeout < 0:
             raise ValueError("question_timeout must be >= 0 or null")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AgentConfig":

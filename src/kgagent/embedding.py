@@ -39,8 +39,6 @@ class EmbeddingProviderError(RuntimeError):
 
 
 class EmbeddingProvider(Protocol):
-    dimension: int
-
     def embed(self, text: str) -> Vector: ...
 
 
@@ -216,12 +214,6 @@ class HttpEmbedder:
         self._session = session or requests.Session()
         self._dimension: int | None = None
 
-    @property
-    def dimension(self) -> int:
-        if self._dimension is None:
-            raise EmbeddingProviderError("dimension unknown before the first embed call")
-        return self._dimension
-
     def embed(self, text: str) -> Vector:
         return self._request([text])[0]
 
@@ -329,9 +321,6 @@ class EmbeddingCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, text: str) -> bool:
-        return self.get(text) is not None
 
     def close(self) -> None:
         with self._lock:

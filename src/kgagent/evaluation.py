@@ -60,23 +60,6 @@ def load_dataset(source: str | Path | IO | Iterable[str | bytes]) -> list[Datase
     return records
 
 
-def save_dataset(records: Sequence[DatasetRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for record in records:
-            handle.write(
-                json.dumps(
-                    {
-                        "question": record.question,
-                        "entities": record.seed_entities,
-                        "answers": record.gold_answers,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=True,
-                )
-                + "\n"
-            )
-
-
 def normalize_answer(text: str) -> str:
     """Trim, case-fold, and collapse internal whitespace."""
     return " ".join(text.split()).casefold()

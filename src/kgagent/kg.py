@@ -68,11 +68,6 @@ class KnowledgeGraph:
     def __len__(self) -> int:
         return sum(map(len, self.adjacency.values()))
 
-    @property
-    def triples(self) -> set[Triple]:
-        """A fresh set of every edge; changing it leaves the graph alone."""
-        return {triple for triples in self.adjacency.values() for triple in triples}
-
     def label_of(self, identifier: str) -> str:
         """Human-readable label, falling back to the raw id."""
         return self.labels.get(identifier, identifier)

@@ -7,12 +7,17 @@ from pathlib import Path
 import pytest
 
 from kgagent.embedding import DeterministicEmbedder
-from kgagent.kg import KnowledgeGraph, load_triples
+from kgagent.kg import KnowledgeGraph, Triple, load_triples
 
 
 def make_kg(triples: list[tuple[str, str, str]], labels: dict[str, str] | None = None) -> KnowledgeGraph:
     label_lines = [f"{identifier}\t{label}" for identifier, label in (labels or {}).items()]
     return load_triples(("\t".join(triple) for triple in triples), label_lines)
+
+
+def edge_set(kg: KnowledgeGraph) -> set[Triple]:
+    """Every edge of kg, as a fresh set."""
+    return {triple for triples in kg.adjacency.values() for triple in triples}
 
 
 def random_kg(rng: random.Random, n_entities: int, n_triples: int, n_relations: int = 6) -> KnowledgeGraph:
@@ -263,6 +268,18 @@ def save_script(entries, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for entry in entries:
             handle.write(json.dumps(vars(entry), sort_keys=True) + "\n")
+
+
+def save_dataset(records, path: str | Path) -> None:
+    """Write DatasetRecord objects as the JSONL dataset files that load_dataset reads."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        for record in records:
+            data = {
+                "question": record.question,
+                "entities": record.seed_entities,
+                "answers": record.gold_answers,
+            }
+            handle.write(json.dumps(data, sort_keys=True, ensure_ascii=True) + "\n")
 
 
 def complete_with(provider):

@@ -34,6 +34,7 @@ from conftest import (
     TOKYO_SCRIPT,
     TOKYO_TRIPLES,
     GOETHE_TRIPLES,
+    edge_set,
     make_kg,
     make_providers,
     random_kg,
@@ -74,10 +75,10 @@ def test_c02_coverage_cross_check():
         kg = random_kg(rng, n_entities=rng.randrange(8, 40), n_triples=rng.randrange(10, 200))
         seeds = [f"Q{rng.randrange(40)}" for _ in range(rng.randrange(1, 4))]
         params = ObservationParams(
-            depth_limit=3, top_n=len(kg.triples) + 1, refine_percent=100.0
+            depth_limit=3, top_n=len(edge_set(kg)) + 1, refine_percent=100.0
         )
         result = observe(kg, QuestionScorer(f"q{trial}", embedder), seeds, params)
-        assert {e.triple for e in result.entries} == extract_khop_subgraph(kg, seeds, 3).triples
+        assert {e.triple for e in result.entries} == edge_set(extract_khop_subgraph(kg, seeds, 3))
 
 
 def test_c03_cosine_properties():
@@ -182,7 +183,7 @@ def test_c07_path_discovery_oracle():
     started = time.monotonic()
     for _ in range(100):
         kg = random_kg(rng, n_entities=15, n_triples=rng.randrange(5, 60))
-        entities = sorted({t[0] for t in kg.triples} | {t[2] for t in kg.triples})
+        entities = sorted({t[0] for t in edge_set(kg)} | {t[2] for t in edge_set(kg)})
         e1, e2 = rng.choice(entities), rng.choice(entities)
         found = kg.find_paths(e1, e2, 3)
         expected = dfs_paths_oracle(kg, e1, e2, 3)
@@ -200,7 +201,7 @@ def test_c08_reflection_strategies():
     embedder = DeterministicEmbedder(seed=3, dimension=16)
     for trial in range(100):
         kg = random_kg(rng, n_entities=12, n_triples=rng.randrange(5, 80))
-        candidates = sorted(kg.triples)
+        candidates = sorted(edge_set(kg))
         rng.shuffle(candidates)
         params = ReflectionParams(k_max=15)
         result = reflect_similarity(candidates, kg, params, QuestionScorer(f"q{trial}", embedder))
@@ -346,6 +347,6 @@ def test_c10_subgraph_etl_scale(tmp_path):
             handle.write(f"Q{rng.randrange(2_000)}\tP{rng.randrange(20)}\tQ{rng.randrange(2_000)}\n")
     small = load_triples(sample)
     small_seeds = [f"Q{i}" for i in range(0, 100, 7)]
-    assert extract_khop_subgraph(small, small_seeds, 3).triples == bfs_levels_oracle(
+    assert edge_set(extract_khop_subgraph(small, small_seeds, 3)) == bfs_levels_oracle(
         small, small_seeds, 3
     )

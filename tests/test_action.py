@@ -24,7 +24,7 @@ from kgagent.llm import ScriptedProvider, ScriptEntry
 from kgagent.memory import Memory, integrate
 from kgagent.observation import ObservationParams, ObservationSubgraph, observe
 
-from conftest import TOKYO_QUESTION, complete_with, make_kg, random_kg
+from conftest import TOKYO_QUESTION, complete_with, edge_set, make_kg, random_kg
 from test_kg import dfs_paths_oracle
 
 
@@ -198,7 +198,7 @@ class TestExecuteAction:
             assert execute_action(kg, NeighborExploration(entity)) == [
                 t for triples in kg.adjacency.values() for t in triples if t[0] == entity
             ]
-        entities = sorted({t[0] for t in kg.triples})
+        entities = sorted({t[0] for t in edge_set(kg)})
         for e1, e2 in [(entities[0], entities[1]), (entities[2], entities[0])]:
             expected_paths = dfs_paths_oracle(kg, e1, e2, 3)
             expected = list(dict.fromkeys(t for path in expected_paths for t in path))
@@ -208,7 +208,7 @@ class TestExecuteAction:
         rng = random.Random(59)
         kg = random_kg(rng, n_entities=8, n_triples=30)
         outcome = execute_action(kg, NeighborExploration("Q0"))
-        assert set(outcome) <= kg.triples
+        assert set(outcome) <= edge_set(kg)
 
 
 class TestAnswerPrompt:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +33,7 @@ from conftest import (
     TOKYO_SCRIPT,
     TOKYO_TRIPLES,
     ConstantEmbedder,
+    edge_set,
     make_kg,
     make_providers,
 )
@@ -279,7 +280,7 @@ class TestTraceAndConfig:
 
     def test_config_round_trip(self):
         config = AgentConfig(max_iterations=4, random_seed=9)
-        assert AgentConfig.from_dict(config.to_dict()) == config
+        assert AgentConfig.from_dict(asdict(config)) == config
 
     def test_defaults_pinned(self):
         config = AgentConfig()
@@ -387,7 +388,7 @@ class TestEmbeddingCalls:
         assert calls[0] == TOKYO_QUESTION
         assert len(calls) == len(set(calls))
         # the walk from Q1490 reaches every triple of the fixture graph
-        assert set(calls[1:]) == self._texts(tokyo_kg, tokyo_kg.triples)
+        assert set(calls[1:]) == self._texts(tokyo_kg, edge_set(tokyo_kg))
 
     def test_no_observation_never_embeds(self, tokyo_kg):
         script = [
@@ -642,8 +643,8 @@ def test_a_graph_of_triples_gives_the_loaded_graph_s_trace_bytes(strategy):
         dict(PINNED_LABELS),
     )
     assert built == loaded
-    assert {type(t) for t in built.triples} == {Triple}
-    assert {type(t) for t in loaded.triples} == {tuple}
+    assert {type(t) for t in edge_set(built)} == {Triple}
+    assert {type(t) for t in edge_set(loaded)} == {tuple}
     config = AgentConfig(
         max_iterations=5, reflection=ReflectionParams(strategy=strategy), random_seed=5
     )

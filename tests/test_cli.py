@@ -16,6 +16,7 @@ from conftest import (
     TOKYO_QUESTION,
     TOKYO_SCRIPT,
     TOKYO_TRIPLES,
+    edge_set,
     make_kg,
     save_script,
 )
@@ -63,7 +64,7 @@ class TestBuildSubgraph:
         )
         assert code == 0
         kg = load_kg(out)
-        assert kg.triples == {
+        assert edge_set(kg) == {
             ("Q1", "P1", "Q2"),
             ("Q2", "P1", "Q3"),
             ("Q3", "P1", "Q4"),
@@ -646,7 +647,7 @@ class TestInputErrors:
         assert capsys.readouterr().err == ""
         assert caplog.messages == [f"dropped a truncated cache record at byte 0 in {cache}"]
         with EmbeddingCache(cache) as reloaded:  # the torn record is gone; this run's records load
-            assert TOKYO_QUESTION in reloaded
+            assert reloaded.get(TOKYO_QUESTION) is not None
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one(self, kg_dir, tokyo_script_file, dataset_file, capsys, workers):

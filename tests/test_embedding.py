@@ -203,13 +203,12 @@ class TestHttpEmbedder:
     def test_embeds_and_learns_dimension(self):
         from kgagent.embedding import HttpEmbedder
 
-        session = FakeEmbeddingSession([[1.0, 2.0, 3.0]])
+        session = FakeEmbeddingSession([[1.0, 2.0, 3.0], [1.0, 2.0]])
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
-        with pytest.raises(EmbeddingProviderError):
-            provider.dimension  # unknown before the first call
         assert provider.embed("text") == (1.0, 2.0, 3.0)
-        assert provider.dimension == 3
         assert session.calls[0]["json"] == {"model": "embed-x", "input": ["text"]}
+        with pytest.raises(EmbeddingProviderError, match="provider dimension changed: 2 != 3"):
+            provider.embed("other")
 
     def test_dimension_change_rejected(self):
         from kgagent.embedding import HttpEmbedder
@@ -223,12 +222,13 @@ class TestHttpEmbedder:
     def test_empty_first_vector_does_not_fix_the_dimension(self):
         from kgagent.embedding import HttpEmbedder
 
-        session = FakeEmbeddingSession([[], [1.0, 2.0]])
+        session = FakeEmbeddingSession([[], [1.0, 2.0], [1.0, 2.0, 3.0]])
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
         with pytest.raises(EmbeddingProviderError, match="empty"):
             provider.embed("a")
         assert provider.embed("b") == (1.0, 2.0)
-        assert provider.dimension == 2
+        with pytest.raises(EmbeddingProviderError, match="provider dimension changed: 3 != 2"):
+            provider.embed("c")
 
 
 class QueuedResponse:
@@ -330,7 +330,7 @@ class TestCache:
             embed_texts(["one"], embedder, cache)
         with EmbeddingCache(path) as cache:
             embed_texts(["two"], embedder, cache)
-            assert "one" in cache and "two" in cache
+            assert cache.get("one") is not None and cache.get("two") is not None
         with EmbeddingCache(path) as cache:
             assert len(cache) == 2
 
@@ -344,7 +344,7 @@ class TestCache:
         path.write_bytes(path.read_bytes()[:-3])
         with caplog.at_level("WARNING", logger="kgagent.embedding"):
             with EmbeddingCache(path) as cache:
-                assert "one" in cache and "two" not in cache
+                assert cache.get("one") is not None and cache.get("two") is None
         assert caplog.messages == [
             f"dropped a truncated cache record at byte {len(whole)} in {path}"
         ]
@@ -364,7 +364,7 @@ class TestCache:
             for cut in range(last + 1, len(whole)):
                 path.write_bytes(whole[:cut])
                 with EmbeddingCache(path) as cache:
-                    assert len(cache) == len(texts) - 1 and texts[-1] not in cache
+                    assert len(cache) == len(texts) - 1 and cache.get(texts[-1]) is None
                     assert path.read_bytes() == whole[:last]
                     cache.put_many((text, vectors[text]) for text in [texts[-1], "after"])
                 with EmbeddingCache(path) as reloaded:

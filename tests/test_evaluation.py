@@ -15,7 +15,6 @@ from kgagent.evaluation import (
     normalize_answer,
     report_to_json,
     run_eval,
-    save_dataset,
     score_hit,
 )
 
@@ -31,6 +30,7 @@ from conftest import (
     ConstantEmbedder,
     make_kg,
     make_providers,
+    save_dataset,
 )
 
 

@@ -25,7 +25,7 @@ from kgagent.kg import (
     save_kg,
 )
 
-from conftest import make_kg, random_kg
+from conftest import edge_set, make_kg, random_kg
 
 
 class TestLoadTriples:
@@ -76,15 +76,15 @@ class TestLoadTriples:
         lines = ["B\tr\tC\n", "A\tr\tB\n", "B\tr\tC\n", "A\ts\tB\n", "A\tr\tB\n"]
         kg = load_triples(lines)
         assert len(kg) == 3
-        assert kg.triples == {("B", "r", "C"), ("A", "r", "B"), ("A", "s", "B")}
+        assert edge_set(kg) == {("B", "r", "C"), ("A", "r", "B"), ("A", "s", "B")}
         assert list(dump_triples(kg)) == ["B\tr\tC\n", "A\tr\tB\n", "A\ts\tB\n"]
 
     def test_triples_is_a_fresh_set(self):
         kg = load_triples(["A\tr\tB\n", "B\tr\tC\n"])
-        view = kg.triples
+        view = edge_set(kg)
         view.clear()
         view.add(Triple("X", "r", "Y"))
-        assert kg.triples == {("A", "r", "B"), ("B", "r", "C")}
+        assert edge_set(kg) == {("A", "r", "B"), ("B", "r", "C")}
         assert len(kg) == 2 and kg.get_neighbors("X") == []
         assert "triples" not in {f.name for f in dataclasses.fields(KnowledgeGraph)}
 
@@ -130,7 +130,7 @@ class TestGetNeighbors:
 
     def test_matches_full_scan_oracle(self):
         kg = random_kg(random.Random(3), n_entities=25, n_triples=200)
-        for entity in {t[0] for t in kg.triples} | {"Qmissing"}:
+        for entity in {t[0] for t in edge_set(kg)} | {"Qmissing"}:
             expected = [t for t in _scan_order(kg) if t[0] == entity]
             assert kg.get_neighbors(entity) == expected
 
@@ -139,8 +139,8 @@ class TestGetNeighbors:
         union: list[Triple] = []
         for entity in kg.adjacency:
             union.extend(kg.get_neighbors(entity))
-        assert len(union) == len(set(union)) == len(kg.triples)
-        assert set(union) == kg.triples
+        assert len(union) == len(set(union)) == len(edge_set(kg))
+        assert set(union) == edge_set(kg)
 
 
 def _scan_order(kg: KnowledgeGraph) -> list[Triple]:
@@ -152,7 +152,7 @@ def dfs_paths_oracle(
 ) -> list[list[Triple]]:
     """Exhaustive simple-path enumeration, written independently of find_paths."""
     found: list[list[Triple]] = []
-    all_triples = sorted(kg.triples)
+    all_triples = sorted(edge_set(kg))
 
     def explore(chain: list[Triple]) -> None:
         if chain:
@@ -197,7 +197,7 @@ class TestFindPaths:
         rng = random.Random(99)
         for trial in range(30):
             kg = random_kg(rng, n_entities=12, n_triples=rng.randrange(10, 45))
-            entities = sorted({t[0] for t in kg.triples} | {t[2] for t in kg.triples})
+            entities = sorted({t[0] for t in edge_set(kg)} | {t[2] for t in edge_set(kg)})
             e1, e2 = rng.choice(entities), rng.choice(entities)
             assert kg.find_paths(e1, e2, 3) == dfs_paths_oracle(kg, e1, e2, 3)
 
@@ -307,7 +307,7 @@ class TestKhopSubgraph:
     def test_chain_depth_cutoff(self):
         kg = make_kg([("A", "r", "B"), ("B", "r", "C"), ("C", "r", "D"), ("D", "r", "E")])
         out = extract_khop_subgraph(kg, ["A"], 3)
-        assert out.triples == {
+        assert edge_set(out) == {
             ("A", "r", "B"),
             ("B", "r", "C"),
             ("C", "r", "D"),
@@ -319,7 +319,7 @@ class TestKhopSubgraph:
             kg = random_kg(rng, n_entities=30, n_triples=120)
             seeds = [f"Q{rng.randrange(30)}" for _ in range(3)]
             out = extract_khop_subgraph(kg, seeds, 3)
-            assert out.triples == bfs_levels_oracle(kg, seeds, 3)
+            assert edge_set(out) == bfs_levels_oracle(kg, seeds, 3)
 
     def test_monotone_in_k(self):
         rng = random.Random(22)
@@ -327,7 +327,7 @@ class TestKhopSubgraph:
         seeds = ["Q0", "Q1"]
         previous: set[Triple] = set()
         for k in range(1, 5):
-            current = extract_khop_subgraph(kg, seeds, k).triples
+            current = edge_set(extract_khop_subgraph(kg, seeds, k))
             assert previous <= current
             previous = current
 
@@ -401,7 +401,7 @@ class TestRoundTrip:
     def test_round_trip_property(self, triples):
         kg = make_kg(triples)
         reloaded = load_triples(dump_triples(kg))
-        assert reloaded.triples == kg.triples
+        assert edge_set(reloaded) == edge_set(kg)
         assert reloaded.adjacency == kg.adjacency
 
 
@@ -476,7 +476,7 @@ class TestLoaderErrors:
         assert excinfo.value.__cause__ is None
 
     def test_trailing_carriage_returns_are_stripped(self):
-        assert load_triples(["A\tr\tB\r\r\n"]).triples == {Triple("A", "r", "B")}
+        assert edge_set(load_triples(["A\tr\tB\r\r\n"])) == {Triple("A", "r", "B")}
 
     def test_a_label_may_be_empty_or_hold_a_carriage_return(self):
         assert load_labels(["Q1\t\n", "Q2\ta\rb\n"]) == {"Q1": "", "Q2": "a\rb"}
@@ -547,7 +547,7 @@ def _outcome(load, source):
         kg = load(source)
     except (TripleParseError, UnicodeDecodeError) as exc:
         return type(exc), str(exc)
-    return kg.triples, list(kg.adjacency.items()), list(kg.labels.items())
+    return edge_set(kg), list(kg.adjacency.items()), list(kg.labels.items())
 
 
 _FIELD = st.sampled_from(["A", "B", "r", "é", "", "x\ry", "\r", "a\nb"])

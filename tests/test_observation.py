@@ -18,7 +18,7 @@ from kgagent.observation import (
 
 from kgagent.agent import AgentConfig, run
 
-from conftest import TOKYO_QUESTION, TOKYO_SCRIPT, make_kg, make_providers, random_kg
+from conftest import TOKYO_QUESTION, TOKYO_SCRIPT, edge_set, make_kg, make_providers, random_kg
 
 
 def brute_force_observe(
@@ -114,7 +114,7 @@ class TestObserveBasics:
     def test_chain_is_fully_covered_under_caps(self, embedder):
         kg = make_kg([("A", "r", "B"), ("B", "r", "C"), ("C", "r", "D")])
         result = observe(kg, QuestionScorer("q", embedder), ["A"], ObservationParams())
-        assert {entry.triple for entry in result.entries} == set(kg.triples)
+        assert {entry.triple for entry in result.entries} == edge_set(kg)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -272,10 +272,10 @@ class TestObserveProperties:
             kg = random_kg(rng, n_entities=20, n_triples=100)
             seeds = ["Q0", "Q1"]
             params = ObservationParams(
-                depth_limit=3, top_n=len(kg.triples) + 1, refine_percent=100.0
+                depth_limit=3, top_n=len(edge_set(kg)) + 1, refine_percent=100.0
             )
             result = observe(kg, QuestionScorer("q", embedder), seeds, params)
-            expected = extract_khop_subgraph(kg, seeds, 3).triples
+            expected = edge_set(extract_khop_subgraph(kg, seeds, 3))
             assert {entry.triple for entry in result.entries} == expected
 
     def test_depth_zero_prefix_monotone_in_n(self, embedder):

@@ -18,7 +18,7 @@ from kgagent.reflection import (
     reflect_similarity,
 )
 
-from conftest import TOKYO_QUESTION, complete_with, make_kg, random_kg
+from conftest import TOKYO_QUESTION, complete_with, edge_set, make_kg, random_kg
 from test_observation import RecordingEmbedder
 
 TOKYO_CANDIDATES = [
@@ -135,7 +135,7 @@ class TestReflectSimilarity:
     def test_matches_brute_force_oracle(self, embedder):
         rng = random.Random(101)
         kg = random_kg(rng, n_entities=12, n_triples=80)
-        candidates = sorted(kg.triples)[:40]
+        candidates = sorted(edge_set(kg))[:40]
         rng.shuffle(candidates)
         params = ReflectionParams(k_max=15)
         result = reflect_similarity(
