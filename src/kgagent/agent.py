@@ -10,6 +10,7 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
+from math import inf
 from random import Random
 from typing import Callable, Iterable, Mapping
 
@@ -33,7 +34,7 @@ from .embedding import (
 from .kg import EntityId, KnowledgeGraph, Triple
 from .llm import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, CompletionRequest, LLMError, LLMProvider
 from .memory import Memory, integrate
-from .observation import ObservationParams, ObservationSubgraph, ScoredTriple, observe
+from .observation import ObservationParams, ObservationSubgraph, ScoredTriple, check_count, observe
 from .reflection import (
     ReflectionParams,
     reflect_generated_fact,
@@ -65,19 +66,15 @@ class AgentConfig:
     random_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.path_max_len < 1:
-            raise ValueError("path_max_len must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        if self.neighbor_limit is not None and self.neighbor_limit < 0:
-            raise ValueError("neighbor_limit must be >= 0 or null")
-        if self.action_retries < 0:
-            raise ValueError("action_retries must be >= 0")
-        if self.question_timeout is not None and self.question_timeout < 0:
+        counts = {"max_iterations": 1, "path_max_len": 1, "max_tokens": 1, "action_retries": 0}
+        if self.neighbor_limit is not None:
+            counts["neighbor_limit"] = 0
+        for name, minimum in counts.items():
+            check_count(name, getattr(self, name), minimum)
+        # NaN compares false, so both tests below reject it
+        if not 0 <= self.temperature < inf:
+            raise ValueError("temperature must be >= 0 and finite")
+        if self.question_timeout is not None and not self.question_timeout >= 0:
             raise ValueError("question_timeout must be >= 0 or null")
 
     @classmethod

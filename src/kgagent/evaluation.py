@@ -14,10 +14,6 @@ from .agent import AgentConfig, AgentError, Providers, run, trace_to_json
 from .kg import EntityId, InputError, KnowledgeGraph, numbered_text_lines
 
 
-class DatasetError(InputError):
-    """Malformed dataset record."""
-
-
 @dataclass
 class DatasetRecord:
     question: str
@@ -37,10 +33,10 @@ def load_dataset(source: str | Path | IO | Iterable[str | bytes]) -> list[Datase
     """Read JSON-lines records with question / entities / answers fields.
 
     Each line is decoded as UTF-8 on its own; one that is not UTF-8 raises
-    DatasetError, as a malformed record does, naming the file when the
+    InputError, as a malformed record does, naming the file when the
     source is a path.
     """
-    error = partial(DatasetError, path=source if isinstance(source, (str, Path)) else None)
+    error = partial(InputError, path=source if isinstance(source, (str, Path)) else None)
     records: list[DatasetRecord] = []
     for number, line in numbered_text_lines(source, error):
         line = line.strip()

@@ -32,10 +32,6 @@ class InputError(ValueError):
         self.line_number = line_number
 
 
-class TripleParseError(InputError):
-    """Malformed TSV input."""
-
-
 class Triple(NamedTuple):
     """One directed edge (head entity, relation, tail entity).
 
@@ -213,16 +209,16 @@ def _check_fields(
     fields: list[str], width: int, id_kinds: tuple[str, ...],
     line_number: int, path: str | Path | None,
 ) -> None:
-    """Raise the TripleParseError of a row: its width first, then each id field in order."""
+    """Raise the InputError of a row: its width first, then each id field in order."""
     if len(fields) != width:
-        raise TripleParseError(
+        raise InputError(
             f"expected {width} tab-separated fields, got {len(fields)}", line_number, path
         )
     for value, kind in zip(fields, id_kinds):
         if not value:
-            raise TripleParseError(f"empty {kind} field", line_number, path)
+            raise InputError(f"empty {kind} field", line_number, path)
         if "\n" in value or "\r" in value:
-            raise TripleParseError(f"{kind} contains tab or newline", line_number, path)
+            raise InputError(f"{kind} contains tab or newline", line_number, path)
 
 
 def _tsv_rows(
@@ -235,11 +231,11 @@ def _tsv_rows(
     field is free text. Each line gets one cheap test; only a line that fails
     it goes through _check_fields, which raises the detailed error, naming
     the file when the source is a path. A line that is not UTF-8 raises
-    TripleParseError too, from numbered_text_lines.
+    InputError too, from numbered_text_lines.
     """
     path = source if isinstance(source, (str, Path)) else None
     checked = len(id_kinds)
-    for number, line in numbered_text_lines(source, partial(TripleParseError, path=path)):
+    for number, line in numbered_text_lines(source, partial(InputError, path=path)):
         line = line.rstrip("\r\n")
         if not line:
             continue
@@ -265,7 +261,7 @@ def load_triples(
     is preserved in adjacency lists. Each line is decoded as UTF-8 on its
     own and gets one test: three fields, none empty, no newline or carriage
     return. Only a line that fails it is checked field by field, to raise a
-    TripleParseError naming the line and the first fault (the width, then
+    InputError naming the line and the first fault (the width, then
     the head, relation and tail).
 
     Every edge is a plain tuple of interned strings, never a Triple, so the

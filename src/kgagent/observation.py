@@ -27,6 +27,14 @@ from .embedding import QuestionScorer, combined_text
 from .kg import EntityId, KnowledgeGraph, Triple
 
 
+def check_count(name: str, value: object, minimum: int) -> None:
+    """Raise ValueError unless value is an int (not a bool) of at least minimum."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 @dataclass
 class ObservationParams:
     depth_limit: int = 3
@@ -34,10 +42,8 @@ class ObservationParams:
     refine_percent: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.depth_limit < 1:
-            raise ValueError("depth_limit must be >= 1")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
+        check_count("depth_limit", self.depth_limit, 1)
+        check_count("top_n", self.top_n, 1)
         if not 0 < self.refine_percent <= 100:
             raise ValueError("refine_percent must be in (0, 100]")
 

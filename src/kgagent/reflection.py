@@ -14,7 +14,7 @@ from .embedding import QuestionScorer
 from .kg import KnowledgeGraph, Triple
 from .action import fill_template, observed_template
 from .memory import Memory, render_memory
-from .observation import ObservationSubgraph, render_observation, top_scored
+from .observation import ObservationSubgraph, check_count, render_observation, top_scored
 
 logger = logging.getLogger(__name__)
 
@@ -33,8 +33,7 @@ class ReflectionParams:
     strategy: str = "oda"
 
     def __post_init__(self) -> None:
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+        check_count("k_max", self.k_max, 1)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
 

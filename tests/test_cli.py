@@ -128,6 +128,36 @@ class TestAsk:
         assert executed[0] == "Executed: GetNeighbor(Tokyo)"
         assert not any(identifier in line for line in executed for identifier in TOKYO_LABELS)
 
+    def test_lookup_ask_stops_at_the_iteration_cap(self, tmp_path, capsys):
+        (tmp_path / "triples.tsv").write_text("A\tr\tB\n", encoding="utf-8")
+        script = tmp_path / "ask.jsonl"
+        save_script(
+            [
+                ScriptEntry("substring", "Action History", "Action: GetNeighbor\nEntity_id: A"),
+                ScriptEntry("substring", "You queried some candidate triples", "(A, r, B)"),
+                ScriptEntry("substring", "reference memory", "Answer: B"),
+            ],
+            script,
+        )
+        code = main(
+            [
+                "ask",
+                "--kg", str(tmp_path),
+                "--question", "what does A reach?",
+                "--entities", "A",
+                "--script", str(script),
+                "--script-mode", "lookup",
+                "--max-iterations", "1",
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert "Reflected: (A, r, B)" in lines
+        assert "Answer: B" in lines
+        assert "halted_by: iteration_cap" in lines
+        assert captured.err == ""
+
     def test_script_error_returns_nonzero(self, kg_dir, tmp_path, capsys):
         empty_script = tmp_path / "empty.jsonl"
         empty_script.write_text("", encoding="utf-8")
@@ -255,6 +285,13 @@ class TestAsk:
             ({"neighbor_limit": -1}, [], "neighbor_limit must be >= 0"),
             ({"question_timeout": -1}, [], "question_timeout must be >= 0"),
             ({}, ["--timeout", "-5"], "question_timeout must be >= 0"),
+            ({"observation": {"top_n": 2.5}}, [], "top_n must be an integer, got 2.5"),
+            ({"max_iterations": 1.5}, [], "max_iterations must be an integer, got 1.5"),
+            ({"reflection": {"k_max": 2.5}}, [], "k_max must be an integer, got 2.5"),
+            ({"neighbor_limit": 2.5}, [], "neighbor_limit must be an integer, got 2.5"),
+            ({"path_max_len": True}, [], "path_max_len must be an integer, got True"),
+            ({}, ["--timeout", "nan"], "question_timeout must be >= 0"),
+            ({"temperature": float("nan")}, [], "temperature must be >= 0 and finite"),
         ],
     )
     def test_invalid_config_exits_before_any_provider_call(
@@ -559,17 +596,20 @@ class TestInputErrors:
         assert captured.out == ""
 
     def test_dataset_file_not_utf8(self, kg_dir, tokyo_script_file, tmp_path, capsys):
-        dataset = tmp_path / "dataset.jsonl"
-        dataset.write_bytes(b'{"question": "\xff"}\n')
-        code = main(
-            ["eval", "--kg", str(kg_dir), "--dataset", str(dataset),
-             "--script", str(tokyo_script_file), "--out", str(tmp_path / "out")]
-        )
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {dataset}: line 1: not valid UTF-8\n"
-        assert captured.out == ""
-        assert not (tmp_path / "out").exists()
+        record = json.dumps({"question": "q", "entities": ["A"], "answers": ["B"]}).encode()
+        # the bad line first, then after a valid record
+        for number, data in [(1, b'{"question": "\xff"}\n'), (2, record + b"\n\xff\n")]:
+            dataset = tmp_path / f"dataset{number}.jsonl"
+            dataset.write_bytes(data)
+            code = main(
+                ["eval", "--kg", str(kg_dir), "--dataset", str(dataset),
+                 "--script", str(tokyo_script_file), "--out", str(tmp_path / "out")]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {dataset}: line {number}: not valid UTF-8\n"
+            assert captured.out == ""
+            assert not (tmp_path / "out").exists()
 
     def test_seeds_file_not_utf8(self, kg_dir, tmp_path, capsys):
         seeds = tmp_path / "seeds.txt"

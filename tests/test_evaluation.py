@@ -7,7 +7,6 @@ import random
 import pytest
 
 from kgagent.evaluation import (
-    DatasetError,
     DatasetRecord,
     EvalReport,
     QuestionOutcome,
@@ -17,6 +16,7 @@ from kgagent.evaluation import (
     run_eval,
     score_hit,
 )
+from kgagent.kg import InputError
 
 from conftest import (
     GOETHE_QUESTION,
@@ -47,7 +47,7 @@ class TestLoadDataset:
 
     def test_malformed_record_reports_line(self):
         good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
-        with pytest.raises(DatasetError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_dataset([good, "{broken"])
         assert excinfo.value.line_number == 2
 
@@ -58,7 +58,7 @@ class TestLoadDataset:
     def test_fields_must_be_arrays_of_strings(self, entities, answers):
         good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
         bad = json.dumps({"question": "q?", "entities": entities, "answers": answers})
-        with pytest.raises(DatasetError, match="array of strings") as excinfo:
+        with pytest.raises(InputError, match="array of strings") as excinfo:
             load_dataset([good, bad])
         assert excinfo.value.line_number == 2
 
@@ -70,23 +70,23 @@ class TestLoadDataset:
     def test_question_must_be_a_non_empty_string(self, question, message):
         good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
         bad = json.dumps({"question": question, "entities": ["Q1"], "answers": ["a"]})
-        with pytest.raises(DatasetError, match=message) as excinfo:
+        with pytest.raises(InputError, match=message) as excinfo:
             load_dataset([good, bad])
         assert excinfo.value.line_number == 2
 
     def test_entities_must_be_non_empty(self):
         good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
         bad = json.dumps({"question": "q?", "entities": [], "answers": ["a"]})
-        with pytest.raises(DatasetError, match="line 2: .*entities must be non-empty") as excinfo:
+        with pytest.raises(InputError, match="line 2: .*entities must be non-empty") as excinfo:
             load_dataset([good, bad])
         assert excinfo.value.line_number == 2
 
     def test_missing_field_is_error(self):
-        with pytest.raises(DatasetError):
+        with pytest.raises(InputError):
             load_dataset([json.dumps({"question": "q?", "entities": ["Q1"]})])
 
     def test_empty_answers_rejected(self):
-        with pytest.raises(DatasetError):
+        with pytest.raises(InputError):
             load_dataset([json.dumps({"question": "q?", "entities": ["Q1"], "answers": []})])
 
     @pytest.mark.parametrize("kind", ["path", "bytes"])
@@ -96,7 +96,7 @@ class TestLoadDataset:
         path = tmp_path / "d.jsonl"
         path.write_bytes(b"".join(lines))
         source, where = (path, f"{path}: line 2") if kind == "path" else (lines, "line 2")
-        with pytest.raises(DatasetError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_dataset(source)
         assert str(excinfo.value) == f"{where}: not valid UTF-8"
         assert excinfo.value.line_number == 2

@@ -14,9 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kgagent.kg import (
+    InputError,
     KnowledgeGraph,
     Triple,
-    TripleParseError,
     dump_triples,
     extract_khop_subgraph,
     load_kg,
@@ -45,12 +45,12 @@ class TestLoadTriples:
         ]
 
     def test_malformed_line_reports_number(self):
-        with pytest.raises(TripleParseError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_triples(["A\tr\tB\n", "bad line\n"])
         assert excinfo.value.line_number == 2
 
     def test_empty_field_is_error(self):
-        with pytest.raises(TripleParseError):
+        with pytest.raises(InputError):
             load_triples(["A\t\tB\n"])
 
     def test_an_id_is_one_string_across_lines(self):
@@ -107,7 +107,7 @@ class TestLoadLabels:
         assert labels == expected
 
     def test_malformed_line_reports_number(self):
-        with pytest.raises(TripleParseError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_labels(["Q1\tTokyo\n", "Q2\ta\tb\n"])
         assert excinfo.value.line_number == 2
 
@@ -450,7 +450,7 @@ class TestLoaderErrors:
         ],
     )
     def test_error_messages_and_line_numbers(self, load, lines, message):
-        with pytest.raises(TripleParseError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load(lines)
         assert str(excinfo.value) == message
 
@@ -458,7 +458,7 @@ class TestLoaderErrors:
     def test_a_file_source_is_named(self, tmp_path, as_source):
         path = tmp_path / "labels.tsv"
         path.write_text("Q1\tone\n\tTokyo\n", encoding="utf-8")
-        with pytest.raises(TripleParseError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_labels(as_source(path))
         assert str(excinfo.value) == f"{path}: line 2: empty id field"
         assert excinfo.value.line_number == 2
@@ -468,7 +468,7 @@ class TestLoaderErrors:
         path = tmp_path / "triples.tsv"
         path.write_bytes(b"A\tr\tB\n\nA\tr\t\xff\nB\tr\tC\n")
         source = path if as_source == "path" else path.read_bytes().splitlines(keepends=True)
-        with pytest.raises(TripleParseError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_triples(source)
         where = f"{path}: line 3" if as_source == "path" else "line 3"
         assert str(excinfo.value) == f"{where}: not valid UTF-8"
@@ -484,9 +484,9 @@ class TestLoaderErrors:
 
 def reference_check_id(value: str, kind: str, line_number: int, path) -> str:
     if not value:
-        raise TripleParseError(f"empty {kind} field", line_number, path)
+        raise InputError(f"empty {kind} field", line_number, path)
     if "\t" in value or "\n" in value or "\r" in value:
-        raise TripleParseError(f"{kind} contains tab or newline", line_number, path)
+        raise InputError(f"{kind} contains tab or newline", line_number, path)
     return sys.intern(value)
 
 
@@ -506,13 +506,13 @@ def reference_tsv_rows(source, width: int):
             try:
                 line = line.decode("utf-8")
             except UnicodeDecodeError:
-                raise TripleParseError("not valid UTF-8", number, path) from None
+                raise InputError("not valid UTF-8", number, path) from None
         line = line.rstrip("\r\n")
         if not line:
             continue
         fields = line.split("\t")
         if len(fields) != width:
-            raise TripleParseError(
+            raise InputError(
                 f"expected {width} tab-separated fields, got {len(fields)}", number, path
             )
         yield number, fields, path
@@ -545,7 +545,7 @@ def _outcome(load, source):
     """What a loader returns, in comparable form, or the exception it raises."""
     try:
         kg = load(source)
-    except (TripleParseError, UnicodeDecodeError) as exc:
+    except (InputError, UnicodeDecodeError) as exc:
         return type(exc), str(exc)
     return edge_set(kg), list(kg.adjacency.items()), list(kg.labels.items())
 
