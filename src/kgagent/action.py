@@ -21,12 +21,9 @@ GETNEIGHBOR_ONLY_NOTE = (
 )
 
 
-class ActionParseError(ValueError):
-    """The model response does not contain a recognizable action."""
-
-
-class ActionValidationError(ValueError):
-    """The parsed action violates the candidate or distinctness rules."""
+class ActionError(ValueError):
+    """The model response holds no usable action: none is recognizable, or
+    the one it names breaks the candidate or distinctness rules."""
 
 
 @dataclass(frozen=True)
@@ -41,7 +38,7 @@ class PathDiscovery:
 
     def __post_init__(self) -> None:
         if self.first == self.second:
-            raise ActionValidationError("path discovery needs two distinct entities")
+            raise ActionError("path discovery needs two distinct entities")
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ def _resolve_entity(
     for candidate in candidates:
         if labels.get(candidate, "").casefold() == folded:
             return candidate
-    raise ActionValidationError(f"entity {token!r} is not among the candidate entities")
+    raise ActionError(f"entity {token!r} is not among the candidate entities")
 
 
 def parse_action(
@@ -139,7 +136,7 @@ def parse_action(
     labels = labels or {}
     match = _ACTION_RE.search(response)
     if match is None:
-        raise ActionParseError("response contains no 'Action:' line")
+        raise ActionError("response contains no 'Action:' line")
     verb = match.group(1).casefold()
     tokens: list[str] = []
     for line in _ENTITY_RE.findall(response):
@@ -151,17 +148,17 @@ def parse_action(
         return Answer()
     if verb == "getneighbor":
         if not tokens:
-            raise ActionParseError("GetNeighbor response has no entity id line")
+            raise ActionError("GetNeighbor response has no entity id line")
         return NeighborExploration(_resolve_entity(tokens[0], candidates, labels))
     if verb == "getpath":
         if len(candidates) < 2:
-            raise ActionValidationError("GetPath requires at least 2 candidate entities")
+            raise ActionError("GetPath requires at least 2 candidate entities")
         if len(tokens) < 2:
-            raise ActionParseError("GetPath response needs two entity ids")
+            raise ActionError("GetPath response needs two entity ids")
         first = _resolve_entity(tokens[0], candidates, labels)
         second = _resolve_entity(tokens[1], candidates, labels)
         return PathDiscovery(first, second)
-    raise ActionParseError(f"unknown action verb {match.group(1)!r}")
+    raise ActionError(f"unknown action verb {match.group(1)!r}")
 
 
 def execute_action(
@@ -235,7 +232,7 @@ def choose_action(
         attempts.append(ActionAttempt(prompt, response))
         try:
             action = parse_action(response, candidates, labels=kg.labels)
-        except (ActionParseError, ActionValidationError) as exc:
+        except ActionError as exc:
             problem = str(exc)
         else:
             if action in history:

@@ -24,17 +24,15 @@ from .action import (
     parse_answer,
     render_action,
 )
-from .embedding import (
-    EmbeddingCache,
-    EmbeddingError,
-    EmbeddingProvider,
-    EmbeddingProviderError,
-    QuestionScorer,
-)
+from .embedding import EmbeddingCache, EmbeddingError, EmbeddingProvider, QuestionScorer
 from .kg import EntityId, KnowledgeGraph, Triple
-from .llm import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, CompletionRequest, LLMError, LLMProvider
+from .llm import (
+    DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, CompletionRequest, LLMProvider, ProviderError,
+)
 from .memory import Memory, integrate
-from .observation import ObservationParams, ObservationSubgraph, ScoredTriple, check_count, observe
+from .observation import (
+    ObservationParams, ObservationSubgraph, ScoredTriple, check_count, check_not_bool, observe,
+)
 from .reflection import (
     ReflectionParams,
     reflect_generated_fact,
@@ -66,11 +64,16 @@ class AgentConfig:
     random_seed: int = 0
 
     def __post_init__(self) -> None:
-        counts = {"max_iterations": 1, "path_max_len": 1, "max_tokens": 1, "action_retries": 0}
+        counts = {
+            "max_iterations": 1, "path_max_len": 1, "max_tokens": 1, "action_retries": 0,
+            "random_seed": None,
+        }
         if self.neighbor_limit is not None:
             counts["neighbor_limit"] = 0
         for name, minimum in counts.items():
             check_count(name, getattr(self, name), minimum)
+        check_not_bool("temperature", self.temperature)
+        check_not_bool("question_timeout", self.question_timeout)
         # NaN compares false, so both tests below reject it
         if not 0 <= self.temperature < inf:
             raise ValueError("temperature must be >= 0 and finite")
@@ -257,7 +260,7 @@ def run(
         trace.answers = list(answers)
         trace.halted_by = "answer_action" if answered else "iteration_cap"
         return AgentResult(answers, trace.halted_by, trace)
-    except (LLMError, EmbeddingProviderError, EmbeddingError) as exc:
+    except (ProviderError, EmbeddingError) as exc:
         trace.error = str(exc)
         raise AgentError(str(exc), trace) from exc
 

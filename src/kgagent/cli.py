@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 from .agent import AgentConfig, AgentError, Providers, render_case, run, trace_to_json
@@ -109,8 +108,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_build_subgraph(args: argparse.Namespace) -> int:
-    lines = numbered_text_lines(args.seeds, partial(InputError, path=args.seeds))
-    seeds = [line.strip() for _, line in lines if line.strip()]
+    seeds = [line.strip() for _, line in numbered_text_lines(args.seeds) if line.strip()]
     kg = load_triples(args.triples, args.labels)
     subgraph = extract_khop_subgraph(kg, seeds, args.k)
     save_kg(subgraph, args.out)

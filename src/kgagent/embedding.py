@@ -20,7 +20,7 @@ from operator import mul, truediv
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
-from .llm import HttpChatConfig, post_json
+from .llm import HttpChatConfig, ProviderError, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -32,10 +32,6 @@ _MAX_BATCH = 2048  # inputs per /embeddings request, the OpenAI limit
 
 class EmbeddingError(ValueError):
     """Degenerate vector input (dimension mismatch or zero norm)."""
-
-
-class EmbeddingProviderError(RuntimeError):
-    """The embedding provider failed or returned a malformed reply."""
 
 
 class EmbeddingProvider(Protocol):
@@ -76,7 +72,7 @@ def embed_texts(
     Each distinct text is looked up once; the misses go to the provider in
     one call, in first-seen order (embed_many, when the provider has it) and
     are stored only if every vector is valid. Any provider exception becomes
-    EmbeddingProviderError, without a retry.
+    ProviderError, without a retry.
     """
     vectors: dict[str, Vector | None] = dict.fromkeys(texts)
     if cache is not None:
@@ -90,13 +86,13 @@ def embed_texts(
                 raws = [provider.embed(text) for text in misses]
             else:
                 raws = embed_many(misses)
-        except EmbeddingProviderError:
+        except ProviderError:
             raise
         except Exception as exc:
-            raise EmbeddingProviderError(f"embedding provider failed: {exc!r}") from exc
+            raise ProviderError(f"embedding provider failed: {exc!r}") from exc
         fresh = [tuple(map(float, raw)) for raw in raws]
         if len(fresh) != len(misses):
-            raise EmbeddingProviderError(f"{len(fresh)} vectors for {len(misses)} texts")
+            raise ProviderError(f"{len(fresh)} vectors for {len(misses)} texts")
         if not all(vector and all(map(isfinite, vector)) for vector in fresh):
             raise EmbeddingError("provider returned a non-finite or empty vector")
         if cache is not None:
@@ -197,7 +193,7 @@ class HttpEmbedder:
 
     Requests go through post_json: transient failures are tried 3 times,
     0.5 s and then 1.0 s apart; a rejected request or a malformed reply
-    raises EmbeddingProviderError at once.
+    raises ProviderError at once.
     """
 
     def __init__(
@@ -225,9 +221,7 @@ class HttpEmbedder:
     def _request(self, inputs: list[str]) -> list[Vector]:
         """Embed a list of texts, each vector placed by its reply item's index."""
         payload = {"model": self.config.model, "input": inputs}
-        body = post_json(
-            self._session, self.config, "embeddings", payload, EmbeddingProviderError, "embedding"
-        )
+        body = post_json(self._session, self.config, "embeddings", payload, "embedding")
         try:
             data = body["data"]
             by_index = {item["index"]: item["embedding"] for item in data}
@@ -235,21 +229,19 @@ class HttpEmbedder:
                 raise ValueError(f"{len(data)} items for {len(inputs)} inputs, bad indexes")
             raws = [by_index[index] for index in range(len(inputs))]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise EmbeddingProviderError(f"malformed embedding body: {exc!r}") from exc
+            raise ProviderError(f"malformed embedding body: {exc!r}") from exc
         return [self._vector(raw) for raw in raws]
 
     def _vector(self, raw) -> Vector:
         if not isinstance(raw, list) or not all(map(isinstance, raw, repeat((int, float)))):
-            raise EmbeddingProviderError("embedding is not a list of numbers")
+            raise ProviderError("embedding is not a list of numbers")
         vector = tuple(map(float, raw))
         if not vector:  # before the dimension is learned, so one bad reply cannot fix it at 0
-            raise EmbeddingProviderError("embedding is empty")
+            raise ProviderError("embedding is empty")
         if self._dimension is None:
             self._dimension = len(vector)
         elif len(vector) != self._dimension:
-            raise EmbeddingProviderError(
-                f"provider dimension changed: {len(vector)} != {self._dimension}"
-            )
+            raise ProviderError(f"provider dimension changed: {len(vector)} != {self._dimension}")
         return vector
 
 

@@ -6,12 +6,11 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
 from .agent import AgentConfig, AgentError, Providers, run, trace_to_json
-from .kg import EntityId, InputError, KnowledgeGraph, numbered_text_lines
+from .kg import EntityId, InputError, KnowledgeGraph, numbered_text_lines, source_path
 
 
 @dataclass
@@ -36,9 +35,8 @@ def load_dataset(source: str | Path | IO | Iterable[str | bytes]) -> list[Datase
     InputError, as a malformed record does, naming the file when the
     source is a path.
     """
-    error = partial(InputError, path=source if isinstance(source, (str, Path)) else None)
     records: list[DatasetRecord] = []
-    for number, line in numbered_text_lines(source, error):
+    for number, line in numbered_text_lines(source):
         line = line.strip()
         if not line:
             continue
@@ -52,7 +50,7 @@ def load_dataset(source: str | Path | IO | Iterable[str | bytes]) -> list[Datase
                     raise ValueError(f"{name} must be a JSON array of strings")
             records.append(DatasetRecord(data["question"], data["entities"], data["answers"]))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise error(f"bad dataset record: {exc}", number) from exc
+            raise InputError(f"bad dataset record: {exc}", number, source_path(source)) from exc
     return records
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 EntityId = str
 RelationId = str
@@ -32,21 +32,11 @@ class InputError(ValueError):
         self.line_number = line_number
 
 
-class Triple(NamedTuple):
-    """One directed edge (head entity, relation, tail entity).
-
-    The named constructor for an edge. The graph itself stores and returns
-    every edge as the plain tuple ``(head, relation, tail)``, read by
-    position: the cyclic garbage collector untracks an exact tuple of
-    strings at its first collection but never a tuple subclass, so a graph
-    of Triples would be walked again by every collection it survives. A
-    Triple hashes, compares and sorts as the plain tuple, and equals it, so
-    the two mix freely.
-    """
-
-    head: EntityId
-    relation: RelationId
-    tail: EntityId
+# One directed edge (head, relation, tail), read by position. An edge is a
+# plain tuple, never a tuple subclass: the cyclic garbage collector untracks
+# an exact tuple of strings at its first collection, so later collections do
+# not walk the whole graph again.
+Triple = tuple[EntityId, RelationId, EntityId]
 
 
 @dataclass
@@ -182,27 +172,34 @@ def _as_text(raw: str | bytes) -> str:
     return raw.decode("utf-8") if isinstance(raw, bytes) else raw
 
 
+def source_path(source: str | Path | IO | Iterable[str | bytes]) -> str | Path | None:
+    """The path an InputError names for ``source``: itself if it is one, else None."""
+    return source if isinstance(source, (str, Path)) else None
+
+
 def numbered_text_lines(
-    source: str | Path | IO | Iterable[str | bytes], error: Callable[[str, int], Exception]
+    source: str | Path | IO | Iterable[str | bytes],
 ) -> Iterator[tuple[int, str]]:
     """Each line of ``source`` with its 1-based number, as text.
 
     A path is read in binary and each line decoded as UTF-8 on its own, as
     is each bytes line of another source. A line that is not UTF-8 raises
-    ``error("not valid UTF-8", number)``; a text-mode handle decodes by
-    chunk, so for it the number is that of the first line it failed to return.
+    InputError "not valid UTF-8", naming the file when the source is a path;
+    a text-mode handle decodes by chunk, so for it the number is that of the
+    first line it failed to return.
     """
+    path = source_path(source)
     number = 0
     try:
-        if isinstance(source, (str, Path)):
-            with open(source, "rb") as handle:
+        if path is not None:
+            with open(path, "rb") as handle:
                 for number, line in enumerate(map(bytes.decode, handle), start=1):
                     yield number, line
             return
         for number, line in enumerate(map(_as_text, source), start=1):
             yield number, line
     except UnicodeDecodeError:
-        raise error("not valid UTF-8", number + 1) from None
+        raise InputError("not valid UTF-8", number + 1, path) from None
 
 
 def _check_fields(
@@ -233,9 +230,9 @@ def _tsv_rows(
     the file when the source is a path. A line that is not UTF-8 raises
     InputError too, from numbered_text_lines.
     """
-    path = source if isinstance(source, (str, Path)) else None
+    path = source_path(source)
     checked = len(id_kinds)
-    for number, line in numbered_text_lines(source, partial(InputError, path=path)):
+    for number, line in numbered_text_lines(source):
         line = line.rstrip("\r\n")
         if not line:
             continue
@@ -264,9 +261,8 @@ def load_triples(
     InputError naming the line and the first fault (the width, then
     the head, relation and tail).
 
-    Every edge is a plain tuple of interned strings, never a Triple, so the
-    garbage collector untracks it at its first collection and later ones do
-    not walk the whole graph again (see Triple).
+    Every edge is a plain tuple of interned strings, so the garbage
+    collector untracks it at its first collection (see Triple).
     """
     intern = sys.intern
     edges = dict.fromkeys(

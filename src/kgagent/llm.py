@@ -9,7 +9,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Protocol
 
@@ -19,16 +18,10 @@ DEFAULT_TEMPERATURE = 0.4
 DEFAULT_MAX_TOKENS = 500
 
 
-class LLMError(RuntimeError):
-    pass
-
-
-class ScriptError(LLMError):
-    """Scripted provider had no entry for a request (test failure signal)."""
-
-
-class LLMProviderError(LLMError):
-    """Live provider failed after the configured retries."""
+class ProviderError(RuntimeError):
+    """A model or embedding provider failed: a live request was rejected or
+    kept failing, a reply was malformed, or a script had no entry for a
+    request."""
 
 
 @dataclass
@@ -42,10 +35,6 @@ class CompletionRequest:
     def __post_init__(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
 
     def text(self) -> str:
         return self.prompt
@@ -93,13 +82,13 @@ class ScriptedProvider:
             for entry in self.entries:
                 if entry.matches(text):
                     return entry.response
-            raise ScriptError(f"no script entry matches request:\n{text[:400]}")
+            raise ProviderError(f"no script entry matches request:\n{text[:400]}")
         with self._lock:
             if self._cursor >= len(self.entries):
-                raise ScriptError("script exhausted")
+                raise ProviderError("script exhausted")
             entry = self.entries[self._cursor]
             if not entry.matches(text):
-                raise ScriptError(
+                raise ProviderError(
                     f"script entry {self._cursor} ({entry.kind} {entry.match!r}) "
                     f"does not match request:\n{text[:400]}"
                 )
@@ -113,9 +102,8 @@ def load_script(source: str | Path) -> list[ScriptEntry]:
     Each line is decoded as UTF-8 on its own; a line that is not UTF-8 or
     not a valid entry raises InputError ``<path>: line N: <message>``.
     """
-    error = partial(InputError, path=source)
     entries: list[ScriptEntry] = []
-    for number, line in numbered_text_lines(source, error):
+    for number, line in numbered_text_lines(source):
         line = line.strip()
         if not line:
             continue
@@ -127,7 +115,7 @@ def load_script(source: str | Path) -> list[ScriptEntry]:
                 ScriptEntry(record.get("kind", "substring"), record["match"], record["response"])
             )
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise error(f"bad script entry: {exc}", number) from exc
+            raise InputError(f"bad script entry: {exc}", number, source) from exc
     return entries
 
 
@@ -159,20 +147,18 @@ class HttpChatProvider:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        body = post_json(
-            self._session, self.config, "chat/completions", payload, LLMProviderError, "completion"
-        )
+        body = post_json(self._session, self.config, "chat/completions", payload, "completion")
         return _completion_content(body)
 
 
-def post_json(session, config: HttpChatConfig, path: str, payload: dict, error, noun: str):
+def post_json(session, config: HttpChatConfig, path: str, payload: dict, noun: str):
     """POST payload to config.endpoint/path and return the decoded JSON reply.
 
     The bearer key comes from the environment variable config.api_key_env.
     Connection errors and 408/429/5xx replies are retried with exponential
     backoff, config.retries attempts in all; any other 4xx, or a reply whose
-    body is not JSON, raises `error` at once. Every HTTP request of the live
-    providers goes through here.
+    body is not JSON, raises ProviderError at once, as does the last failed
+    attempt. Every HTTP request of the live providers goes through here.
     """
     import requests
 
@@ -194,7 +180,7 @@ def post_json(session, config: HttpChatConfig, path: str, payload: dict, error, 
                 time.sleep(config.backoff * (2**attempt))
             continue
         if response.status_code >= 400:  # auth/validation: do not retry
-            raise error(
+            raise ProviderError(
                 f"{noun} rejected with status {response.status_code}: {response.text[:200]}"
             )
         # decoded outside the retry path: requests' JSONDecodeError is also a
@@ -202,8 +188,9 @@ def post_json(session, config: HttpChatConfig, path: str, payload: dict, error, 
         try:
             return response.json()
         except ValueError as exc:
-            raise error(f"malformed {noun} body: {exc}") from exc
-    raise error(f"{noun} failed after {config.retries} attempts: {last_error}") from last_error
+            raise ProviderError(f"malformed {noun} body: {exc}") from exc
+    message = f"{noun} failed after {config.retries} attempts: {last_error}"
+    raise ProviderError(message) from last_error
 
 
 def _completion_content(body) -> str:
@@ -211,7 +198,7 @@ def _completion_content(body) -> str:
     try:
         content = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
-        raise LLMProviderError(f"malformed completion body: {exc!r}") from exc
+        raise ProviderError(f"malformed completion body: {exc!r}") from exc
     if not isinstance(content, str):
-        raise LLMProviderError(f"completion content is {type(content).__name__}, not str")
+        raise ProviderError(f"completion content is {type(content).__name__}, not str")
     return content

@@ -27,12 +27,19 @@ from .embedding import QuestionScorer, combined_text
 from .kg import EntityId, KnowledgeGraph, Triple
 
 
-def check_count(name: str, value: object, minimum: int) -> None:
-    """Raise ValueError unless value is an int (not a bool) of at least minimum."""
+def check_count(name: str, value: object, minimum: int | None) -> None:
+    """Raise ValueError unless value is an int (not a bool) of at least
+    minimum; None means no minimum."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+
+
+def check_not_bool(name: str, value: object) -> None:
+    """Raise ValueError if value is a bool, which a range test would take as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass
@@ -44,6 +51,7 @@ class ObservationParams:
     def __post_init__(self) -> None:
         check_count("depth_limit", self.depth_limit, 1)
         check_count("top_n", self.top_n, 1)
+        check_not_bool("refine_percent", self.refine_percent)
         if not 0 < self.refine_percent <= 100:
             raise ValueError("refine_percent must be in (0, 100]")
 

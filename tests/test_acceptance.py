@@ -16,7 +16,7 @@ from scipy.stats import chisquare
 from kgagent.agent import run, trace_to_json
 from kgagent.embedding import DeterministicEmbedder, QuestionScorer, cosine, score_candidate
 from kgagent.evaluation import DatasetRecord, run_eval, score_hit
-from kgagent.kg import Triple, extract_khop_subgraph, load_triples
+from kgagent.kg import extract_khop_subgraph, load_triples
 from kgagent.memory import Memory, integrate, render_memory
 from kgagent.observation import ObservationParams, observe
 from kgagent.reflection import ReflectionParams, parse_reflected, reflect_random, reflect_similarity
@@ -121,7 +121,7 @@ def test_c04_memory_replay():
     kg = make_kg([], GOETHE_LABELS)
     memory = integrate(
         Memory(),
-        [Triple("Q5879", "P451", "Q61597"), Triple("Q61597", "P19", "Q3042")],
+        [("Q5879", "P451", "Q61597"), ("Q61597", "P19", "Q3042")],
     )
     assert len(memory.paths) == 1
     assert render_memory(memory, kg) == (
@@ -143,9 +143,9 @@ def test_c05_golden_end_to_end_traces(datadir):
         t for path in runs[0].trace.iterations[-1].memory_snapshot for t in path
     ]
     assert memory_triples == [
-        Triple("Q1490", "P31", "Q50337"),
-        Triple("Q1490", "P36", "Q192724"),
-        Triple("Q1490", "P36", "Q17"),
+        ("Q1490", "P31", "Q50337"),
+        ("Q1490", "P36", "Q192724"),
+        ("Q1490", "P36", "Q17"),
     ]
     texts = [trace_to_json(r.trace) for r in runs]
     assert texts[0] == texts[1]
@@ -216,7 +216,7 @@ def test_c08_reflection_strategies():
         assert result == expected
 
     # chi-square uniformity of the first sampled candidate over 10^4 seeded draws
-    candidates = [Triple(f"Q{i}", "P", f"T{i}") for i in range(10)]
+    candidates = [(f"Q{i}", "P", f"T{i}") for i in range(10)]
     counts = [0] * 10
     for seed in range(10_000):
         first = reflect_random(candidates, ReflectionParams(k_max=3), random.Random(seed))[0]
@@ -225,8 +225,8 @@ def test_c08_reflection_strategies():
     assert p_value > 0.01, f"chi-square p={p_value:.5f} (statistic {statistic:.2f})"
 
     # injected non-candidate triads are all dropped
-    pool = [Triple(f"Q{i}", "P1", f"Q{i + 100}") for i in range(10)]
-    injected = [Triple(f"X{i}", "P9", f"Y{i}") for i in range(10)]
+    pool = [(f"Q{i}", "P1", f"Q{i + 100}") for i in range(10)]
+    injected = [(f"X{i}", "P9", f"Y{i}") for i in range(10)]
     response_lines = []
     for real, fake in zip(pool, injected):
         response_lines.append(",".join(real))

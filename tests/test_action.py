@@ -5,8 +5,7 @@ import random
 import pytest
 
 from kgagent.action import (
-    ActionParseError,
-    ActionValidationError,
+    ActionError,
     Answer,
     NeighborExploration,
     PathDiscovery,
@@ -19,7 +18,6 @@ from kgagent.action import (
     render_action,
 )
 from kgagent.embedding import QuestionScorer
-from kgagent.kg import Triple
 from kgagent.llm import ScriptedProvider, ScriptEntry
 from kgagent.memory import Memory, integrate
 from kgagent.observation import ObservationParams, ObservationSubgraph, observe
@@ -83,7 +81,7 @@ class TestBuildActionPrompt:
         assert "GetNeighbor(Q1490)" in prompt
 
     def test_facts_follow_paths_in_memory_slot(self, tokyo_kg, tokyo_observation):
-        memory = integrate(Memory(), [Triple("Q1490", "P36", "Q192724")])
+        memory = integrate(Memory(), [("Q1490", "P36", "Q192724")])
         memory.facts += ["Tokyo is the capital of Japan", "Shinjuku is a ward"]
         prompt = build_action_prompt(
             TOKYO_QUESTION, memory, ["Q1490"], tokyo_observation, tokyo_kg, []
@@ -124,15 +122,15 @@ class TestParseAction:
         assert parse_action("Action: Answer", ["Q1490"]) == Answer()
 
     def test_unknown_verb(self):
-        with pytest.raises(ActionParseError):
+        with pytest.raises(ActionError, match="unknown action verb 'Teleport'"):
             parse_action("Action: Teleport", ["Q1"])
 
     def test_missing_action_line(self):
-        with pytest.raises(ActionParseError):
+        with pytest.raises(ActionError, match="response contains no 'Action:' line"):
             parse_action("Thought: no action here", ["Q1"])
 
     def test_entity_outside_candidates(self):
-        with pytest.raises(ActionValidationError):
+        with pytest.raises(ActionError, match="entity 'Q999' is not among the candidate"):
             parse_action("Action: GetNeighbor\nEntity_id: Q999", ["Q1"])
 
     def test_get_path_two_lines(self):
@@ -144,11 +142,11 @@ class TestParseAction:
         assert parse_action(response, ["Q1", "Q2"]) == PathDiscovery("Q1", "Q2")
 
     def test_get_path_single_candidate_rejected(self):
-        with pytest.raises(ActionValidationError):
+        with pytest.raises(ActionError, match="GetPath requires at least 2 candidate entities"):
             parse_action("Action: GetPath\nEntity_id: Q1, Q1", ["Q1"])
 
     def test_get_path_identical_entities_rejected(self):
-        with pytest.raises(ActionValidationError):
+        with pytest.raises(ActionError, match="path discovery needs two distinct entities"):
             parse_action("Action: GetPath\nEntity_id: Q1, Q1", ["Q1", "Q2"])
 
     def test_quoted_and_bracketed_tokens(self):
@@ -181,7 +179,7 @@ class TestExecuteAction:
 
     def test_path_single_edge(self):
         kg = make_kg([("A", "r", "B")])
-        assert execute_action(kg, PathDiscovery("A", "B")) == [Triple("A", "r", "B")]
+        assert execute_action(kg, PathDiscovery("A", "B")) == [("A", "r", "B")]
 
     def test_answer_not_executable(self):
         with pytest.raises(ValueError):
@@ -213,7 +211,7 @@ class TestExecuteAction:
 
 class TestAnswerPrompt:
     def test_contains_memory_and_question(self, tokyo_kg):
-        memory = integrate(Memory(), [Triple("Q1490", "P36", "Q192724")])
+        memory = integrate(Memory(), [("Q1490", "P36", "Q192724")])
         prompt = build_answer_prompt(TOKYO_QUESTION, memory, tokyo_kg)
         assert "(Tokyo, capital, Shinjuku)" in prompt
         assert TOKYO_QUESTION in prompt

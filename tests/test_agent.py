@@ -20,7 +20,6 @@ from kgagent.agent import (
     trace_to_json,
 )
 from kgagent.embedding import DeterministicEmbedder
-from kgagent.kg import KnowledgeGraph, Triple
 from kgagent.llm import CompletionRequest, ScriptedProvider
 from kgagent.reflection import STRATEGIES, ReflectionParams
 
@@ -51,7 +50,7 @@ class TestGoetheFlow:
         result = run(GOETHE_QUESTION, ["Q5879"], goethe_kg, make_providers(GOETHE_SCRIPT))
         final_memory = result.trace.iterations[-1].memory_snapshot
         assert final_memory == [
-            [Triple("Q5879", "P451", "Q61597"), Triple("Q61597", "P19", "Q3042")]
+            [("Q5879", "P451", "Q61597"), ("Q61597", "P19", "Q3042")]
         ]
 
     def test_entity_handoff_follows_reflection(self, goethe_kg):
@@ -73,9 +72,9 @@ class TestTokyoFlow:
             for triple in path
         ]
         assert memory_triples == [
-            Triple("Q1490", "P31", "Q50337"),
-            Triple("Q1490", "P36", "Q192724"),
-            Triple("Q1490", "P36", "Q17"),
+            ("Q1490", "P31", "Q50337"),
+            ("Q1490", "P36", "Q192724"),
+            ("Q1490", "P36", "Q17"),
         ]
 
     def test_render_case_contains_action_and_answer(self, tokyo_kg):
@@ -114,7 +113,7 @@ class TestPathDiscoveryFlow:
         record = result.trace.iterations[0]
         assert record.action == "GetPath(A, C)"
         assert record.outcome_count == 2  # the A->B->C chain, deduplicated
-        assert record.memory_snapshot == [[Triple("A", "r", "B"), Triple("B", "s", "C")]]
+        assert record.memory_snapshot == [[("A", "r", "B"), ("B", "s", "C")]]
         assert result.answers == ["C"]
 
 
@@ -225,7 +224,7 @@ class TestNextEntities:
         result = run("how does S reach G?", ["S", "G"], kg, make_providers(script))
         records = result.trace.iterations
         assert records[0].reflected == [
-            Triple("A", "r", "X"), Triple("B", "r", "X"), Triple("C", "r", "Y")
+            ("A", "r", "X"), ("B", "r", "X"), ("C", "r", "Y")
         ]
         assert records[1].entities == ["X", "Y"]
 
@@ -578,7 +577,7 @@ class TestPartialTraces:
         script = [RING_SCRIPT[0], RING_SCRIPT[1], RING_SCRIPT[3]]  # no reflection on B
         trace = self._failed_run("loop", ["A"], kg, make_providers(script, sequential=False))
         assert [record.action for record in trace.iterations] == ["GetNeighbor(A)"]
-        assert trace.iterations[0].reflected == [Triple("A", "r", "B")]
+        assert trace.iterations[0].reflected == [("A", "r", "B")]
         assert "no script entry matches" in trace.error
         self._assert_unanswered(trace)
 
@@ -631,28 +630,3 @@ def test_trace_bytes_pinned_per_strategy(strategy):
     )
     digest = hashlib.sha256(trace_to_json(result.trace).encode("utf-8")).hexdigest()
     assert digest == PINNED_TRACE_DIGESTS[strategy]
-
-
-@pytest.mark.parametrize("strategy", ["oda", "no_observation"])
-def test_a_graph_of_triples_gives_the_loaded_graph_s_trace_bytes(strategy):
-    # load_triples stores plain tuples; a caller may build the same graph from
-    # Triple instances, and the two kinds of edge must run alike
-    loaded = make_kg(PINNED_TRIPLES, PINNED_LABELS)
-    built = KnowledgeGraph(
-        {head: [Triple(*t) for t in triples] for head, triples in loaded.adjacency.items()},
-        dict(PINNED_LABELS),
-    )
-    assert built == loaded
-    assert {type(t) for t in edge_set(built)} == {Triple}
-    assert {type(t) for t in edge_set(loaded)} == {tuple}
-    config = AgentConfig(
-        max_iterations=5, reflection=ReflectionParams(strategy=strategy), random_seed=5
-    )
-    question = "Which entity does Alpha reach in two hops?"
-    traces = [
-        trace_to_json(
-            run(question, ["A"], kg, make_providers(PINNED_SCRIPT, sequential=False), config).trace
-        )
-        for kg in (loaded, built)
-    ]
-    assert traces[0] == traces[1]

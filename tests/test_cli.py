@@ -292,6 +292,13 @@ class TestAsk:
             ({"path_max_len": True}, [], "path_max_len must be an integer, got True"),
             ({}, ["--timeout", "nan"], "question_timeout must be >= 0"),
             ({"temperature": float("nan")}, [], "temperature must be >= 0 and finite"),
+            ({"random_seed": [1]}, [], r"random_seed must be an integer, got \[1\]"),
+            ({"temperature": True}, [], "temperature must be a number, got True"),
+            ({"question_timeout": True}, [], "question_timeout must be a number, got True"),
+            (
+                {"observation": {"refine_percent": True}}, [],
+                "refine_percent must be a number, got True",
+            ),
         ],
     )
     def test_invalid_config_exits_before_any_provider_call(

@@ -17,12 +17,12 @@ from kgagent.embedding import (
     DeterministicEmbedder,
     EmbeddingCache,
     EmbeddingError,
-    EmbeddingProviderError,
     combined_text,
     cosine,
     embed_texts,
     score_candidate,
 )
+from kgagent.llm import ProviderError
 
 
 def mp_cosine(a, b) -> float:
@@ -147,7 +147,7 @@ class TestEmbedTextProviderFailure:
                 raise RuntimeError("boom")
 
         provider = FailingProvider()
-        with pytest.raises(EmbeddingProviderError, match="boom"):
+        with pytest.raises(ProviderError, match="boom"):
             embed_texts(["x"], provider)
         assert provider.calls == 1
 
@@ -207,7 +207,7 @@ class TestHttpEmbedder:
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
         assert provider.embed("text") == (1.0, 2.0, 3.0)
         assert session.calls[0]["json"] == {"model": "embed-x", "input": ["text"]}
-        with pytest.raises(EmbeddingProviderError, match="provider dimension changed: 2 != 3"):
+        with pytest.raises(ProviderError, match="provider dimension changed: 2 != 3"):
             provider.embed("other")
 
     def test_dimension_change_rejected(self):
@@ -216,7 +216,7 @@ class TestHttpEmbedder:
         session = FakeEmbeddingSession([[1.0, 2.0], [1.0, 2.0, 3.0]])
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
         provider.embed("a")
-        with pytest.raises(EmbeddingProviderError):
+        with pytest.raises(ProviderError, match="provider dimension changed: 3 != 2"):
             provider.embed("b")
 
     def test_empty_first_vector_does_not_fix_the_dimension(self):
@@ -224,10 +224,10 @@ class TestHttpEmbedder:
 
         session = FakeEmbeddingSession([[], [1.0, 2.0], [1.0, 2.0, 3.0]])
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
-        with pytest.raises(EmbeddingProviderError, match="empty"):
+        with pytest.raises(ProviderError, match="empty"):
             provider.embed("a")
         assert provider.embed("b") == (1.0, 2.0)
-        with pytest.raises(EmbeddingProviderError, match="provider dimension changed: 3 != 2"):
+        with pytest.raises(ProviderError, match="provider dimension changed: 3 != 2"):
             provider.embed("c")
 
 
@@ -280,13 +280,13 @@ class TestHttpEmbedderRequestPolicy:
         import requests
 
         session, embed = self._embed([requests.ConnectionError("down")] * 3)
-        with pytest.raises(EmbeddingProviderError, match="after 3 attempts"):
+        with pytest.raises(ProviderError, match="after 3 attempts"):
             embed()
         assert (session.calls, sleeps) == (3, [0.5, 1.0])
 
     def test_rejected_request_is_not_retried(self, sleeps):
         session, embed = self._embed([QueuedResponse(401)] * 3)
-        with pytest.raises(EmbeddingProviderError, match="rejected with status 401"):
+        with pytest.raises(ProviderError, match="rejected with status 401"):
             embed()
         assert (session.calls, sleeps) == (1, [])
 
@@ -297,7 +297,7 @@ class TestHttpEmbedderRequestPolicy:
     )
     def test_malformed_body_is_not_retried(self, sleeps, body):
         session, embed = self._embed([QueuedResponse(200, body)] * 3)
-        with pytest.raises(EmbeddingProviderError):
+        with pytest.raises(ProviderError, match="malformed embedding body|not a list of numbers"):
             embed()
         assert (session.calls, sleeps) == (1, [])
 
@@ -309,7 +309,7 @@ class TestHttpEmbedderRequestPolicy:
                 raise requests.JSONDecodeError("Expecting value", "<html>", 0)
 
         session, embed = self._embed([NotJsonResponse(200)] * 3)
-        with pytest.raises(EmbeddingProviderError, match="malformed embedding body"):
+        with pytest.raises(ProviderError, match="malformed embedding body"):
             embed()
         assert (session.calls, sleeps) == (1, [])
 
@@ -604,7 +604,7 @@ class TestHttpEmbedderBatch:
         waits: list[float] = []
         monkeypatch.setattr("kgagent.llm.time.sleep", waits.append)
         session = QueuedEmbeddingSession([QueuedResponse(200, {"data": data})] * 3)
-        with pytest.raises(EmbeddingProviderError, match="malformed embedding body"):
+        with pytest.raises(ProviderError, match="malformed embedding body"):
             self._provider(session).embed_many(["a", "b"])
         assert (session.calls, waits) == (1, [])
 
@@ -612,7 +612,7 @@ class TestHttpEmbedderBatch:
         data = [{"index": 0, "embedding": [1.0, 2]}, {"index": 1, "embedding": [1.0, None]}]
         body = {"data": data}
         session = QueuedEmbeddingSession([QueuedResponse(200, body)])
-        with pytest.raises(EmbeddingProviderError, match="not a list of numbers"):
+        with pytest.raises(ProviderError, match="not a list of numbers"):
             self._provider(session).embed_many(["a", "b"])
 
 
@@ -677,7 +677,7 @@ class TestEmbedTexts:
             def embed_many(self, texts):
                 return super().embed_many(texts)[:-1]
 
-        with pytest.raises(EmbeddingProviderError, match="2 vectors for 3 texts"):
+        with pytest.raises(ProviderError, match="2 vectors for 3 texts"):
             embed_texts(["a", "b", "c"], ShortBatch(self.VECTORS))
 
     def test_score_many_embeds_the_question_then_one_batch(self):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import dataclasses
 import gc
 import io
-import pickle
 import random
 import sys
 import threading
@@ -83,7 +82,7 @@ class TestLoadTriples:
         kg = load_triples(["A\tr\tB\n", "B\tr\tC\n"])
         view = edge_set(kg)
         view.clear()
-        view.add(Triple("X", "r", "Y"))
+        view.add(("X", "r", "Y"))
         assert edge_set(kg) == {("A", "r", "B"), ("B", "r", "C")}
         assert len(kg) == 2 and kg.get_neighbors("X") == []
         assert "triples" not in {f.name for f in dataclasses.fields(KnowledgeGraph)}
@@ -182,11 +181,11 @@ class TestFindPaths:
 
     def test_single_edge(self):
         kg = make_kg([("A", "r", "B")])
-        assert kg.find_paths("A", "B", 3) == [[Triple("A", "r", "B")]]
+        assert kg.find_paths("A", "B", 3) == [[("A", "r", "B")]]
 
     def test_self_loop_cycle(self):
         kg = make_kg([("A", "r", "A")])
-        assert kg.find_paths("A", "A", 3) == [[Triple("A", "r", "A")]]
+        assert kg.find_paths("A", "A", 3) == [[("A", "r", "A")]]
 
     def test_max_len_validation(self):
         kg = make_kg([("A", "r", "B")])
@@ -476,7 +475,7 @@ class TestLoaderErrors:
         assert excinfo.value.__cause__ is None
 
     def test_trailing_carriage_returns_are_stripped(self):
-        assert edge_set(load_triples(["A\tr\tB\r\r\n"])) == {Triple("A", "r", "B")}
+        assert edge_set(load_triples(["A\tr\tB\r\r\n"])) == {("A", "r", "B")}
 
     def test_a_label_may_be_empty_or_hold_a_carriage_return(self):
         assert load_labels(["Q1\t\n", "Q2\ta\rb\n"]) == {"Q1": "", "Q2": "a\rb"}
@@ -524,7 +523,7 @@ def reference_load_triples(source) -> KnowledgeGraph:
     kg = KnowledgeGraph()
     held: set[Triple] = set()
     for number, (head, relation, tail), path in reference_tsv_rows(source, 3):
-        triple = Triple(
+        triple = (
             reference_check_id(head, "head", number, path),
             reference_check_id(relation, "relation", number, path),
             reference_check_id(tail, "tail", number, path),
@@ -593,45 +592,15 @@ class TestLoaderParity:
         )
 
 
-class TestTriple:
-    def test_hash_and_equality_are_the_plain_tuple_s(self):
-        triple = Triple("A", "r", "B")
-        assert hash(triple) == hash(tuple(triple)) == hash(("A", "r", "B"))
-        assert triple == ("A", "r", "B")
-
-    def test_repr(self):
-        assert repr(Triple("A", "r", "B")) == "Triple(head='A', relation='r', tail='B')"
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(*[st.sampled_from(["A", "B", "b", "r", ""])] * 3), max_size=12))
-    def test_sort_order_is_the_plain_tuple_order(self, rows):
-        triples = [Triple(*row) for row in rows]
-        assert sorted(triples) == sorted(triples, key=tuple)
-
-    def test_fields_cannot_be_set(self):
-        triple = Triple("A", "r", "B")
-        with pytest.raises(AttributeError):
-            triple.head = "C"  # type: ignore[misc]
-        with pytest.raises(AttributeError):
-            triple.weight = 1.0  # type: ignore[attr-defined]
-
-    def test_pickle_round_trip(self):
-        triple = Triple("A", "r", "B")
-        restored = pickle.loads(pickle.dumps(triple))
-        assert restored == triple and type(restored) is Triple
-
-
 class TestEdgesArePlainTuples:
     """The graph's edges are exact tuples, which the garbage collector
-    untracks at a collection; a Triple, a tuple subclass, it never untracks."""
+    untracks at a collection."""
 
     def test_loaded_and_extracted_edges_are_untracked_after_a_collection(self, tmp_path):
         save_kg(random_kg(random.Random(8), n_entities=30, n_triples=200), tmp_path)
         loaded = load_kg(tmp_path)
         extracted = extract_khop_subgraph(loaded, ["Q1", "Q2"], 2)
-        named = Triple("A", "r", "B")
         gc.collect()
-        assert gc.is_tracked(named)
         for kg in (loaded, extracted):
             edges = _scan_order(kg)
             assert edges

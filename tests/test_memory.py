@@ -32,7 +32,7 @@ def is_chained(path: list[Triple]) -> bool:
 
 def random_stream(rng: random.Random, length: int) -> list[Triple]:
     return [
-        Triple(
+        (
             f"Q{rng.randrange(6)}",
             f"P{rng.randrange(3)}",
             f"Q{rng.randrange(6)}",
@@ -43,32 +43,32 @@ def random_stream(rng: random.Random, length: int) -> list[Triple]:
 
 class TestIntegrate:
     def test_first_triple_creates_path(self):
-        memory = integrate(Memory(), [Triple("Q5879", "P451", "Q61597")])
-        assert memory.paths == [[Triple("Q5879", "P451", "Q61597")]]
+        memory = integrate(Memory(), [("Q5879", "P451", "Q61597")])
+        assert memory.paths == [[("Q5879", "P451", "Q61597")]]
 
     def test_chain_extension(self):
-        memory = integrate(Memory(), [Triple("Q5879", "P451", "Q61597")])
-        integrate(memory, [Triple("Q61597", "P19", "Q3042")])
+        memory = integrate(Memory(), [("Q5879", "P451", "Q61597")])
+        integrate(memory, [("Q61597", "P19", "Q3042")])
         assert len(memory.paths) == 1
         assert len(memory.paths[0]) == 2
         assert memory.paths[0][-1][2] == "Q3042"
 
     def test_first_match_rule(self):
-        memory = Memory([[Triple("A", "r", "X")], [Triple("B", "r", "X")]])
-        integrate(memory, [Triple("X", "s", "Y")])
+        memory = Memory([[("A", "r", "X")], [("B", "r", "X")]])
+        integrate(memory, [("X", "s", "Y")])
         assert len(memory.paths[0]) == 2
         assert len(memory.paths[1]) == 1
 
     def test_duplicate_of_last_link_skipped(self):
-        loop = Triple("X", "r", "X")
+        loop = ("X", "r", "X")
         memory = integrate(Memory(), [loop])
         integrate(memory, [loop])
         assert memory.paths == [[loop]]
 
     def test_no_match_appends_new_path(self):
-        memory = integrate(Memory(), [Triple("A", "r", "B")])
+        memory = integrate(Memory(), [("A", "r", "B")])
         before = len(memory.paths)
-        integrate(memory, [Triple("Z", "r", "W")])
+        integrate(memory, [("Z", "r", "W")])
         assert len(memory.paths) == before + 1
 
     def test_thirty_triple_streams_match_replay_oracle(self):
@@ -93,7 +93,7 @@ class TestIntegrate:
         memory = Memory()
         count = 0
         for head, relation, tail in raw:
-            integrate(memory, [Triple(head, relation, tail)])
+            integrate(memory, [(head, relation, tail)])
             assert all(map(is_chained, memory.paths))
             assert len(memory.paths) >= count  # path count never decreases
             count = len(memory.paths)
@@ -119,7 +119,7 @@ class TestRenderMemory:
         kg = make_kg([], GOETHE_LABELS)
         memory = integrate(
             Memory(),
-            [Triple("Q5879", "P451", "Q61597"), Triple("Q61597", "P19", "Q3042")],
+            [("Q5879", "P451", "Q61597"), ("Q61597", "P19", "Q3042")],
         )
         assert render_memory(memory, kg) == (
             "(Johann Wolfgang von Goethe, unmarried Partner, Lili Schöneman)"
@@ -127,14 +127,14 @@ class TestRenderMemory:
         )
 
     def test_unlabeled_ids_render_verbatim(self):
-        memory = integrate(Memory(), [Triple("Q1", "P1", "Q2")])
+        memory = integrate(Memory(), [("Q1", "P1", "Q2")])
         assert render_memory(memory, make_kg([])) == "(Q1, P1, Q2)"
 
     def test_fact_lines_follow_path_lines(self):
         kg = make_kg([], GOETHE_LABELS)
         memory = integrate(
             Memory(facts=["Goethe wrote Faust", "Faust has two parts"]),
-            [Triple("Q5879", "P451", "Q61597"), Triple("Q1", "P1", "Q2")],
+            [("Q5879", "P451", "Q61597"), ("Q1", "P1", "Q2")],
         )
         assert render_memory(memory, kg) == (
             "(Johann Wolfgang von Goethe, unmarried Partner, Lili Schöneman)\n"
@@ -145,7 +145,7 @@ class TestRenderMemory:
 
     def test_deterministic(self):
         kg = make_kg([], GOETHE_LABELS)
-        stream = [Triple("Q5879", "P451", "Q61597"), Triple("Q61597", "P19", "Q3042")]
+        stream = [("Q5879", "P451", "Q61597"), ("Q61597", "P19", "Q3042")]
         first = render_memory(integrate(Memory(), stream), kg)
         second = render_memory(integrate(Memory(), stream), kg)
         assert first == second

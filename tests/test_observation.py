@@ -92,7 +92,7 @@ class TestObserveBasics:
     def test_unknown_seed_contributes_nothing(self, embedder):
         kg = make_kg([("A", "r", "B")])
         result = observe(kg, QuestionScorer("q", embedder), ["Zmissing", "A"], ObservationParams())
-        assert [entry.triple for entry in result.entries] == [Triple("A", "r", "B")]
+        assert [entry.triple for entry in result.entries] == [("A", "r", "B")]
 
     def test_star_graph_top_n_selection(self, embedder):
         kg = make_kg([("S", f"r{i}", f"T{i}") for i in range(7)])
@@ -357,7 +357,7 @@ class TestRankLimit:
         for _ in range(50):
             pairs = [
                 (rng.choice([0.5, -0.25, 0.0, -0.0, 1.0]),
-                 Triple(f"Q{rng.randrange(4)}", f"P{rng.randrange(3)}", f"Q{rng.randrange(4)}"))
+                 (f"Q{rng.randrange(4)}", f"P{rng.randrange(3)}", f"Q{rng.randrange(4)}"))
                 for _ in range(rng.randrange(0, 40))
             ]
             full = sorted(pairs, key=lambda pair: (-pair[0], pair[1]))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+import importlib
+import pkgutil
 import re
 import types
 from pathlib import Path
@@ -7,6 +10,8 @@ from pathlib import Path
 import kgagent
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+# the package under test, installed or not
+PACKAGE = Path(kgagent.__file__).resolve().parent
 
 
 def test_root_binds_only_the_version():
@@ -30,3 +35,41 @@ def test_version_matches_pyproject():
     version = re.search(r'^version\s*=\s*"([^"]+)"\s*$', project.group(1), re.MULTILINE)
     assert version is not None
     assert kgagent.__version__ == version.group(1)
+
+
+def test_exception_classes_are_the_six_that_callers_tell_apart():
+    # a provider failure, an unusable action and a bad input file are each one
+    # class; EmbeddingError, AgentError and UsageError each get their own exit
+    defined = set()
+    for module_info in pkgutil.iter_modules(kgagent.__path__, "kgagent."):
+        module = importlib.import_module(module_info.name)
+        defined |= {
+            f"{module.__name__}.{name}"
+            for name, value in vars(module).items()
+            if isinstance(value, type)
+            and issubclass(value, BaseException)
+            and value.__module__ == module.__name__
+        }
+    assert defined == {
+        "kgagent.action.ActionError",
+        "kgagent.agent.AgentError",
+        "kgagent.cli.UsageError",
+        "kgagent.embedding.EmbeddingError",
+        "kgagent.kg.InputError",
+        "kgagent.llm.ProviderError",
+    }
+
+
+def test_every_module_uses_every_name_it_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

@@ -22,9 +22,9 @@ from conftest import TOKYO_QUESTION, complete_with, edge_set, make_kg, random_kg
 from test_observation import RecordingEmbedder
 
 TOKYO_CANDIDATES = [
-    Triple("Q1490", "P31", "Q50337"),
-    Triple("Q1490", "P36", "Q192724"),
-    Triple("Q1490", "P36", "Q17"),
+    ("Q1490", "P31", "Q50337"),
+    ("Q1490", "P36", "Q192724"),
+    ("Q1490", "P36", "Q17"),
 ]
 
 
@@ -79,7 +79,7 @@ class TestParseReflected:
         assert result == [TOKYO_CANDIDATES[0]]
 
     def test_truncation_to_k_max(self):
-        candidates = [Triple(f"Q{i}", "P1", f"Q{i + 100}") for i in range(20)]
+        candidates = [(f"Q{i}", "P1", f"Q{i + 100}") for i in range(20)]
         response = "\n".join(f"Q{i},P1,Q{i + 100}" for i in range(20))
         result = parse_reflected(response, candidates, ReflectionParams(k_max=15))
         assert len(result) == 15
@@ -153,11 +153,11 @@ class TestReflectSimilarity:
 
     def test_equal_scores_break_lexicographically(self, embedder):
         # identical relation+tail text means identical score
-        candidates = [Triple("B", "P1", "X"), Triple("A", "P1", "X")]
+        candidates = [("B", "P1", "X"), ("A", "P1", "X")]
         result = reflect_similarity(
             candidates, make_kg([]), ReflectionParams(), QuestionScorer("q", embedder)
         )
-        assert result == [Triple("A", "P1", "X"), Triple("B", "P1", "X")]
+        assert result == [("A", "P1", "X"), ("B", "P1", "X")]
 
     def test_empty_candidates(self, embedder):
         scorer = QuestionScorer("q", embedder)
@@ -174,18 +174,18 @@ class TestReflectSimilarity:
 
 class TestReflectRandom:
     def test_under_cap_keeps_all(self):
-        candidates = [Triple(f"Q{i}", "P", "T") for i in range(5)]
+        candidates = [(f"Q{i}", "P", "T") for i in range(5)]
         result = reflect_random(candidates, ReflectionParams(k_max=15), random.Random(3))
         assert set(result) == set(candidates)
 
     def test_fixed_seed_reproducible(self):
-        candidates = [Triple(f"Q{i}", "P", f"T{i}") for i in range(30)]
+        candidates = [(f"Q{i}", "P", f"T{i}") for i in range(30)]
         first = reflect_random(candidates, ReflectionParams(k_max=10), random.Random(12))
         second = reflect_random(candidates, ReflectionParams(k_max=10), random.Random(12))
         assert first == second
 
     def test_sample_without_replacement(self):
-        candidates = [Triple(f"Q{i}", "P", f"T{i}") for i in range(30)]
+        candidates = [(f"Q{i}", "P", f"T{i}") for i in range(30)]
         result = reflect_random(candidates, ReflectionParams(k_max=10), random.Random(5))
         assert len(result) == 10
         assert len(set(result)) == 10
