@@ -64,10 +64,13 @@ def load_template(name: str) -> str:
     )
 
 
+_SLOT_RE = re.compile(r"\[(\w+)\]")
+
+
 def fill_template(template: str, slots: Mapping[str, str]) -> str:
-    for slot, value in slots.items():
-        template = template.replace(f"[{slot}]", value)
-    return template
+    """Replace each ``[Name]`` of the template by ``slots[Name]`` in one pass, so
+    no slot is filled inside another's value; an unknown name stays as it is."""
+    return _SLOT_RE.sub(lambda match: slots.get(match[1], match[0]), template)
 
 
 def observed_template(name: str, observation: ObservationSubgraph) -> str:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -19,6 +20,13 @@ RelationId = str
 
 TRIPLES_FILENAME = "triples.tsv"
 LABELS_FILENAME = "labels.tsv"
+
+# The bytes a TSV loader reads at a time, in whole lines (see _line_blocks).
+# The list a block of triples splits into is at most six times as large, so
+# it stays under glibc's 128 KiB mmap threshold: freeing a larger buffer
+# raises that threshold, and with 64 KiB blocks the heap then fragmented so
+# that cold-start peak RSS grew by 5%.
+_BLOCK_BYTES = 1 << 14
 
 
 class InputError(ValueError):
@@ -177,29 +185,67 @@ def source_path(source: str | Path | IO | Iterable[str | bytes]) -> str | Path |
     return source if isinstance(source, (str, Path)) else None
 
 
+def _line_blocks(
+    source: str | Path | IO | Iterable[str | bytes],
+) -> Iterator[list[str] | list[bytes]]:
+    """``source``'s lines in runs of about _BLOCK_BYTES, in order.
+
+    A path is read in binary by ``readlines``, so every line but a file's
+    last ends in a newline. Any other source is decoded line by line (a bytes
+    line as UTF-8), and a line that does not end in a newline ends its block,
+    so again only a block's last line may lack one. Such a source's line that
+    is not UTF-8 raises InputError "not valid UTF-8" once the lines before it
+    are yielded; a text-mode handle decodes by chunk, so for it the number is
+    that of the first line it failed to return.
+    """
+    path = source_path(source)
+    if path is not None:
+        with open(path, "rb") as handle:
+            yield from iter(partial(handle.readlines, _BLOCK_BYTES), [])
+        return
+    block: list[str] = []
+    size = number = failed = 0
+    try:
+        for number, line in enumerate(map(_as_text, source), start=1):
+            block.append(line)
+            size += len(line)
+            if size >= _BLOCK_BYTES or not line.endswith("\n"):
+                yield block
+                block, size = [], 0
+    except UnicodeDecodeError:
+        failed = number + 1
+    if block:
+        yield block
+    if failed:
+        raise InputError("not valid UTF-8", failed)
+
+
 def numbered_text_lines(
     source: str | Path | IO | Iterable[str | bytes],
 ) -> Iterator[tuple[int, str]]:
     """Each line of ``source`` with its 1-based number, as text.
 
-    A path is read in binary and each line decoded as UTF-8 on its own, as
-    is each bytes line of another source. A line that is not UTF-8 raises
-    InputError "not valid UTF-8", naming the file when the source is a path;
-    a text-mode handle decodes by chunk, so for it the number is that of the
-    first line it failed to return.
+    Each line is decoded as UTF-8 on its own (see _line_blocks). A line that
+    is not UTF-8 raises InputError "not valid UTF-8", naming the file when
+    the source is a path.
     """
     path = source_path(source)
-    number = 0
-    try:
-        if path is not None:
-            with open(path, "rb") as handle:
-                for number, line in enumerate(map(bytes.decode, handle), start=1):
-                    yield number, line
-            return
-        for number, line in enumerate(map(_as_text, source), start=1):
-            yield number, line
-    except UnicodeDecodeError:
-        raise InputError("not valid UTF-8", number + 1, path) from None
+    number = 1
+    for block in _line_blocks(source):
+        yield from _numbered_lines(block, number, path)
+        number += len(block)
+
+
+def _numbered_lines(
+    block: list[str] | list[bytes], number: int, path: str | Path | None
+) -> Iterator[tuple[int, str]]:
+    """Each line of a block whose first line is line ``number``, as text."""
+    for number, line in enumerate(block, start=number):
+        try:
+            text = _as_text(line)
+        except UnicodeDecodeError:
+            raise InputError("not valid UTF-8", number, path) from None
+        yield number, text
 
 
 def _check_fields(
@@ -218,33 +264,96 @@ def _check_fields(
             raise InputError(f"{kind} contains tab or newline", line_number, path)
 
 
-def _tsv_rows(
-    source: str | Path | IO | Iterable[str | bytes], width: int, id_kinds: tuple[str, ...]
-) -> Iterator[list[str]]:
-    """The fields of each non-blank line, which must be exactly ``width``.
+def _split_block(
+    block: list[str] | list[bytes], width: int, empty_id: str
+) -> list[str] | None:
+    """The fields of a block that passes the cheap test, else None.
 
-    The leading ``len(id_kinds)`` fields are ids: none may be empty or hold a
-    newline or carriage return (a tab would have split the line). Any later
-    field is free text. Each line gets one cheap test; only a line that fails
-    it goes through _check_fields, which raises the detailed error, naming
-    the file when the source is a path. A line that is not UTF-8 raises
-    InputError too, from numbered_text_lines.
+    The block must be UTF-8, hold one newline per line and no carriage
+    return but in a CRLF line end, and end in a newline that ends its last
+    line (an empty last line leaves it ending in the newline of the line
+    before). As only the last line may lack one, each line then ends in the
+    one newline it holds. Each newline then becomes a field of its own,
+    between tabs: no line is blank and no id empty when the text starts
+    with no tab and holds no ``empty_id``, and each line has exactly
+    ``width`` fields when the newlines sit at every ``width + 1``-th place.
     """
-    path = source_path(source)
+    try:
+        text = b"".join(block).decode() if isinstance(block[0], bytes) else "".join(block)
+    except UnicodeDecodeError:
+        return None
+    if "\r" in text:  # a CRLF line end reads as LF; any other carriage return fails
+        text = text.replace("\r\n", "\n")
+    lines = len(block)
+    if not (block[-1] and text.endswith("\n")) or text.count("\n") != lines or "\r" in text:
+        return None
+    text = text.replace("\n", "\t\n\t")
+    if text.startswith("\t") or empty_id in text:
+        return None
+    fields = text.split("\t")
+    if len(fields) != (width + 1) * lines + 1 or fields[width :: width + 1] != ["\n"] * lines:
+        return None
+    del fields[width :: width + 1]
+    fields.pop()  # the empty field after the last newline
+    return fields
+
+
+def _checked_fields(
+    block: list[str] | list[bytes], number: int, width: int, id_kinds: tuple[str, ...],
+    path: str | Path | None,
+) -> list[str]:
+    """The fields of a block whose first line is line ``number``, line by line.
+
+    Each line is decoded on its own and gets one cheap test; only a line that
+    fails it goes through _check_fields, which raises the detailed error.
+    """
+    fields: list[str] = []
     checked = len(id_kinds)
-    for number, line in numbered_text_lines(source):
+    for number, line in _numbered_lines(block, number, path):
         line = line.rstrip("\r\n")
         if not line:
             continue
-        fields = line.split("\t")
+        row = line.split("\t")
         if checked == width:
-            ids, text = fields, line
+            ids, text = row, line
         else:
-            ids = fields[:checked]
+            ids = row[:checked]
             text = "\t".join(ids)
-        if len(fields) != width or "" in ids or "\r" in text or "\n" in text:
-            _check_fields(fields, width, id_kinds, number, path)
+        if len(row) != width or "" in ids or "\r" in text or "\n" in text:
+            _check_fields(row, width, id_kinds, number, path)
+        fields += row
+    return fields
+
+
+def _tsv_fields(
+    source: str | Path | IO | Iterable[str | bytes], width: int, id_kinds: tuple[str, ...]
+) -> Iterator[list[str]]:
+    """The fields of each block of ``source``, ``width`` per non-blank line.
+
+    The leading ``len(id_kinds)`` fields are ids (all of them, or the first
+    only): none may be empty or hold a newline or carriage return (a tab
+    would have split the line). A later field is free text. A block that
+    fails _split_block's cheap test is read line by line by _checked_fields,
+    which raises the InputError of its first bad line, naming the file when
+    the source is a path.
+    """
+    path = source_path(source)
+    # once each newline is padded with tabs, two tabs in a row are an empty
+    # field or a blank line; where only the first field is an id, they count
+    # only right after a newline
+    empty_id = "\t\t" if len(id_kinds) == width else "\n\t\t"
+    number = 1
+    for block in _line_blocks(source):
+        fields = _split_block(block, width, empty_id)
+        if fields is None:
+            fields = _checked_fields(block, number, width, id_kinds, path)
         yield fields
+        number += len(block)
+
+
+def _interned_triples(fields: list[str]) -> Iterator[Triple]:
+    interned = map(sys.intern, fields)
+    return zip(interned, interned, interned)
 
 
 def load_triples(
@@ -255,20 +364,18 @@ def load_triples(
     from the ``labels`` source (read by load_labels after the triples) if given.
 
     Blank lines are skipped; duplicate triples collapse; first-seen order
-    is preserved in adjacency lists. Each line is decoded as UTF-8 on its
-    own and gets one test: three fields, none empty, no newline or carriage
-    return. Only a line that fails it is checked field by field, to raise a
-    InputError naming the line and the first fault (the width, then
-    the head, relation and tail).
+    is preserved in adjacency lists. The lines are read a block at a time,
+    and each block gets one cheap test (see _split_block): three fields a
+    line, none empty, no carriage return but in a CRLF line end. Only a
+    block that fails it is checked line by line, to raise an InputError
+    naming the line and the first fault (the width, then the head, relation
+    and tail).
 
     Every edge is a plain tuple of interned strings, so the garbage
     collector untracks it at its first collection (see Triple).
     """
-    intern = sys.intern
-    edges = dict.fromkeys(
-        (intern(head), intern(relation), intern(tail))
-        for head, relation, tail in _tsv_rows(source, 3, ("head", "relation", "tail"))
-    )
+    blocks = _tsv_fields(source, 3, ("head", "relation", "tail"))
+    edges = dict.fromkeys(chain.from_iterable(map(_interned_triples, blocks)))
     adjacency: dict[EntityId, list[Triple]] = {}
     for triple in edges:
         adjacency.setdefault(triple[0], []).append(triple)
@@ -276,14 +383,14 @@ def load_triples(
 
 
 def load_labels(source: str | Path | IO | Iterable[str | bytes]) -> dict[str, str]:
-    """The label map of TSV lines ``id<TAB>label``.
+    """The label map of TSV lines ``id<TAB>label``, read like load_triples.
 
     Later lines overwrite earlier labels for the same id. Only the id is
     checked; a label may be empty or hold a carriage return.
     """
     labels: dict[str, str] = {}
-    for identifier, label in _tsv_rows(source, 2, ("id",)):
-        labels[sys.intern(identifier)] = label
+    for fields in _tsv_fields(source, 2, ("id",)):
+        labels.update(zip(map(sys.intern, fields[::2]), fields[1::2]))
     return labels
 
 

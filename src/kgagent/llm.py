@@ -10,9 +10,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import IO, Iterable, Protocol
 
-from .kg import InputError, numbered_text_lines
+from .kg import InputError, numbered_text_lines, source_path
 
 DEFAULT_TEMPERATURE = 0.4
 DEFAULT_MAX_TOKENS = 500
@@ -96,11 +96,12 @@ class ScriptedProvider:
             return entry.response
 
 
-def load_script(source: str | Path) -> list[ScriptEntry]:
-    """Read a script file: one JSON object per line with kind/match/response.
+def load_script(source: str | Path | IO | Iterable[str | bytes]) -> list[ScriptEntry]:
+    """Read a script: one JSON object per line with kind/match/response.
 
     Each line is decoded as UTF-8 on its own; a line that is not UTF-8 or
-    not a valid entry raises InputError ``<path>: line N: <message>``.
+    not a valid entry raises InputError ``[<path>: ]line N: <message>``,
+    naming the file when the source is a path.
     """
     entries: list[ScriptEntry] = []
     for number, line in numbered_text_lines(source):
@@ -115,7 +116,7 @@ def load_script(source: str | Path) -> list[ScriptEntry]:
                 ScriptEntry(record.get("kind", "substring"), record["match"], record["response"])
             )
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise InputError(f"bad script entry: {exc}", number, source) from exc
+            raise InputError(f"bad script entry: {exc}", number, source_path(source)) from exc
     return entries
 
 

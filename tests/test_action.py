@@ -223,6 +223,13 @@ class TestAnswerPrompt:
         )
         assert "Tokyo is the capital of Japan" in prompt
 
+    def test_slot_names_in_values_render_verbatim(self):
+        kg = make_kg([("A", "r", "B")], labels={"B": "see [Question] here"})
+        memory = integrate(Memory(), [("A", "r", "B")])
+        prompt = build_answer_prompt("Where is [Memory]?", memory, kg)
+        assert "memory: (A, r, see [Question] here). You" in prompt
+        assert "asked to answer the question: Where is [Memory]?." in prompt
+
 
 class TestParseAnswer:
     def test_single_answer(self):

@@ -592,6 +592,121 @@ class TestLoaderParity:
         )
 
 
+def _result(load, source):
+    """What a loader returns, in comparable form, or its InputError's text and
+    line number."""
+    try:
+        kg = load(source)
+    except InputError as exc:
+        return str(exc), exc.line_number
+    return edge_set(kg), list(kg.adjacency.items()), list(kg.labels.items())
+
+
+def _source(kind: str, encoded: list[bytes], path: Path):
+    """The lines ``encoded`` as one kind of source; ``path`` already holds them."""
+    if kind == "str":
+        return [line.decode("utf-8", "replace") for line in encoded]
+    if kind == "bytes":
+        return list(encoded)
+    if kind == "stream":
+        return io.BytesIO(b"".join(encoded))
+    return path if kind == "path" else str(path)
+
+
+def _load_labels_as_graph(source) -> KnowledgeGraph:
+    return load_triples([], source)
+
+
+def _reference_labels_as_graph(source) -> KnowledgeGraph:
+    return reference_load_labels(KnowledgeGraph(), source)
+
+
+_SOURCE_KINDS = ["str", "bytes", "stream", "path", "str path"]
+_TRIPLE_LINES = [f"E{i}\tr{i % 3}\tE{i + 1}\n".encode() for i in range(12)]
+_LABEL_LINES = [f"E{i}\tlabel {i}\n".encode() for i in range(12)]
+
+
+class TestLoaderParityAcrossBlocks:
+    """Inputs read in many blocks, with their faults in a later block, load as
+    the line-by-line reference loads them: the same graph, or the same error
+    text and line number."""
+
+    @pytest.fixture(autouse=True, params=[1, 16, None], ids=["1", "16", "default"])
+    def block_bytes(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr("kgagent.kg._BLOCK_BYTES", request.param)
+
+    def assert_parity(self, encoded: list[bytes], path: Path, kinds=_SOURCE_KINDS) -> None:
+        path.write_bytes(b"".join(encoded))
+        for kind in kinds:
+            for load, reference in [
+                (load_triples, reference_load_triples),
+                (_load_labels_as_graph, _reference_labels_as_graph),
+            ]:
+                got = _result(load, _source(kind, encoded, path))
+                assert got == _result(reference, _source(kind, encoded, path)), kind
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            pytest.param([b"X\tr\tY\r\n", b"Y\tr\tZ\r\r\n"], id="crlf"),
+            pytest.param([b"\n", b"\r\n", b"X\tr\tY\n", b"\n"], id="blank"),
+            pytest.param([b"X\tr\tY\n", b"X\tr\t\xff\n", b"X\tr\n"], id="not-utf8"),
+            pytest.param([b"X\tr\n", b"Y\tr\tZ\n"], id="two-fields"),
+            pytest.param([b"X\ta\tb\n"], id="three-fields"),
+            pytest.param([b"\tY\n"], id="empty-first-field"),
+            pytest.param([b"X\t\n"], id="empty-last-field"),
+            pytest.param([b"X\t\tY\n"], id="empty-middle-field"),
+            pytest.param([b"X\tr\rs\tY\n"], id="carriage-return"),
+        ],
+    )
+    @pytest.mark.parametrize("rows", [_TRIPLE_LINES, _LABEL_LINES], ids=["triples", "labels"])
+    def test_a_fault_in_a_later_block(self, tmp_path, rows, fault):
+        self.assert_parity(rows + fault + rows, tmp_path / "rows.tsv")
+
+    @pytest.mark.parametrize("rows", [_TRIPLE_LINES, _LABEL_LINES], ids=["triples", "labels"])
+    def test_a_last_line_without_a_newline(self, tmp_path, rows):
+        self.assert_parity(rows + [rows[1].rstrip(b"\n")], tmp_path / "rows.tsv")
+
+    @pytest.mark.parametrize(
+        "as_lines", [list, lambda lines: [s.encode() for s in lines]], ids=["str", "bytes"]
+    )
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["A\tr\tB", "\nC\tr\tD\n"], "line 2: head contains tab or newline"),
+            (["A\tr\tB\n", "C\tr\tD\nE\tr\tF\n", ""],
+             "line 2: expected 3 tab-separated fields, got 5"),
+        ],
+    )
+    def test_list_items_that_join_into_valid_rows_are_checked_one_by_one(
+        self, as_lines, lines, message
+    ):
+        with pytest.raises(InputError) as excinfo:
+            load_triples(as_lines(lines))
+        assert str(excinfo.value) == message
+        assert excinfo.value.line_number == 2
+        assert _result(load_triples, as_lines(lines)) == _result(
+            reference_load_triples, as_lines(lines)
+        )
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        lines=st.lists(_LINE, max_size=30),
+        kind=st.sampled_from(_SOURCE_KINDS),
+        bad_utf8=st.integers(min_value=-1, max_value=29),
+    )
+    def test_drawn_inputs(self, tmp_path, lines, kind, bad_utf8):
+        encoded = [line.encode("utf-8") for line in lines]
+        if 0 <= bad_utf8 < len(encoded):
+            encoded[bad_utf8] = b"\xff" + encoded[bad_utf8]
+        self.assert_parity(encoded, tmp_path / "rows.tsv", [kind])
+
+
 class TestEdgesArePlainTuples:
     """The graph's edges are exact tuples, which the garbage collector
     untracks at a collection."""

@@ -47,6 +47,17 @@ class TestBuildReflectionPrompt:
         )
         assert "observation" not in prompt.casefold()
 
+    def test_slot_names_in_values_render_verbatim(self):
+        kg = make_kg([("A", "r", "B")], labels={"B": "see [Question] here"})
+        memory = Memory(facts=["a fact"])
+        prompt = build_reflection_prompt(
+            "Where is [Memory]?", [("A", "r", "B")], kg, ObservationSubgraph(), memory
+        )
+        assert "triples (A, r, see [Question] here) from" in prompt
+        assert "labels: A: A, r: r, B: see [Question] here from" in prompt
+        assert "question: Where is [Memory]?." in prompt
+        assert "memory: a fact." in prompt
+
     def test_requires_candidates(self, tokyo_kg):
         with pytest.raises(ValueError):
             build_reflection_prompt(
