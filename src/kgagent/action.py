@@ -10,6 +10,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from typing import Callable, Mapping, Sequence, Union
 
 from .kg import EntityId, KnowledgeGraph, Triple
@@ -179,7 +180,7 @@ def execute_action(
         return kg.get_neighbors(action.entity, limit=neighbor_limit)
     if isinstance(action, PathDiscovery):
         paths = kg.find_paths(action.first, action.second, max_len=path_max_len)
-        return list(dict.fromkeys(triple for path in paths for triple in path))
+        return list(dict.fromkeys(chain.from_iterable(paths)))
     raise ValueError("Answer carries no KG execution")
 
 

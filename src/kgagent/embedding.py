@@ -225,7 +225,12 @@ class HttpEmbedder:
         try:
             data = body["data"]
             by_index = {item["index"]: item["embedding"] for item in data}
-            if len(data) != len(inputs) or by_index.keys() != set(range(len(inputs))):
+            # a bool or float index equals an int one, so its type is checked too
+            if (
+                len(data) != len(inputs)
+                or by_index.keys() != set(range(len(inputs)))
+                or not {*map(type, by_index)} <= {int}
+            ):
                 raise ValueError(f"{len(data)} items for {len(inputs)} inputs, bad indexes")
             raws = [by_index[index] for index in range(len(inputs))]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -233,7 +238,8 @@ class HttpEmbedder:
         return [self._vector(raw) for raw in raws]
 
     def _vector(self, raw) -> Vector:
-        if not isinstance(raw, list) or not all(map(isinstance, raw, repeat((int, float)))):
+        # exact types: a JSON true or false parses to a bool, which is an int
+        if not isinstance(raw, list) or not {*map(type, raw)} <= {int, float}:
             raise ProviderError("embedding is not a list of numbers")
         vector = tuple(map(float, raw))
         if not vector:  # before the dimension is learned, so one bad reply cannot fix it at 0

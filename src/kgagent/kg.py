@@ -11,7 +11,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -46,6 +47,8 @@ class InputError(ValueError):
 # not walk the whole graph again.
 Triple = tuple[EntityId, RelationId, EntityId]
 
+_tail = itemgetter(2)
+
 
 @dataclass
 class KnowledgeGraph:
@@ -74,7 +77,8 @@ class KnowledgeGraph:
 
     def render_legend(self, identifiers: Iterable[str]) -> str:
         """Comma-separated "id: label" pairs, each id once in first-seen order."""
-        return ", ".join(f"{i}: {self.label_of(i)}" for i in dict.fromkeys(identifiers))
+        label = self.labels.get
+        return ", ".join(f"{i}: {label(i, i)}" for i in dict.fromkeys(identifiers))
 
     def get_neighbors(self, entity: EntityId, limit: int | None = None) -> list[Triple]:
         """Triples with the given entity as head, in load order.
@@ -105,39 +109,51 @@ class KnowledgeGraph:
 
         The search meets in the middle. A backward walk from goal over the
         in-edge index collects every suffix of up to ``max_len // 2`` edges
-        (see _suffixes). A forward walk from start takes the remaining hops:
-        a path ends at its first edge into goal, and at the last forward hop
-        the prefix joins each suffix recorded for the entity it reached whose
-        intermediates it has not visited. The in-edge index (tail -> triples,
-        in adjacency order) is built by the first call that walks backward,
-        never by loading.
+        (see _suffixes). A forward walk from start takes the remaining hops,
+        and a path ends at its first edge into goal. At the last forward hop
+        only an edge into goal or into the first entity of a suffix can end
+        a path, so ``compress`` keeps just those of the entity's edges, with
+        no Python step per edge; the prefix then joins each suffix recorded
+        for the entity it reached whose intermediates it has not visited.
+
+        Paths are gathered in one list per length, and each list is sorted
+        without a key: lists of one length compare triple by triple, so the
+        sorted lists, shortest first, are in (length, sequence) order.
+
+        The in-edge index (tail -> triples, in adjacency order) is the only
+        index beside adjacency; the first call that walks backward builds
+        it, loading never does. An index of each head's edges by tail would
+        spare the last hop's scan but hold every edge once more, for no
+        speed over ``compress``.
         """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
         backward_hops = max_len // 2
         forward_hops = max_len - backward_hops
         suffixes = self._suffixes(goal, backward_hops) if backward_hops else {}
+        ends = {goal, *suffixes}
         adjacency = self.adjacency
-        paths: list[list[Triple]] = []
+        # by_length[n]: the paths of n edges; joined[n]: those whose suffix has n edges
+        by_length: list[list[list[Triple]]] = [[] for _ in range(max_len + 1)]
+        joined = by_length[forward_hops:]
 
         def walk(node: EntityId, visited: set[EntityId], chain: list[Triple]) -> None:
+            found = by_length[len(chain) + 1]
+            edges = adjacency.get(node, ())
             if len(chain) + 1 == forward_hops:
-                for triple in adjacency.get(node, ()):
+                for triple in compress(edges, map(ends.__contains__, map(_tail, edges))):
                     tail = triple[2]
                     if tail == goal:
-                        paths.append(chain + [triple])
-                    elif tail in suffixes and tail not in visited:
-                        prefix = chain + [triple]
-                        paths.extend(
-                            prefix + suffix
-                            for suffix, inside in suffixes[tail]
-                            if inside.isdisjoint(visited)
-                        )
+                        found.append(chain + [triple])
+                    elif tail not in visited:
+                        for suffix, inside in suffixes[tail]:
+                            if inside.isdisjoint(visited):
+                                joined[len(suffix)].append([*chain, triple, *suffix])
                 return
-            for triple in adjacency.get(node, ()):
+            for triple in edges:
                 tail = triple[2]
                 if tail == goal:
-                    paths.append(chain + [triple])
+                    found.append(chain + [triple])
                 elif tail not in visited:
                     visited.add(tail)
                     chain.append(triple)
@@ -146,7 +162,10 @@ class KnowledgeGraph:
                     visited.discard(tail)
 
         walk(start, {start}, [])
-        paths.sort(key=lambda p: (len(p), p))
+        paths: list[list[Triple]] = []
+        for found in by_length:
+            found.sort()
+            paths += found
         return paths
 
     def _suffixes(

@@ -7,6 +7,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 from typing import Callable, Sequence
 
@@ -58,7 +59,7 @@ def build_reflection_prompt(
         observed_template("reflection.txt", observation),
         {
             "Triples": ", ".join(map(kg.render_triple, candidates)),
-            "EntityLabels": kg.render_legend(i for t in candidates for i in t),
+            "EntityLabels": kg.render_legend(chain.from_iterable(candidates)),
             "Question": question,
             "Observation": render_observation(observation, kg),
             "Memory": render_memory(memory, kg),
@@ -68,6 +69,7 @@ def build_reflection_prompt(
 
 
 _TRIAD_PAREN_RE = re.compile(r"\(([^()]*)\)")
+_TRIPLES_LEAD_RE = re.compile(r"^\s*Triples?\s*:\s*", re.IGNORECASE)
 
 
 def _iter_triads(text: str):
@@ -75,7 +77,7 @@ def _iter_triads(text: str):
         line = line.strip()
         if not line:
             continue
-        line = re.sub(r"^\s*Triples?\s*:\s*", "", line, flags=re.IGNORECASE)
+        line = _TRIPLES_LEAD_RE.sub("", line)
         groups = _TRIAD_PAREN_RE.findall(line)
         pieces = groups if groups else [line]
         for piece in pieces:

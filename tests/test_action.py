@@ -18,6 +18,7 @@ from kgagent.action import (
     render_action,
 )
 from kgagent.embedding import QuestionScorer
+from kgagent.kg import dump_triples, load_triples
 from kgagent.llm import ScriptedProvider, ScriptEntry
 from kgagent.memory import Memory, integrate
 from kgagent.observation import ObservationParams, ObservationSubgraph, observe
@@ -197,10 +198,25 @@ class TestExecuteAction:
                 t for triples in kg.adjacency.values() for t in triples if t[0] == entity
             ]
         entities = sorted({t[0] for t in edge_set(kg)})
-        for e1, e2 in [(entities[0], entities[1]), (entities[2], entities[0])]:
-            expected_paths = dfs_paths_oracle(kg, e1, e2, 3)
-            expected = list(dict.fromkeys(t for path in expected_paths for t in path))
-            assert execute_action(kg, PathDiscovery(e1, e2)) == expected
+        searches = [(kg, entities[0], entities[1]), (kg, entities[2], entities[0])]
+        for _ in range(60):
+            small = random_kg(rng, n_entities=7, n_triples=rng.randrange(0, 28), n_relations=3)
+            entity = f"Q{rng.randrange(7)}"
+            small = load_triples([
+                *dump_triples(small),
+                f"{entity}\tP0\t{entity}",  # a self-loop
+                f"{entity}\tP1\tQ0",  # parallel relations to one tail
+                f"{entity}\tP2\tQ0",
+            ])
+            start, goal = (f"Q{i}" for i in rng.sample(range(7), 2))  # PathDiscovery's rule
+            searches.append((small, start, goal))
+        # the reflection prompt and the trace list the outcome in this first-seen order
+        for graph, e1, e2 in searches:
+            for max_len in range(1, 6):
+                expected_paths = dfs_paths_oracle(graph, e1, e2, max_len)
+                expected = list(dict.fromkeys(t for path in expected_paths for t in path))
+                action = PathDiscovery(e1, e2)
+                assert execute_action(graph, action, path_max_len=max_len) == expected
 
     def test_outcome_subset_of_kg(self):
         rng = random.Random(59)

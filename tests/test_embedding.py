@@ -293,7 +293,8 @@ class TestHttpEmbedderRequestPolicy:
     @pytest.mark.parametrize(
         "body",
         [{}, {"data": []}, {"data": [{}]}, {"data": [{"index": 0, "embedding": [1.0, "x"]}]},
-         {"data": [{"index": 0, "embedding": "123"}]}, ["data"]],
+         {"data": [{"index": 0, "embedding": "123"}]}, ["data"],
+         {"data": [{"index": 0, "embedding": [True, 0.5]}]}],
     )
     def test_malformed_body_is_not_retried(self, sleeps, body):
         session, embed = self._embed([QueuedResponse(200, body)] * 3)
@@ -598,6 +599,7 @@ class TestHttpEmbedderBatch:
             [{"index": 1, "embedding": [1.0]}, {"index": 1, "embedding": [2.0]}],  # duplicate
             [{"index": 0, "embedding": [1.0]}, {"index": 2, "embedding": [2.0]}],  # out of range
             [{"index": "0", "embedding": [1.0]}, {"index": 1, "embedding": [2.0]}],
+            [{"index": 0, "embedding": [1.0]}, {"index": True, "embedding": [2.0]}],
         ],
     )
     def test_malformed_indexes_cost_one_request(self, monkeypatch, data):

@@ -230,7 +230,8 @@ class TestFindPaths:
         triples = [("A", "r", "B"), ("B", "r", "C"), ("C", "r", "A")]
         searched, fresh = make_kg(triples, {"A": "a"}), make_kg(triples, {"A": "a"})
         searched.find_paths("A", "C", 3)
-        assert "_in_edges" in vars(searched)
+        # the in-edge index is the only one a search builds
+        assert set(vars(searched)) == {"adjacency", "labels", "_in_edges"}
         assert searched == fresh
         assert repr(searched) == repr(fresh)
 
