@@ -82,12 +82,20 @@ class AgentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AgentConfig":
-        data = dict(data)
-        if "observation" in data:
-            data["observation"] = ObservationParams(**data["observation"])
-        if "reflection" in data:
-            data["reflection"] = ReflectionParams(**data["reflection"])
+        """The config a JSON object gives; ``observation`` and ``reflection``
+        are JSON objects too. A missing key keeps its default."""
+        data = dict(_json_object("top level", data))
+        for name, params in (("observation", ObservationParams), ("reflection", ReflectionParams)):
+            if name in data:
+                data[name] = params(**_json_object(name, data[name]))
         return cls(**data)
+
+
+def _json_object(name: str, value: object) -> dict:
+    if not isinstance(value, dict):
+        kind = "null" if value is None else type(value).__name__
+        raise ValueError(f"{name} must be a JSON object, got {kind}")
+    return value
 
 
 @dataclass

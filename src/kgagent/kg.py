@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, compress
-from operator import itemgetter
+from operator import itemgetter, ne
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -392,12 +392,22 @@ def load_triples(
 
     Every edge is a plain tuple of interned strings, so the garbage
     collector untracks it at its first collection (see Triple).
+
+    No table over every edge is built: the lines' edges, duplicates
+    included, are grouped by head from one list (8 bytes an edge), and only
+    the heads whose list holds a repeat are rebuilt without it. Peak memory
+    is the graph plus that list, and stays flat across reloads. Grouping
+    straight from the blocks, with no list, costs one more full collection.
     """
     blocks = _tsv_fields(source, 3, ("head", "relation", "tail"))
-    edges = dict.fromkeys(chain.from_iterable(map(_interned_triples, blocks)))
+    edges = list(chain.from_iterable(map(_interned_triples, blocks)))
     adjacency: dict[EntityId, list[Triple]] = {}
     for triple in edges:
         adjacency.setdefault(triple[0], []).append(triple)
+    del edges
+    lists = adjacency.values()
+    for head in list(compress(adjacency, map(ne, map(len, lists), map(len, map(set, lists))))):
+        adjacency[head] = list(dict.fromkeys(adjacency[head]))
     return KnowledgeGraph(adjacency, load_labels(labels) if labels is not None else {})
 
 

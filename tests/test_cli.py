@@ -299,6 +299,14 @@ class TestAsk:
                 {"observation": {"refine_percent": True}}, [],
                 "refine_percent must be a number, got True",
             ),
+            ([], [], "top level must be a JSON object, got list"),
+            ([["max_iterations", 1]], [], "top level must be a JSON object, got list"),
+            (None, [], "top level must be a JSON object, got null"),
+            ("x", [], "top level must be a JSON object, got str"),
+            (3, [], "top level must be a JSON object, got int"),
+            ({"observation": [["top_n", 2]]}, [], "observation must be a JSON object, got list"),
+            ({"observation": None}, [], "observation must be a JSON object, got null"),
+            ({"reflection": "oda"}, [], "reflection must be a JSON object, got str"),
         ],
     )
     def test_invalid_config_exits_before_any_provider_call(

@@ -6,6 +6,7 @@ import io
 import random
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -691,6 +692,24 @@ class TestLoaderParityAcrossBlocks:
             reference_load_triples, as_lines(lines)
         )
 
+    def test_hub_heads_with_repeats_in_many_blocks(self, tmp_path):
+        """Half the lines go to three hubs, the rest to 200 heads of a few
+        edges, so the hubs' repeats fall in many blocks and most other heads
+        have none."""
+        rng = random.Random(3)
+        hubs = ["H1", "H2", "H3"]
+        heads = [rng.choice(hubs) if rng.random() < 0.5 else f"E{rng.randrange(200)}"
+                 for _ in range(2000)]
+        rows = [f"{head}\tr{rng.randrange(4)}\tE{rng.randrange(40)}\n".encode()
+                for head in heads]
+        path = tmp_path / "rows.tsv"
+        self.assert_parity(rows, path)
+        adjacency = load_triples(path).adjacency
+        repeats = [head for head, edges in adjacency.items() if len(edges) < heads.count(head)]
+        assert len(b"".join(rows)) > 16 * 1024  # more than one block at the default size
+        assert min(len(adjacency[hub]) for hub in hubs) > 100
+        assert set(hubs) < set(repeats) and len(repeats) < len(adjacency) / 2
+
     @settings(
         max_examples=100,
         deadline=None,
@@ -722,6 +741,31 @@ class TestEdgesArePlainTuples:
             assert edges
             assert {type(triple) for triple in edges} == {tuple}
             assert not any(map(gc.is_tracked, edges))
+
+
+class TestLoadPeakMemory:
+    def test_a_load_builds_no_table_over_every_edge(self):
+        """The memory a load frees again stays under a fifth of the graph it
+        keeps (0.15 here); a dict over every edge takes that to 0.43."""
+        rng = random.Random(5)
+        lines = [
+            f"M{rng.randrange(20000)}\tR{rng.randrange(12)}\tM{rng.randrange(20000)}\n"
+            for _ in range(60000)
+        ]
+        lines += rng.choices(lines, k=6000)
+        rng.shuffle(lines)
+        first = load_triples(lines)  # interns every id, so the traced load allocates its graph only
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            kg = load_triples(lines)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kg == first and len(kg) == len(set(lines))
+        retained = after - before
+        assert (peak - after) / retained < 0.2
 
 
 class TestGetNeighborsCopy:
