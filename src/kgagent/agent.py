@@ -25,7 +25,7 @@ from .action import (
     render_action,
 )
 from .embedding import EmbeddingCache, EmbeddingError, EmbeddingProvider, QuestionScorer
-from .kg import EntityId, KnowledgeGraph, Triple
+from .kg import EntityId, KnowledgeGraph, Triple, json_object
 from .llm import (
     DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, CompletionRequest, LLMProvider, ProviderError,
 )
@@ -84,18 +84,11 @@ class AgentConfig:
     def from_dict(cls, data: dict) -> "AgentConfig":
         """The config a JSON object gives; ``observation`` and ``reflection``
         are JSON objects too. A missing key keeps its default."""
-        data = dict(_json_object("top level", data))
+        data = dict(json_object("top level", data))
         for name, params in (("observation", ObservationParams), ("reflection", ReflectionParams)):
             if name in data:
-                data[name] = params(**_json_object(name, data[name]))
+                data[name] = params(**json_object(name, data[name]))
         return cls(**data)
-
-
-def _json_object(name: str, value: object) -> dict:
-    if not isinstance(value, dict):
-        kind = "null" if value is None else type(value).__name__
-        raise ValueError(f"{name} must be a JSON object, got {kind}")
-    return value
 
 
 @dataclass

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
 from .agent import AgentConfig, AgentError, Providers, run, trace_to_json
-from .kg import EntityId, InputError, KnowledgeGraph, numbered_text_lines, source_path
+from .kg import EntityId, KnowledgeGraph, load_json_records
 
 
 @dataclass
@@ -33,25 +33,19 @@ def load_dataset(source: str | Path | IO | Iterable[str | bytes]) -> list[Datase
 
     Each line is decoded as UTF-8 on its own; one that is not UTF-8 raises
     InputError, as a malformed record does, naming the file when the
-    source is a path.
+    source is a path (see load_json_records).
     """
-    records: list[DatasetRecord] = []
-    for number, line in numbered_text_lines(source):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-            if not isinstance(data["question"], str):
-                raise ValueError("question must be a JSON string")
-            for name in ("entities", "answers"):
-                value = data[name]
-                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                    raise ValueError(f"{name} must be a JSON array of strings")
-            records.append(DatasetRecord(data["question"], data["entities"], data["answers"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad dataset record: {exc}", number, source_path(source)) from exc
-    return records
+    return load_json_records(source, "dataset record", _dataset_record)
+
+
+def _dataset_record(data: dict) -> DatasetRecord:
+    if not isinstance(data["question"], str):
+        raise ValueError("question must be a JSON string")
+    for name in ("entities", "answers"):
+        value = data[name]
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ValueError(f"{name} must be a JSON array of strings")
+    return DatasetRecord(data["question"], data["entities"], data["answers"])
 
 
 def normalize_answer(text: str) -> str:

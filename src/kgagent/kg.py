@@ -8,13 +8,14 @@ never changes afterwards, so it may be shared freely across threads.
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, compress
-from operator import itemgetter, ne
+from itertools import chain, compress, repeat
+from operator import itemgetter, ne, rshift
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 EntityId = str
 RelationId = str
@@ -41,29 +42,40 @@ class InputError(ValueError):
         self.line_number = line_number
 
 
-# One directed edge (head, relation, tail), read by position. An edge is a
-# plain tuple, never a tuple subclass: the cyclic garbage collector untracks
-# an exact tuple of strings at its first collection, so later collections do
-# not walk the whole graph again.
+# One directed edge (head, relation, tail), read by position. The graph
+# stores no edge as an object (see KnowledgeGraph); get_neighbors and
+# find_paths build each one they return as a plain tuple, never a tuple
+# subclass.
 Triple = tuple[EntityId, RelationId, EntityId]
 
-_tail = itemgetter(2)
+# the tails of a flat [relation, tail, ...] list, or the relations of a flat
+# [head, relation, ...] one
+_odd_items = itemgetter(slice(1, None, 2))
+
+
+def _pairs(flat: list[str]) -> Iterator[tuple[str, str]]:
+    """The items of a flat list two at a time: (relation, tail) or (head, relation)."""
+    items = iter(flat)
+    return zip(items, items)
 
 
 @dataclass
 class KnowledgeGraph:
     """Directed labeled graph with head-indexed adjacency and a label map.
 
-    Adjacency is the only edge store: each edge is held once, as a plain
-    ``(head, relation, tail)`` tuple, in the list of its head, in first-seen
-    load order, and no list holds a duplicate.
+    Adjacency is the only edge store. It maps each head to one flat list
+    ``[relation1, tail1, relation2, tail2, ...]`` of its out-edges, in
+    first-seen load order, and no list holds an edge twice. No edge is an
+    object of its own: it costs two list slots (16 bytes), where a triple
+    tuple cost 64 bytes and a slot. A ``(head, relation, tail)`` tuple is
+    built only when a caller reads an edge.
     """
 
-    adjacency: dict[EntityId, list[Triple]] = field(default_factory=dict)
+    adjacency: dict[EntityId, list[str]] = field(default_factory=dict)
     labels: dict[str, str] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return sum(map(len, self.adjacency.values()))
+        return sum(map(len, self.adjacency.values())) // 2
 
     def label_of(self, identifier: str) -> str:
         """Human-readable label, falling back to the raw id."""
@@ -81,21 +93,30 @@ class KnowledgeGraph:
         return ", ".join(f"{i}: {label(i, i)}" for i in dict.fromkeys(identifiers))
 
     def get_neighbors(self, entity: EntityId, limit: int | None = None) -> list[Triple]:
-        """Triples with the given entity as head, in load order.
+        """A fresh list of the triples with the given entity as head, in
+        load order.
 
         Unknown entities yield an empty list. ``limit`` truncates hub
-        entities; None means unlimited.
+        entities; None means unlimited, and a negative limit is refused.
         """
-        return self.adjacency.get(entity, [])[:limit]
+        edges = self.adjacency.get(entity, ())
+        if limit is not None:
+            if limit < 0:
+                raise ValueError("limit must be >= 0")
+            if 2 * limit < len(edges):
+                edges = edges[: 2 * limit]
+        items = iter(edges)
+        return list(zip(repeat(entity), items, items))
 
     @cached_property
-    def _in_edges(self) -> dict[EntityId, list[Triple]]:
-        """Tail -> triples in adjacency order, stored only once whole, so threads
-        never see a partial index; no field, so == and repr ignore it."""
-        in_edges: dict[EntityId, list[Triple]] = {}
-        for triples in self.adjacency.values():
-            for triple in triples:
-                in_edges.setdefault(triple[2], []).append(triple)
+    def _in_edges(self) -> dict[EntityId, list[str]]:
+        """Tail -> flat ``[head, relation, ...]`` list of its in-edges, in
+        adjacency order; stored only once whole, so threads never see a
+        partial index; no field, so == and repr ignore it."""
+        in_edges: dict[EntityId, list[str]] = {}
+        for head, edges in self.adjacency.items():
+            for relation, tail in _pairs(edges):
+                in_edges.setdefault(tail, []).extend((head, relation))
         return in_edges
 
     def find_paths(
@@ -112,19 +133,21 @@ class KnowledgeGraph:
         (see _suffixes). A forward walk from start takes the remaining hops,
         and a path ends at its first edge into goal. At the last forward hop
         only an edge into goal or into the first entity of a suffix can end
-        a path, so ``compress`` keeps just those of the entity's edges, with
+        a path, so ``compress``, by a membership test over the entity's
+        tails, picks the places of just those edges in its flat list, with
         no Python step per edge; the prefix then joins each suffix recorded
-        for the entity it reached whose intermediates it has not visited.
+        for the entity it reached whose intermediates it has not visited. An
+        edge becomes a triple tuple only once a walk takes it.
 
         Paths are gathered in one list per length, and each list is sorted
         without a key: lists of one length compare triple by triple, so the
         sorted lists, shortest first, are in (length, sequence) order.
 
-        The in-edge index (tail -> triples, in adjacency order) is the only
-        index beside adjacency; the first call that walks backward builds
-        it, loading never does. An index of each head's edges by tail would
-        spare the last hop's scan but hold every edge once more, for no
-        speed over ``compress``.
+        The in-edge index (tail -> flat [head, relation, ...] list, in
+        adjacency order) is the only index beside adjacency; the first call
+        that walks backward builds it, loading never does. An index of each
+        head's edges by tail would spare the last hop's scan but hold every
+        edge once more, for no speed over ``compress``.
         """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
@@ -141,8 +164,10 @@ class KnowledgeGraph:
             found = by_length[len(chain) + 1]
             edges = adjacency.get(node, ())
             if len(chain) + 1 == forward_hops:
-                for triple in compress(edges, map(ends.__contains__, map(_tail, edges))):
-                    tail = triple[2]
+                ending = map(ends.__contains__, _odd_items(edges))
+                for at in compress(range(1, len(edges), 2), ending):
+                    tail = edges[at]
+                    triple = (node, edges[at - 1], tail)
                     if tail == goal:
                         found.append(chain + [triple])
                     elif tail not in visited:
@@ -150,8 +175,8 @@ class KnowledgeGraph:
                             if inside.isdisjoint(visited):
                                 joined[len(suffix)].append([*chain, triple, *suffix])
                 return
-            for triple in edges:
-                tail = triple[2]
+            for relation, tail in _pairs(edges):
+                triple = (node, relation, tail)
                 if tail == goal:
                     found.append(chain + [triple])
                 elif tail not in visited:
@@ -182,11 +207,10 @@ class KnowledgeGraph:
 
         def walk(node: EntityId, inside: frozenset[EntityId], suffix: list[Triple]) -> None:
             # inside: the intermediates of every suffix that starts one edge before node
-            for triple in in_edges.get(node, ()):
-                head = triple[0]
+            for head, relation in _pairs(in_edges.get(node, ())):
                 if head == goal or head in inside:
                     continue
-                longer = [triple] + suffix
+                longer = [(head, relation, node)] + suffix
                 suffixes.setdefault(head, []).append((longer, inside))
                 if len(longer) < hops:
                     walk(head, inside | {head}, longer)
@@ -253,6 +277,43 @@ def numbered_text_lines(
     for block in _line_blocks(source):
         yield from _numbered_lines(block, number, path)
         number += len(block)
+
+
+R = TypeVar("R")
+
+
+def json_object(name: str, value: object) -> dict:
+    """``value`` if it is a JSON object; else ValueError "<name> must be a JSON
+    object, got <its JSON kind>"."""
+    if not isinstance(value, dict):
+        kind = "null" if value is None else type(value).__name__
+        raise ValueError(f"{name} must be a JSON object, got {kind}")
+    return value
+
+
+def load_json_records(
+    source: str | Path | IO | Iterable[str | bytes], kind: str, build: Callable[[dict], R]
+) -> list[R]:
+    """``build`` of the JSON object on each non-blank line of ``source``.
+
+    Lines are read by numbered_text_lines. A line that is not JSON, not an
+    object, or that ``build`` refuses raises InputError "bad <kind>:
+    <reason>": ``build`` raises KeyError for a missing field, which reads
+    "missing field '<name>'", and ValueError for a bad value.
+    """
+    path = source_path(source)
+    built: list[R] = []
+    for number, line in numbered_text_lines(source):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            built.append(build(json_object(f"a {kind}", json.loads(line))))
+        except KeyError as exc:
+            raise InputError(f"bad {kind}: missing field {exc}", number, path) from exc
+        except ValueError as exc:  # json.JSONDecodeError too
+            raise InputError(f"bad {kind}: {exc}", number, path) from exc
+    return built
 
 
 def _numbered_lines(
@@ -370,11 +431,6 @@ def _tsv_fields(
         number += len(block)
 
 
-def _interned_triples(fields: list[str]) -> Iterator[Triple]:
-    interned = map(sys.intern, fields)
-    return zip(interned, interned, interned)
-
-
 def load_triples(
     source: str | Path | IO | Iterable[str | bytes],
     labels: str | Path | IO | Iterable[str | bytes] | None = None,
@@ -390,24 +446,31 @@ def load_triples(
     naming the line and the first fault (the width, then the head, relation
     and tail).
 
-    Every edge is a plain tuple of interned strings, so the garbage
-    collector untracks it at its first collection (see Triple).
-
-    No table over every edge is built: the lines' edges, duplicates
-    included, are grouped by head from one list (8 bytes an edge), and only
-    the heads whose list holds a repeat are rebuilt without it. Peak memory
-    is the graph plus that list, and stays flat across reloads. Grouping
-    straight from the blocks, with no list, costs one more full collection.
+    Each line's interned relation and tail go straight onto its head's flat
+    list (see KnowledgeGraph), so the load builds no object per edge and no
+    table over every edge. Only a head whose list repeats a tail can repeat
+    an edge, so a set of each list's tails picks the heads whose pairs are
+    then checked (few, but most of a dense graph's), and only a list that
+    holds a repeat is rebuilt without it. Peak memory is the graph plus one block, and stays flat
+    across reloads.
     """
-    blocks = _tsv_fields(source, 3, ("head", "relation", "tail"))
-    edges = list(chain.from_iterable(map(_interned_triples, blocks)))
-    adjacency: dict[EntityId, list[Triple]] = {}
-    for triple in edges:
-        adjacency.setdefault(triple[0], []).append(triple)
-    del edges
+    adjacency: dict[EntityId, list[str]] = {}
+    get = adjacency.get
+    for fields in _tsv_fields(source, 3, ("head", "relation", "tail")):
+        interned = map(sys.intern, fields)
+        for head, relation, tail in zip(interned, interned, interned):
+            edges = get(head)
+            if edges is None:
+                adjacency[head] = [relation, tail]
+            else:
+                edges += relation, tail
     lists = adjacency.values()
-    for head in list(compress(adjacency, map(ne, map(len, lists), map(len, map(set, lists))))):
-        adjacency[head] = list(dict.fromkeys(adjacency[head]))
+    edge_counts = map(rshift, map(len, lists), repeat(1))
+    tail_counts = map(len, map(set, map(_odd_items, lists)))
+    for head in list(compress(adjacency, map(ne, edge_counts, tail_counts))):
+        pairs = dict.fromkeys(_pairs(adjacency[head]))
+        if len(pairs) < len(adjacency[head]) // 2:
+            adjacency[head] = list(chain.from_iterable(pairs))
     return KnowledgeGraph(adjacency, load_labels(labels) if labels is not None else {})
 
 
@@ -425,9 +488,9 @@ def load_labels(source: str | Path | IO | Iterable[str | bytes]) -> dict[str, st
 
 def dump_triples(kg: KnowledgeGraph) -> Iterator[str]:
     """TSV lines in adjacency order; load_triples(dump_triples(kg)) == kg."""
-    for triples in kg.adjacency.values():
-        for triple in triples:
-            yield "\t".join(triple) + "\n"
+    for head, edges in kg.adjacency.items():
+        for relation, tail in _pairs(edges):
+            yield f"{head}\t{relation}\t{tail}\n"
 
 
 def extract_khop_subgraph(
@@ -441,17 +504,17 @@ def extract_khop_subgraph(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    adjacency: dict[EntityId, list[Triple]] = {}
+    adjacency: dict[EntityId, list[str]] = {}
     frontier = list(dict.fromkeys(seeds))
     visited = set(frontier)
     for _ in range(k):
         next_frontier: list[EntityId] = []
         for entity in frontier:
-            triples = kg.adjacency.get(entity)
-            if not triples:
+            edges = kg.adjacency.get(entity)
+            if not edges:
                 continue
-            adjacency[entity] = list(triples)
-            for _, _, tail in triples:
+            adjacency[entity] = edges.copy()
+            for tail in _odd_items(edges):
                 if tail not in visited:
                     visited.add(tail)
                     next_frontier.append(tail)
@@ -459,11 +522,10 @@ def extract_khop_subgraph(
             break
         frontier = next_frontier
     labels: dict[str, str] = {}
-    for triples in adjacency.values():
-        for triple in triples:
-            for identifier in triple:
-                if identifier in kg.labels:
-                    labels[identifier] = kg.labels[identifier]
+    for head, edges in adjacency.items():
+        for identifier in chain((head,), edges):
+            if identifier in kg.labels:
+                labels[identifier] = kg.labels[identifier]
     return KnowledgeGraph(adjacency, labels)
 
 

@@ -4,7 +4,6 @@ deterministic scripted provider for replayable tests."""
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Protocol
 
-from .kg import InputError, numbered_text_lines, source_path
+from .kg import load_json_records
 
 DEFAULT_TEMPERATURE = 0.4
 DEFAULT_MAX_TOKENS = 500
@@ -101,23 +100,13 @@ def load_script(source: str | Path | IO | Iterable[str | bytes]) -> list[ScriptE
 
     Each line is decoded as UTF-8 on its own; a line that is not UTF-8 or
     not a valid entry raises InputError ``[<path>: ]line N: <message>``,
-    naming the file when the source is a path.
+    naming the file when the source is a path (see load_json_records).
     """
-    entries: list[ScriptEntry] = []
-    for number, line in numbered_text_lines(source):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("a script entry must be a JSON object")
-            entries.append(
-                ScriptEntry(record.get("kind", "substring"), record["match"], record["response"])
-            )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise InputError(f"bad script entry: {exc}", number, source_path(source)) from exc
-    return entries
+    return load_json_records(source, "script entry", _script_entry)
+
+
+def _script_entry(record: dict) -> ScriptEntry:
+    return ScriptEntry(record.get("kind", "substring"), record["match"], record["response"])
 
 
 @dataclass

@@ -15,9 +15,21 @@ def make_kg(triples: list[tuple[str, str, str]], labels: dict[str, str] | None =
     return load_triples(("\t".join(triple) for triple in triples), label_lines)
 
 
+def edges(kg: KnowledgeGraph, head: str | None = None) -> list[Triple]:
+    """The edges of kg (of ``head`` only, if given) as triples, in adjacency
+    order, read straight from its flat ``[relation, tail, ...]`` lists."""
+    heads = kg.adjacency if head is None else [head]
+    return [
+        (entity, flat[i], flat[i + 1])
+        for entity in heads
+        for flat in [kg.adjacency.get(entity, [])]
+        for i in range(0, len(flat), 2)
+    ]
+
+
 def edge_set(kg: KnowledgeGraph) -> set[Triple]:
     """Every edge of kg, as a fresh set."""
-    return {triple for triples in kg.adjacency.values() for triple in triples}
+    return set(edges(kg))
 
 
 def random_kg(rng: random.Random, n_entities: int, n_triples: int, n_relations: int = 6) -> KnowledgeGraph:

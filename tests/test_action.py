@@ -23,7 +23,7 @@ from kgagent.llm import ScriptedProvider, ScriptEntry
 from kgagent.memory import Memory, integrate
 from kgagent.observation import ObservationParams, ObservationSubgraph, observe
 
-from conftest import TOKYO_QUESTION, complete_with, edge_set, make_kg, random_kg
+from conftest import TOKYO_QUESTION, complete_with, edge_set, edges, make_kg, random_kg
 from test_kg import dfs_paths_oracle
 
 
@@ -195,7 +195,7 @@ class TestExecuteAction:
         kg = random_kg(rng, n_entities=10, n_triples=45)
         for entity in list(kg.adjacency)[:5]:
             assert execute_action(kg, NeighborExploration(entity)) == [
-                t for triples in kg.adjacency.values() for t in triples if t[0] == entity
+                t for t in edges(kg) if t[0] == entity
             ]
         entities = sorted({t[0] for t in edge_set(kg)})
         searches = [(kg, entities[0], entities[1]), (kg, entities[2], entities[0])]

@@ -81,9 +81,21 @@ class TestLoadDataset:
             load_dataset([good, bad])
         assert excinfo.value.line_number == 2
 
-    def test_missing_field_is_error(self):
-        with pytest.raises(InputError):
-            load_dataset([json.dumps({"question": "q?", "entities": ["Q1"]})])
+    @pytest.mark.parametrize(
+        "record, message",
+        [({"question": "q?", "entities": ["Q1"]}, "missing field 'answers'"),
+         ({"question": "q?", "answers": ["a"]}, "missing field 'entities'"),
+         ({"entities": ["Q1"], "answers": ["a"]}, "missing field 'question'"),
+         ([1], "a dataset record must be a JSON object, got list"),
+         ("x", "a dataset record must be a JSON object, got str"),
+         (None, "a dataset record must be a JSON object, got null"),
+         (5, "a dataset record must be a JSON object, got int")],
+    )
+    def test_missing_field_is_error(self, record, message):
+        good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
+        with pytest.raises(InputError) as excinfo:
+            load_dataset([good, json.dumps(record)])
+        assert str(excinfo.value) == f"line 2: bad dataset record: {message}"
 
     def test_empty_answers_rejected(self):
         with pytest.raises(InputError):

@@ -95,7 +95,11 @@ class TestScriptFile:
 
     @pytest.mark.parametrize(
         "record, message",
-        [("[1, 2]", "must be a JSON object"),
+        [("[1, 2]", "a script entry must be a JSON object, got list"),
+         ("5", "a script entry must be a JSON object, got int"),
+         ("null", "a script entry must be a JSON object, got null"),
+         ('{"match": "a"}', "missing field 'response'"),
+         ('{"kind": "exact", "response": "b"}', "missing field 'match'"),
          ('{"match": "Agent", "response": 5}', "must be strings"),
          ('{"match": 5, "response": "x"}', "must be strings")],
     )

@@ -18,7 +18,9 @@ from kgagent.observation import (
 
 from kgagent.agent import AgentConfig, run
 
-from conftest import TOKYO_QUESTION, TOKYO_SCRIPT, edge_set, make_kg, make_providers, random_kg
+from conftest import (
+    TOKYO_QUESTION, TOKYO_SCRIPT, edge_set, edges, make_kg, make_providers, random_kg,
+)
 
 
 def brute_force_observe(
@@ -53,7 +55,7 @@ def brute_force_observe(
         for depth in range(depth_limit):
             candidates = []
             for entity in frontier:
-                candidates.extend(kg.adjacency.get(entity, []))
+                candidates.extend(edges(kg, entity))
             if not candidates:
                 break
             ranked = sorted(
