@@ -35,7 +35,9 @@ def _build_config(args: argparse.Namespace) -> AgentConfig:
         if args.timeout is not None:
             overrides["question_timeout"] = args.timeout or None
         return replace(config, **overrides)
-    except (TypeError, ValueError) as exc:  # TypeError: an unknown key or a mistyped value
+    except (TypeError, ValueError, RecursionError) as exc:
+        # TypeError: an unknown key or a mistyped value; RecursionError: JSON
+        # nested too deeply to decode
         raise UsageError(f"invalid agent config: {exc}") from exc
 
 

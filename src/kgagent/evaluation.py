@@ -7,7 +7,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .agent import AgentConfig, AgentError, Providers, run, trace_to_json
 from .kg import EntityId, KnowledgeGraph, load_json_records
@@ -28,14 +28,13 @@ class DatasetRecord:
             raise ValueError("gold answers must be non-empty")
 
 
-def load_dataset(source: str | Path | IO | Iterable[str | bytes]) -> list[DatasetRecord]:
+def load_dataset(path: str | Path) -> list[DatasetRecord]:
     """Read JSON-lines records with question / entities / answers fields.
 
     Each line is decoded as UTF-8 on its own; one that is not UTF-8 raises
-    InputError, as a malformed record does, naming the file when the
-    source is a path (see load_json_records).
+    InputError, as a malformed record does (see load_json_records).
     """
-    return load_json_records(source, "dataset record", _dataset_record)
+    return load_json_records(path, "dataset record", _dataset_record)
 
 
 def _dataset_record(data: dict) -> DatasetRecord:

@@ -15,7 +15,7 @@ from functools import cached_property, partial
 from itertools import chain, compress, repeat
 from operator import itemgetter, ne, rshift
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 EntityId = str
 RelationId = str
@@ -23,7 +23,7 @@ RelationId = str
 TRIPLES_FILENAME = "triples.tsv"
 LABELS_FILENAME = "labels.tsv"
 
-# The bytes a TSV loader reads at a time, in whole lines (see _line_blocks).
+# The bytes a TSV loader reads at a time, in whole lines (see _tsv_fields).
 # The list a block of triples splits into is at most six times as large, so
 # it stays under glibc's 128 KiB mmap threshold: freeing a larger buffer
 # raises that threshold, and with 64 KiB blocks the heap then fragmented so
@@ -32,13 +32,11 @@ _BLOCK_BYTES = 1 << 14
 
 
 class InputError(ValueError):
-    """A malformed input file or line; carries the 1-based line number. The
-    message names the line, led by the file's path when the input was read
-    from one."""
+    """A malformed input file or line, "<path>: line N: <message>"; carries
+    the 1-based line number."""
 
-    def __init__(self, message: str, line_number: int, path: str | Path | None = None) -> None:
-        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
-        super().__init__(f"{where}: {message}")
+    def __init__(self, message: str, line_number: int, path: str | Path) -> None:
+        super().__init__(f"{path}: line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -219,64 +217,14 @@ class KnowledgeGraph:
         return suffixes
 
 
-def _as_text(raw: str | bytes) -> str:
-    return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+def numbered_text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each line of the file at ``path`` with its 1-based number, as text.
 
-
-def source_path(source: str | Path | IO | Iterable[str | bytes]) -> str | Path | None:
-    """The path an InputError names for ``source``: itself if it is one, else None."""
-    return source if isinstance(source, (str, Path)) else None
-
-
-def _line_blocks(
-    source: str | Path | IO | Iterable[str | bytes],
-) -> Iterator[list[str] | list[bytes]]:
-    """``source``'s lines in runs of about _BLOCK_BYTES, in order.
-
-    A path is read in binary by ``readlines``, so every line but a file's
-    last ends in a newline. Any other source is decoded line by line (a bytes
-    line as UTF-8), and a line that does not end in a newline ends its block,
-    so again only a block's last line may lack one. Such a source's line that
-    is not UTF-8 raises InputError "not valid UTF-8" once the lines before it
-    are yielded; a text-mode handle decodes by chunk, so for it the number is
-    that of the first line it failed to return.
+    Each line is decoded as UTF-8 on its own; one that is not raises
+    InputError "not valid UTF-8".
     """
-    path = source_path(source)
-    if path is not None:
-        with open(path, "rb") as handle:
-            yield from iter(partial(handle.readlines, _BLOCK_BYTES), [])
-        return
-    block: list[str] = []
-    size = number = failed = 0
-    try:
-        for number, line in enumerate(map(_as_text, source), start=1):
-            block.append(line)
-            size += len(line)
-            if size >= _BLOCK_BYTES or not line.endswith("\n"):
-                yield block
-                block, size = [], 0
-    except UnicodeDecodeError:
-        failed = number + 1
-    if block:
-        yield block
-    if failed:
-        raise InputError("not valid UTF-8", failed)
-
-
-def numbered_text_lines(
-    source: str | Path | IO | Iterable[str | bytes],
-) -> Iterator[tuple[int, str]]:
-    """Each line of ``source`` with its 1-based number, as text.
-
-    Each line is decoded as UTF-8 on its own (see _line_blocks). A line that
-    is not UTF-8 raises InputError "not valid UTF-8", naming the file when
-    the source is a path.
-    """
-    path = source_path(source)
-    number = 1
-    for block in _line_blocks(source):
-        yield from _numbered_lines(block, number, path)
-        number += len(block)
+    with open(path, "rb") as handle:
+        yield from _numbered_lines(handle, 1, path)
 
 
 R = TypeVar("R")
@@ -291,19 +239,17 @@ def json_object(name: str, value: object) -> dict:
     return value
 
 
-def load_json_records(
-    source: str | Path | IO | Iterable[str | bytes], kind: str, build: Callable[[dict], R]
-) -> list[R]:
-    """``build`` of the JSON object on each non-blank line of ``source``.
+def load_json_records(path: str | Path, kind: str, build: Callable[[dict], R]) -> list[R]:
+    """``build`` of the JSON object on each non-blank line of the file at ``path``.
 
-    Lines are read by numbered_text_lines. A line that is not JSON, not an
-    object, or that ``build`` refuses raises InputError "bad <kind>:
-    <reason>": ``build`` raises KeyError for a missing field, which reads
-    "missing field '<name>'", and ValueError for a bad value.
+    Lines are read by numbered_text_lines. A line that is not JSON (nested too
+    deeply to decode included), not an object, or that ``build`` refuses
+    raises InputError "bad <kind>: <reason>": ``build`` raises KeyError for a
+    missing field, which reads "missing field '<name>'", and ValueError for a
+    bad value.
     """
-    path = source_path(source)
     built: list[R] = []
-    for number, line in numbered_text_lines(source):
+    for number, line in numbered_text_lines(path):
         line = line.strip()
         if not line:
             continue
@@ -311,65 +257,46 @@ def load_json_records(
             built.append(build(json_object(f"a {kind}", json.loads(line))))
         except KeyError as exc:
             raise InputError(f"bad {kind}: missing field {exc}", number, path) from exc
-        except ValueError as exc:  # json.JSONDecodeError too
+        except (ValueError, RecursionError) as exc:  # json.JSONDecodeError too
             raise InputError(f"bad {kind}: {exc}", number, path) from exc
     return built
 
 
 def _numbered_lines(
-    block: list[str] | list[bytes], number: int, path: str | Path | None
+    lines: Iterable[bytes], number: int, path: str | Path
 ) -> Iterator[tuple[int, str]]:
-    """Each line of a block whose first line is line ``number``, as text."""
-    for number, line in enumerate(block, start=number):
+    """Each of ``lines``, the first of which is line ``number``, as text."""
+    for number, line in enumerate(lines, start=number):
         try:
-            text = _as_text(line)
+            text = line.decode()
         except UnicodeDecodeError:
             raise InputError("not valid UTF-8", number, path) from None
         yield number, text
 
 
-def _check_fields(
-    fields: list[str], width: int, id_kinds: tuple[str, ...],
-    line_number: int, path: str | Path | None,
-) -> None:
-    """Raise the InputError of a row: its width first, then each id field in order."""
-    if len(fields) != width:
-        raise InputError(
-            f"expected {width} tab-separated fields, got {len(fields)}", line_number, path
-        )
-    for value, kind in zip(fields, id_kinds):
-        if not value:
-            raise InputError(f"empty {kind} field", line_number, path)
-        if "\n" in value or "\r" in value:
-            raise InputError(f"{kind} contains tab or newline", line_number, path)
-
-
-def _split_block(
-    block: list[str] | list[bytes], width: int, empty_id: str
-) -> list[str] | None:
+def _split_block(block: list[bytes], width: int, empty_id: str) -> list[str] | None:
     """The fields of a block that passes the cheap test, else None.
 
-    The block must be UTF-8, hold one newline per line and no carriage
-    return but in a CRLF line end, and end in a newline that ends its last
-    line (an empty last line leaves it ending in the newline of the line
-    before). As only the last line may lack one, each line then ends in the
-    one newline it holds. Each newline then becomes a field of its own,
-    between tabs: no line is blank and no id empty when the text starts
-    with no tab and holds no ``empty_id``, and each line has exactly
-    ``width`` fields when the newlines sit at every ``width + 1``-th place.
+    The block must be UTF-8, hold no carriage return but in a CRLF line end,
+    and end in a newline. Every line of a block but a file's last ends in its
+    one newline (see _tsv_fields), so each line then does. Each newline then
+    becomes a field of its own, between tabs: no line is blank and no id
+    empty when the text starts with no tab and holds no ``empty_id``, and
+    each line has exactly ``width`` fields when the newlines sit at every
+    ``width + 1``-th place.
     """
     try:
-        text = b"".join(block).decode() if isinstance(block[0], bytes) else "".join(block)
+        text = b"".join(block).decode()
     except UnicodeDecodeError:
         return None
     if "\r" in text:  # a CRLF line end reads as LF; any other carriage return fails
         text = text.replace("\r\n", "\n")
-    lines = len(block)
-    if not (block[-1] and text.endswith("\n")) or text.count("\n") != lines or "\r" in text:
+    if not text.endswith("\n") or "\r" in text:
         return None
     text = text.replace("\n", "\t\n\t")
     if text.startswith("\t") or empty_id in text:
         return None
+    lines = len(block)
     fields = text.split("\t")
     if len(fields) != (width + 1) * lines + 1 or fields[width :: width + 1] != ["\n"] * lines:
         return None
@@ -379,64 +306,61 @@ def _split_block(
 
 
 def _checked_fields(
-    block: list[str] | list[bytes], number: int, width: int, id_kinds: tuple[str, ...],
-    path: str | Path | None,
+    block: list[bytes], number: int, width: int, id_kinds: tuple[str, ...], path: str | Path
 ) -> list[str]:
     """The fields of a block whose first line is line ``number``, line by line.
 
-    Each line is decoded on its own and gets one cheap test; only a line that
-    fails it goes through _check_fields, which raises the detailed error.
+    Each non-blank line is checked in full and the first bad one raises its
+    InputError: for its width first, then for each id field in order.
     """
     fields: list[str] = []
-    checked = len(id_kinds)
     for number, line in _numbered_lines(block, number, path):
         line = line.rstrip("\r\n")
         if not line:
             continue
         row = line.split("\t")
-        if checked == width:
-            ids, text = row, line
-        else:
-            ids = row[:checked]
-            text = "\t".join(ids)
-        if len(row) != width or "" in ids or "\r" in text or "\n" in text:
-            _check_fields(row, width, id_kinds, number, path)
+        if len(row) != width:
+            raise InputError(
+                f"expected {width} tab-separated fields, got {len(row)}", number, path
+            )
+        for value, kind in zip(row, id_kinds):
+            if not value:
+                raise InputError(f"empty {kind} field", number, path)
+            if "\r" in value:
+                raise InputError(f"{kind} contains tab or newline", number, path)
         fields += row
     return fields
 
 
-def _tsv_fields(
-    source: str | Path | IO | Iterable[str | bytes], width: int, id_kinds: tuple[str, ...]
-) -> Iterator[list[str]]:
-    """The fields of each block of ``source``, ``width`` per non-blank line.
+def _tsv_fields(path: str | Path, width: int, id_kinds: tuple[str, ...]) -> Iterator[list[str]]:
+    """The fields of each block of the file at ``path``, ``width`` per non-blank line.
 
+    The file is read in binary by ``readlines``, in runs of whole lines of
+    about _BLOCK_BYTES, so every line but the file's last ends in a newline.
     The leading ``len(id_kinds)`` fields are ids (all of them, or the first
-    only): none may be empty or hold a newline or carriage return (a tab
-    would have split the line). A later field is free text. A block that
-    fails _split_block's cheap test is read line by line by _checked_fields,
-    which raises the InputError of its first bad line, naming the file when
-    the source is a path.
+    only): none may be empty or hold a carriage return (a tab would have
+    split the line). A later field is free text. A block that fails
+    _split_block's cheap test is read line by line by _checked_fields, which
+    raises the InputError of its first bad line.
     """
-    path = source_path(source)
     # once each newline is padded with tabs, two tabs in a row are an empty
     # field or a blank line; where only the first field is an id, they count
     # only right after a newline
     empty_id = "\t\t" if len(id_kinds) == width else "\n\t\t"
     number = 1
-    for block in _line_blocks(source):
-        fields = _split_block(block, width, empty_id)
-        if fields is None:
-            fields = _checked_fields(block, number, width, id_kinds, path)
-        yield fields
-        number += len(block)
+    with open(path, "rb") as handle:
+        for block in iter(partial(handle.readlines, _BLOCK_BYTES), []):
+            fields = _split_block(block, width, empty_id)
+            if fields is None:
+                fields = _checked_fields(block, number, width, id_kinds, path)
+            yield fields
+            number += len(block)
 
 
-def load_triples(
-    source: str | Path | IO | Iterable[str | bytes],
-    labels: str | Path | IO | Iterable[str | bytes] | None = None,
-) -> KnowledgeGraph:
-    """Build a graph from TSV lines ``head<TAB>relation<TAB>tail``, labeled
-    from the ``labels`` source (read by load_labels after the triples) if given.
+def load_triples(path: str | Path, labels: str | Path | None = None) -> KnowledgeGraph:
+    """Build a graph from the TSV file at ``path``, one ``head<TAB>relation<TAB>tail``
+    a line, labeled from the ``labels`` file (read by load_labels after the
+    triples) if given.
 
     Blank lines are skipped; duplicate triples collapse; first-seen order
     is preserved in adjacency lists. The lines are read a block at a time,
@@ -456,7 +380,7 @@ def load_triples(
     """
     adjacency: dict[EntityId, list[str]] = {}
     get = adjacency.get
-    for fields in _tsv_fields(source, 3, ("head", "relation", "tail")):
+    for fields in _tsv_fields(path, 3, ("head", "relation", "tail")):
         interned = map(sys.intern, fields)
         for head, relation, tail in zip(interned, interned, interned):
             edges = get(head)
@@ -474,20 +398,22 @@ def load_triples(
     return KnowledgeGraph(adjacency, load_labels(labels) if labels is not None else {})
 
 
-def load_labels(source: str | Path | IO | Iterable[str | bytes]) -> dict[str, str]:
-    """The label map of TSV lines ``id<TAB>label``, read like load_triples.
+def load_labels(path: str | Path) -> dict[str, str]:
+    """The label map of the TSV file at ``path``, one ``id<TAB>label`` a line,
+    read like load_triples.
 
     Later lines overwrite earlier labels for the same id. Only the id is
     checked; a label may be empty or hold a carriage return.
     """
     labels: dict[str, str] = {}
-    for fields in _tsv_fields(source, 2, ("id",)):
+    for fields in _tsv_fields(path, 2, ("id",)):
         labels.update(zip(map(sys.intern, fields[::2]), fields[1::2]))
     return labels
 
 
 def dump_triples(kg: KnowledgeGraph) -> Iterator[str]:
-    """TSV lines in adjacency order; load_triples(dump_triples(kg)) == kg."""
+    """TSV lines in adjacency order, as save_kg writes them: load_kg after
+    save_kg gives the graph back."""
     for head, edges in kg.adjacency.items():
         for relation, tail in _pairs(edges):
             yield f"{head}\t{relation}\t{tail}\n"

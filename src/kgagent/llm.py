@@ -9,7 +9,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Protocol
+from typing import Iterable, Protocol
 
 from .kg import load_json_records
 
@@ -95,14 +95,14 @@ class ScriptedProvider:
             return entry.response
 
 
-def load_script(source: str | Path | IO | Iterable[str | bytes]) -> list[ScriptEntry]:
+def load_script(path: str | Path) -> list[ScriptEntry]:
     """Read a script: one JSON object per line with kind/match/response.
 
     Each line is decoded as UTF-8 on its own; a line that is not UTF-8 or
-    not a valid entry raises InputError ``[<path>: ]line N: <message>``,
-    naming the file when the source is a path (see load_json_records).
+    not a valid entry raises InputError ``<path>: line N: <message>`` (see
+    load_json_records).
     """
-    return load_json_records(source, "script entry", _script_entry)
+    return load_json_records(path, "script entry", _script_entry)
 
 
 def _script_entry(record: dict) -> ScriptEntry:

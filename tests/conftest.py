@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -10,9 +12,28 @@ from kgagent.embedding import DeterministicEmbedder
 from kgagent.kg import KnowledgeGraph, Triple, load_triples
 
 
+def write_lines(path: Path, lines: Iterable[str]) -> Path:
+    """Write each item of ``lines`` as one line of the file at ``path`` (a
+    newline is added to an item without one); return the path."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(line if line.endswith("\n") else line + "\n" for line in lines)
+    return path
+
+
+def load_lines(lines: Iterable[str], label_lines: Iterable[str] | None = None) -> KnowledgeGraph:
+    """load_triples of ``lines`` (labeled from ``label_lines``, if given),
+    each written to a temporary file by write_lines."""
+    with tempfile.TemporaryDirectory() as directory:
+        triples = write_lines(Path(directory) / "triples.tsv", lines)
+        labels = None if label_lines is None else write_lines(
+            Path(directory) / "labels.tsv", label_lines
+        )
+        return load_triples(triples, labels)
+
+
 def make_kg(triples: list[tuple[str, str, str]], labels: dict[str, str] | None = None) -> KnowledgeGraph:
     label_lines = [f"{identifier}\t{label}" for identifier, label in (labels or {}).items()]
-    return load_triples(("\t".join(triple) for triple in triples), label_lines)
+    return load_lines(("\t".join(triple) for triple in triples), label_lines)
 
 
 def edges(kg: KnowledgeGraph, head: str | None = None) -> list[Triple]:
@@ -40,7 +61,7 @@ def random_kg(rng: random.Random, n_entities: int, n_triples: int, n_relations: 
         tail = f"Q{rng.randrange(n_entities)}"
         relation = f"P{rng.randrange(n_relations)}"
         lines.append(f"{head}\t{relation}\t{tail}")
-    return load_triples(lines)
+    return load_lines(lines)
 
 
 TOKYO_TRIPLES = [

@@ -18,12 +18,14 @@ from kgagent.action import (
     render_action,
 )
 from kgagent.embedding import QuestionScorer
-from kgagent.kg import dump_triples, load_triples
+from kgagent.kg import dump_triples
 from kgagent.llm import ScriptedProvider, ScriptEntry
 from kgagent.memory import Memory, integrate
 from kgagent.observation import ObservationParams, ObservationSubgraph, observe
 
-from conftest import TOKYO_QUESTION, complete_with, edge_set, edges, make_kg, random_kg
+from conftest import (
+    TOKYO_QUESTION, complete_with, edge_set, edges, load_lines, make_kg, random_kg,
+)
 from test_kg import dfs_paths_oracle
 
 
@@ -202,7 +204,7 @@ class TestExecuteAction:
         for _ in range(60):
             small = random_kg(rng, n_entities=7, n_triples=rng.randrange(0, 28), n_relations=3)
             entity = f"Q{rng.randrange(7)}"
-            small = load_triples([
+            small = load_lines([
                 *dump_triples(small),
                 f"{entity}\tP0\t{entity}",  # a self-loop
                 f"{entity}\tP1\tQ0",  # parallel relations to one tail

@@ -741,6 +741,27 @@ class TestInputErrors:
         assert re.fullmatch(r"error: invalid agent config: .+: line 1 column 22.*\n", captured.err)
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--dataset", "--script", "--config"])
+    def test_json_nested_too_deeply(
+        self, kg_dir, tokyo_script_file, dataset_file, tmp_path, capsys, flag
+    ):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+        files = {"--dataset": dataset_file, "--script": tokyo_script_file, flag: deep}
+        argv = ["eval", "--kg", str(kg_dir)]
+        for name, path in files.items():
+            argv += [name, str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        where = {
+            "--dataset": f"{deep}: line 1: bad dataset record",
+            "--script": f"{deep}: line 1: bad script entry",
+            "--config": "invalid agent config",
+        }[flag]
+        assert captured.err.startswith(f"error: {where}: maximum recursion depth exceeded")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestInspect:
     def test_lists_neighbors_with_labels(self, kg_dir, capsys):

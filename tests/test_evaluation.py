@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,35 +32,36 @@ from conftest import (
     make_kg,
     make_providers,
     save_dataset,
+    write_lines,
 )
 
 
 class TestLoadDataset:
-    def test_empty_stream(self):
-        assert load_dataset([]) == []
+    def test_empty_stream(self, tmp_path):
+        assert load_dataset(write_lines(tmp_path / "d.jsonl", [])) == []
 
-    def test_single_record(self):
+    def test_single_record(self, tmp_path):
         line = json.dumps(
             {"question": "q?", "entities": ["Q1"], "answers": ["a"]}
         )
-        records = load_dataset([line])
+        records = load_dataset(write_lines(tmp_path / "d.jsonl", [line]))
         assert records == [DatasetRecord("q?", ["Q1"], ["a"])]
 
-    def test_malformed_record_reports_line(self):
+    def test_malformed_record_reports_line(self, tmp_path):
         good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
         with pytest.raises(InputError) as excinfo:
-            load_dataset([good, "{broken"])
+            load_dataset(write_lines(tmp_path / "d.jsonl", [good, "{broken"]))
         assert excinfo.value.line_number == 2
 
     @pytest.mark.parametrize(
         "entities, answers",
         [(["Q1"], "Tokyo"), ("Q1", ["Tokyo"]), (["Q1"], ["Tokyo", 5]), ([["Q1"]], ["Tokyo"])],
     )
-    def test_fields_must_be_arrays_of_strings(self, entities, answers):
+    def test_fields_must_be_arrays_of_strings(self, tmp_path, entities, answers):
         good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
         bad = json.dumps({"question": "q?", "entities": entities, "answers": answers})
         with pytest.raises(InputError, match="array of strings") as excinfo:
-            load_dataset([good, bad])
+            load_dataset(write_lines(tmp_path / "d.jsonl", [good, bad]))
         assert excinfo.value.line_number == 2
 
     @pytest.mark.parametrize(
@@ -67,18 +69,18 @@ class TestLoadDataset:
         [(5, "question must be a JSON string"), (["q"], "question must be a JSON string"),
          (None, "question must be a JSON string"), ("", "question must be non-empty")],
     )
-    def test_question_must_be_a_non_empty_string(self, question, message):
+    def test_question_must_be_a_non_empty_string(self, tmp_path, question, message):
         good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
         bad = json.dumps({"question": question, "entities": ["Q1"], "answers": ["a"]})
         with pytest.raises(InputError, match=message) as excinfo:
-            load_dataset([good, bad])
+            load_dataset(write_lines(tmp_path / "d.jsonl", [good, bad]))
         assert excinfo.value.line_number == 2
 
-    def test_entities_must_be_non_empty(self):
+    def test_entities_must_be_non_empty(self, tmp_path):
         good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
         bad = json.dumps({"question": "q?", "entities": [], "answers": ["a"]})
         with pytest.raises(InputError, match="line 2: .*entities must be non-empty") as excinfo:
-            load_dataset([good, bad])
+            load_dataset(write_lines(tmp_path / "d.jsonl", [good, bad]))
         assert excinfo.value.line_number == 2
 
     @pytest.mark.parametrize(
@@ -91,26 +93,26 @@ class TestLoadDataset:
          (None, "a dataset record must be a JSON object, got null"),
          (5, "a dataset record must be a JSON object, got int")],
     )
-    def test_missing_field_is_error(self, record, message):
+    def test_missing_field_is_error(self, tmp_path, record, message):
         good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
+        path = write_lines(tmp_path / "d.jsonl", [good, json.dumps(record)])
         with pytest.raises(InputError) as excinfo:
-            load_dataset([good, json.dumps(record)])
-        assert str(excinfo.value) == f"line 2: bad dataset record: {message}"
+            load_dataset(path)
+        assert str(excinfo.value) == f"{path}: line 2: bad dataset record: {message}"
 
-    def test_empty_answers_rejected(self):
+    def test_empty_answers_rejected(self, tmp_path):
+        record = json.dumps({"question": "q?", "entities": ["Q1"], "answers": []})
         with pytest.raises(InputError):
-            load_dataset([json.dumps({"question": "q?", "entities": ["Q1"], "answers": []})])
+            load_dataset(write_lines(tmp_path / "d.jsonl", [record]))
 
-    @pytest.mark.parametrize("kind", ["path", "bytes"])
-    def test_a_line_that_is_not_utf8(self, tmp_path, kind):
+    @pytest.mark.parametrize("as_source", [Path, str], ids=["path", "str"])
+    def test_a_line_that_is_not_utf8(self, tmp_path, as_source):
         good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})
-        lines = [good.encode() + b"\n", b'{"question": "\xff"}\n']
         path = tmp_path / "d.jsonl"
-        path.write_bytes(b"".join(lines))
-        source, where = (path, f"{path}: line 2") if kind == "path" else (lines, "line 2")
+        path.write_bytes(good.encode() + b'\n{"question": "\xff"}\n')
         with pytest.raises(InputError) as excinfo:
-            load_dataset(source)
-        assert str(excinfo.value) == f"{where}: not valid UTF-8"
+            load_dataset(as_source(path))
+        assert str(excinfo.value) == f"{path}: line 2: not valid UTF-8"
         assert excinfo.value.line_number == 2
 
     def test_fifty_record_round_trip(self, tmp_path):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import os
 
 import pytest
@@ -117,18 +116,6 @@ class TestScriptFile:
         with pytest.raises(InputError) as excinfo:
             load_script(path)
         assert str(excinfo.value) == f"{path}: line 2: not valid UTF-8"
-
-    @pytest.mark.parametrize(
-        "as_source", [list, lambda lines: io.BytesIO("".join(lines).encode())],
-        ids=["list", "stream"],
-    )
-    def test_a_source_that_is_not_a_path_is_not_named(self, as_source):
-        with pytest.raises(InputError) as excinfo:
-            load_script(as_source(['{"match": "a", "response": "b"}\n', "not json\n"]))
-        assert str(excinfo.value) == (
-            "line 2: bad script entry: Expecting value: line 1 column 1 (char 0)"
-        )
-        assert excinfo.value.line_number == 2
 
     def test_default_kind_is_substring(self, tmp_path):
         path = tmp_path / "script.jsonl"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 import types
@@ -73,3 +74,16 @@ def test_every_module_uses_every_name_it_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_every_reader_takes_a_file_path():
+    # each input is read from a file, so no reader takes a list or a stream
+    readers = [
+        ("kg", "load_triples"), ("kg", "load_labels"), ("kg", "load_kg"),
+        ("kg", "numbered_text_lines"), ("kg", "load_json_records"),
+        ("evaluation", "load_dataset"), ("llm", "load_script"),
+    ]
+    for module, name in readers:
+        function = getattr(importlib.import_module(f"kgagent.{module}"), name)
+        first = next(iter(inspect.signature(function).parameters.values()))
+        assert first.annotation == "str | Path", f"{module}.{name}"
