@@ -28,6 +28,10 @@ Vector = tuple[float, ...]
 
 _RECORD_LENGTH = struct.Struct("<I")
 _MAX_BATCH = 2048  # inputs per /embeddings request, the OpenAI limit
+# |component| <= 2**500 bounds a norm's square or a dot product over at most
+# 2**23 components by 2**1023, so fsum never overflows and no score is NaN
+_MAX_COMPONENT = 2.0**500
+_MAX_DIMENSION = 1 << 23
 
 
 class EmbeddingError(ValueError):
@@ -244,6 +248,8 @@ class HttpEmbedder:
         vector = tuple(map(float, raw))
         if not vector:  # before the dimension is learned, so one bad reply cannot fix it at 0
             raise ProviderError("embedding is empty")
+        if len(vector) > _MAX_DIMENSION or not all(map(_MAX_COMPONENT.__ge__, map(abs, vector))):
+            raise ProviderError("embedding has a component beyond 2**500 or over 2**23 of them")
         if self._dimension is None:
             self._dimension = len(vector)
         elif len(vector) != self._dimension:

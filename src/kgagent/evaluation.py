@@ -24,6 +24,8 @@ class DatasetRecord:
             raise ValueError("question must be non-empty")
         if not self.seed_entities:
             raise ValueError("entities must be non-empty")
+        if "" in self.seed_entities:  # no graph id is empty (see load_triples)
+            raise ValueError("entities must not hold an empty id")
         if not self.gold_answers:
             raise ValueError("gold answers must be non-empty")
 

@@ -350,10 +350,10 @@ def _tsv_fields(path: str | Path, width: int, id_kinds: tuple[str, ...]) -> Iter
     number = 1
     with open(path, "rb") as handle:
         for block in iter(partial(handle.readlines, _BLOCK_BYTES), []):
-            fields = _split_block(block, width, empty_id)
-            if fields is None:
-                fields = _checked_fields(block, number, width, id_kinds, path)
-            yield fields
+            # unnamed: the next block is split once its consumer frees this one's fields
+            yield _split_block(block, width, empty_id) or _checked_fields(
+                block, number, width, id_kinds, path
+            )
             number += len(block)
 
 
@@ -380,8 +380,9 @@ def load_triples(path: str | Path, labels: str | Path | None = None) -> Knowledg
     """
     adjacency: dict[EntityId, list[str]] = {}
     get = adjacency.get
-    for fields in _tsv_fields(path, 3, ("head", "relation", "tail")):
-        interned = map(sys.intern, fields)
+    # only a list iterator holds a block's fields, and it frees them once exhausted
+    blocks = _tsv_fields(path, 3, ("head", "relation", "tail"))
+    for interned in map(partial(map, sys.intern), blocks):
         for head, relation, tail in zip(interned, interned, interned):
             edges = get(head)
             if edges is None:
@@ -406,8 +407,8 @@ def load_labels(path: str | Path) -> dict[str, str]:
     checked; a label may be empty or hold a carriage return.
     """
     labels: dict[str, str] = {}
-    for fields in _tsv_fields(path, 2, ("id",)):
-        labels.update(zip(map(sys.intern, fields[::2]), fields[1::2]))
+    for fields in map(iter, _tsv_fields(path, 2, ("id",))):  # freed as in load_triples
+        labels.update(zip(map(sys.intern, fields), fields))
     return labels
 
 

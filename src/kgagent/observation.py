@@ -11,8 +11,9 @@ selection is ranked before deduplication so that seeds stay independent.
 Scores come from a QuestionScorer: the question is embedded once per agent
 run, and each distinct "relation tail" text is scored once per question, so
 repeated turns and observe calls reuse the same floats bit for bit. Each
-entity's out-edges are scored and sorted once per question too; a turn
-merges its frontier's sorted lists.
+entity's out-edges are ranked once per question too, by rank_scored_triples
+(the ranking similarity reflection uses); a turn merges its frontier's
+rankings.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import islice
 from math import ceil
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .embedding import QuestionScorer, combined_text
 from .kg import EntityId, KnowledgeGraph, Triple
@@ -85,27 +86,20 @@ class ObservationSubgraph:
 
 
 def rank_scored_triples(
-    pairs: Iterable[tuple[float, Triple]], limit: int
-) -> list[tuple[float, Triple]]:
-    """The first limit pairs by descending score, ties broken on lexicographic
-    (head, relation, tail); equal to a full sort cut at limit."""
-    return heapq.nsmallest(limit, pairs, key=lambda pair: (-pair[0], pair[1]))
+    groups: Sequence[Sequence[Triple]], kg: KnowledgeGraph, scorer: QuestionScorer
+) -> list[list[tuple[float, Triple]]]:
+    """Each group's (-score, triple) pairs by descending relation+tail
+    similarity to scorer.question, ties broken on the lexicographic triple.
 
-
-def _score_all(candidates: list[Triple], kg: KnowledgeGraph, scorer: QuestionScorer) -> list[float]:
-    """The candidates' relation+tail similarities, from one score_many call."""
+    All groups' texts go to one score_many call, in group order; negation is
+    exact, so the pairs sort with no key function."""
     label = kg.label_of
-    return scorer.score_many(
-        [combined_text(label(relation), label(tail)) for _, relation, tail in candidates]
-    )
-
-
-def top_scored(
-    candidates: Iterable[Triple], kg: KnowledgeGraph, scorer: QuestionScorer, limit: int
-) -> list[tuple[float, Triple]]:
-    """The limit best candidates by the similarity of their relation+tail text."""
-    candidates = list(candidates)
-    return rank_scored_triples(zip(_score_all(candidates, kg, scorer), candidates), limit)
+    scores = iter(scorer.score_many(
+        [combined_text(label(r), label(t)) for group in groups for _, r, t in group]
+    ))
+    # the group goes first so that zip stops on it without taking the next
+    # group's first score
+    return [sorted([(-score, t) for t, score in zip(group, scores)]) for group in groups]
 
 
 def observe(
@@ -148,18 +142,13 @@ def _walk(
     for depth in range(params.depth_limit):
         unranked = [entity for entity in frontier if entity not in ranked]
         edges = [kg.get_neighbors(entity, neighbor_limit) for entity in unranked]
-        scores = iter(_score_all([t for group in edges for t in group], kg, scorer))
-        for entity, group in zip(unranked, edges):
-            # (-score, triple) sorts in rank order with no key function, and
-            # negation is exact; edges go first so that zip stops on the group
-            # without taking the next entity's first score
-            ranked[entity] = sorted([(-s, t) for t, s in zip(group, scores)])
+        ranked.update(zip(unranked, rank_scored_triples(edges, kg, scorer)))
         lists = [ranked[entity] for entity in frontier]
         candidate_count = sum(map(len, lists))
         if not candidate_count:
             break
         # a triple has one head, so no triple is in two lists: the merge's
-        # prefix is the rank_scored_triples selection over all candidates
+        # prefix is the ranking of all candidates as one group
         selected = list(islice(heapq.merge(*lists), params.top_n))
         for negative, triple in selected:
             if triple not in held:

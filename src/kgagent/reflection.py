@@ -15,7 +15,7 @@ from .embedding import QuestionScorer
 from .kg import KnowledgeGraph, Triple
 from .action import fill_template, observed_template
 from .memory import Memory, render_memory
-from .observation import ObservationSubgraph, check_count, render_observation, top_scored
+from .observation import ObservationSubgraph, check_count, rank_scored_triples, render_observation
 
 logger = logging.getLogger(__name__)
 
@@ -128,11 +128,10 @@ def reflect_similarity(
     params: ReflectionParams,
     scorer: QuestionScorer,
 ) -> list[Triple]:
-    """Rank candidates by relation+tail similarity to scorer.question; keep top k.
-
-    Observation and reflection share the scorer's memoized scores.
-    """
-    return [triple for _, triple in top_scored(candidates, kg, scorer, params.k_max)]
+    """The first k_max candidates in rank_scored_triples' order, the ranking
+    observation uses; both share the scorer's memoized scores."""
+    (ranking,) = rank_scored_triples([candidates], kg, scorer)
+    return [triple for _, triple in ranking[: params.k_max]]
 
 
 def reflect_random(

@@ -592,6 +592,42 @@ class TestPartialTraces:
         assert message in trace.error
         assert trace.iterations == []
 
+    @pytest.mark.parametrize(
+        "question_vector, text_vector",
+        [([1e200, 1e200], [1e200, -1e200]), ([1e200, 1e200], [1e200, 1e200]),
+         ([1.0, 0.0], [1e200, -1e200])],
+        ids=["opposite-signs", "same-signs", "text-only"],
+    )
+    def test_an_embedding_too_large_to_score_is_agent_error(
+        self, tokyo_kg, question_vector, text_vector
+    ):
+        """Scored unchecked, these replies would make fsum meet inf - inf or
+        give a NaN score."""
+        from kgagent.embedding import HttpEmbedder
+
+        class Session:
+            def post(self, url, json=None, headers=None, timeout=None):
+                data = [
+                    {"index": i, "embedding": question_vector if text == TOKYO_QUESTION
+                     else text_vector}
+                    for i, text in enumerate(json["input"])
+                ]
+
+                class Response:
+                    status_code = 200
+
+                    @staticmethod
+                    def json():
+                        return {"data": data}
+
+                return Response()
+
+        embedder = HttpEmbedder("http://fake", "embed-x", session=Session())
+        providers = Providers(llm=make_providers(TOKYO_SCRIPT).llm, embedder=embedder)
+        trace = self._failed_run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, providers)
+        assert "component beyond 2**500" in trace.error
+        assert trace.iterations == []
+
 
 PINNED_TRIPLES = [
     ("A", "r", "B"), ("A", "t", "D"), ("B", "s", "C"), ("C", "u", "E"), ("D", "v", "C"),

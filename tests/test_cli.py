@@ -684,6 +684,26 @@ class TestInputErrors:
             f"error: {dataset}: line 1: bad dataset record: entities must be non-empty\n"
         )
 
+    def test_dataset_record_with_an_empty_entity_id(
+        self, kg_dir, tokyo_script_file, tmp_path, capsys
+    ):
+        dataset = tmp_path / "dataset.jsonl"
+        good = {"question": TOKYO_QUESTION, "entities": ["Q1490"], "answers": ["Shinjuku"]}
+        bad = {"question": "q?", "entities": ["Q1490", ""], "answers": ["B"]}
+        dataset.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            ["eval", "--kg", str(kg_dir), "--dataset", str(dataset),
+             "--script", str(tokyo_script_file), "--out", str(out)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {dataset}: line 2: bad dataset record: entities must not hold an empty id\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_truncated_embedding_cache(self, kg_dir, tokyo_script_file, tmp_path, capsys, caplog):
         cache = tmp_path / "cache.bin"
         cache.write_bytes(b"\x05\x00\x00\x00ab")  # a 5-byte text cut after 2 bytes

@@ -231,6 +231,32 @@ class TestHttpEmbedder:
             provider.embed("c")
 
 
+    @pytest.mark.parametrize(
+        "vector",
+        [[1e200, 1e200], [1e200, -1e200], [-(2.0**500) * (1 + 2**-52), 0.0],
+         [float("nan"), 1.0], [1.0, float("-inf")]],
+        ids=["huge", "huge-mixed-signs", "past-the-bound", "nan", "inf"],
+    )
+    def test_a_component_that_could_overflow_a_score_is_refused(self, vector):
+        from kgagent.embedding import HttpEmbedder
+
+        session = FakeEmbeddingSession([vector, [2.0**500, -(2.0**500)]])
+        provider = HttpEmbedder("http://fake", "embed-x", session=session)
+        with pytest.raises(ProviderError, match="component beyond 2\\*\\*500"):
+            provider.embed("a")
+        assert provider.embed("b") == (2.0**500, -(2.0**500))  # the bound itself passes
+
+    def test_more_components_than_a_score_can_sum_are_refused(self, monkeypatch):
+        from kgagent import embedding
+
+        monkeypatch.setattr(embedding, "_MAX_DIMENSION", 2)
+        session = FakeEmbeddingSession([[1.0, 0.0, 0.0], [1.0, 0.0]])
+        provider = embedding.HttpEmbedder("http://fake", "embed-x", session=session)
+        with pytest.raises(ProviderError, match="over 2\\*\\*23 of them"):
+            provider.embed("a")
+        assert provider.embed("b") == (1.0, 0.0)
+
+
 class QueuedResponse:
     def __init__(self, status_code: int, body=None) -> None:
         self.status_code = status_code

@@ -91,7 +91,12 @@ class TestLoadDataset:
          ([1], "a dataset record must be a JSON object, got list"),
          ("x", "a dataset record must be a JSON object, got str"),
          (None, "a dataset record must be a JSON object, got null"),
-         (5, "a dataset record must be a JSON object, got int")],
+         (5, "a dataset record must be a JSON object, got int"),
+         # no graph id is empty, so an empty seed could name no entity
+         ({"question": "q?", "entities": [""], "answers": ["B"]},
+          "entities must not hold an empty id"),
+         ({"question": "q?", "entities": ["Q1", ""], "answers": ["B"]},
+          "entities must not hold an empty id")],
     )
     def test_missing_field_is_error(self, tmp_path, record, message):
         good = json.dumps({"question": "q?", "entities": ["Q1"], "answers": ["a"]})

@@ -753,7 +753,7 @@ def traced_reload(path: Path) -> tuple[KnowledgeGraph, int, int]:
 class TestLoadPeakMemory:
     def test_a_load_builds_no_table_over_every_edge(self, tmp_path):
         """The memory a load frees again stays under a fifth of the graph it
-        keeps (0.17 to 0.19 here); a dict over every edge takes that to 0.43."""
+        keeps (0.11 to 0.12 here); a dict over every edge takes that to 0.43."""
         _, retained, transient = traced_reload(tmp_path / "triples.tsv")
         assert transient / retained < 0.2
 

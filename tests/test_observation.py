@@ -353,15 +353,53 @@ class TestRendering:
         assert "(Tokyo, capital, Shinjuku)" in text
 
 
-class TestRankLimit:
-    def test_limit_equals_sorted_prefix_on_ties(self):
+class StubScorer:
+    """score_many from a text -> score table; records each call's texts."""
+
+    def __init__(self, scores: dict[str, float]) -> None:
+        self.scores = scores
+        self.calls: list[list[str]] = []
+
+    def score_many(self, texts):
+        self.calls.append(list(texts))
+        return [self.scores[text] for text in texts]
+
+
+class TestRankScoredTriples:
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_ties_break_on_the_lexicographic_triple(self, first, second):
+        # "p x" and "p y" score 0.0 and -0.0 (equal scores of either sign)
+        scorer = StubScorer({"p x": first, "p y": second, "q z": 0.5, "r w": 0.5, "q v": -0.25})
+        group = [("B", "q", "v"), ("C", "r", "w"), ("B", "p", "y"), ("A", "p", "x"),
+                 ("A", "q", "z")]
+        (ranking,) = rank_scored_triples([group], make_kg([]), scorer)
+        expected = [(-0.5, ("A", "q", "z")), (-0.5, ("C", "r", "w")),
+                    (-first, ("A", "p", "x")), (-second, ("B", "p", "y")),
+                    (0.25, ("B", "q", "v"))]
+        assert repr(ranking) == repr(expected)  # repr tells 0.0 from -0.0
+
+    def test_groups_are_ranked_independently(self):
         rng = random.Random(103)
-        for _ in range(50):
-            pairs = [
-                (rng.choice([0.5, -0.25, 0.0, -0.0, 1.0]),
-                 (f"Q{rng.randrange(4)}", f"P{rng.randrange(3)}", f"Q{rng.randrange(4)}"))
-                for _ in range(rng.randrange(0, 40))
+        texts = [f"P{r} Q{t}" for r in range(3) for t in range(4)]
+        scores = {text: rng.choice([0.5, -0.25, 0.0, -0.0, 1.0]) for text in texts}
+        kg = make_kg([])
+        for _ in range(30):
+            groups = [
+                [(f"Q{rng.randrange(4)}", f"P{rng.randrange(3)}", f"Q{rng.randrange(4)}")
+                 for _ in range(rng.randrange(0, 12))]
+                for _ in range(rng.randrange(0, 5))
             ]
-            full = sorted(pairs, key=lambda pair: (-pair[0], pair[1]))
-            for limit in (0, 1, 3, 10, 50):
-                assert rank_scored_triples(iter(pairs), limit) == full[:limit]
+            ranked = rank_scored_triples(groups, kg, StubScorer(scores))
+            assert ranked == [
+                rank_scored_triples([group], kg, StubScorer(scores))[0] for group in groups
+            ]
+            for group, ranking in zip(groups, ranked):
+                expected = sorted(group, key=lambda t: (-scores[f"{t[1]} {t[2]}"], t))
+                assert [triple for _, triple in ranking] == expected
+
+    def test_one_score_many_call_over_every_group_in_order(self):
+        kg = make_kg([], {"p": "rel", "Y": "why"})
+        groups = [[("A", "p", "X"), ("A", "q", "Y")], [], [("B", "p", "X"), ("B", "q", "Z")]]
+        scorer = StubScorer({"rel X": 0.1, "q why": 0.2, "q Z": 0.3})
+        rank_scored_triples(groups, kg, scorer)
+        assert scorer.calls == [["rel X", "q why", "rel X", "q Z"]]

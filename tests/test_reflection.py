@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kgagent.action import NeighborExploration, execute_action
 from kgagent.embedding import QuestionScorer, cosine
 from kgagent.kg import Triple
 from kgagent.llm import ScriptedProvider, ScriptEntry
@@ -169,6 +170,19 @@ class TestReflectSimilarity:
             candidates, make_kg([]), ReflectionParams(), QuestionScorer("q", embedder)
         )
         assert result == [("A", "P1", "X"), ("B", "P1", "X")]
+
+    @pytest.mark.parametrize("neighbor_limit", [None, 4])
+    def test_a_get_neighbor_outcome_keeps_observations_ranking(self, embedder, neighbor_limit):
+        rng = random.Random(107)
+        kg = random_kg(rng, n_entities=15, n_triples=120)
+        scorer = QuestionScorer("one ranking", embedder)
+        params = ObservationParams(depth_limit=3, top_n=6, refine_percent=50.0)
+        observe(kg, scorer, ["Q0", "Q1"], params, neighbor_limit)
+        assert len(scorer.ranked) > 2
+        for entity, ranking in scorer.ranked.items():
+            outcome = execute_action(kg, NeighborExploration(entity), neighbor_limit=neighbor_limit)
+            kept = reflect_similarity(outcome, kg, ReflectionParams(k_max=3), scorer)
+            assert kept == [triple for _, triple in ranking[:3]]
 
     def test_empty_candidates(self, embedder):
         scorer = QuestionScorer("q", embedder)
