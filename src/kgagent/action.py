@@ -166,10 +166,7 @@ def parse_action(
 
 
 def execute_action(
-    kg: KnowledgeGraph,
-    action: Action,
-    path_max_len: int = 3,
-    neighbor_limit: int | None = None,
+    kg: KnowledgeGraph, action: Action, path_max_len: int, neighbor_limit: int | None = None
 ) -> list[Triple]:
     """Run a KG action and return its triples.
 
@@ -221,7 +218,7 @@ def choose_action(
     observation: ObservationSubgraph,
     kg: KnowledgeGraph,
     history: Sequence[Action],
-    max_retries: int = 2,
+    max_retries: int,
 ) -> tuple[Action, list[ActionAttempt], bool]:
     """Prompt for an action, re-prompting on invalid or repeated choices.
 

@@ -15,7 +15,7 @@ import os
 import struct
 import threading
 from itertools import repeat
-from math import ceil, fsum, isfinite, sqrt
+from math import ceil, fsum, hypot, sqrt
 from operator import mul, truediv
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
@@ -32,14 +32,23 @@ _MAX_BATCH = 2048  # inputs per /embeddings request, the OpenAI limit
 # 2**23 components by 2**1023, so fsum never overflows and no score is NaN
 _MAX_COMPONENT = 2.0**500
 _MAX_DIMENSION = 1 << 23
+_UNSCORABLE = "a vector that is empty, over 2**23 long or has a component beyond 2**500"
 
 
 class EmbeddingError(ValueError):
-    """Degenerate vector input (dimension mismatch or zero norm)."""
+    """A vector outside _scorable's bounds, of another dimension or of zero norm."""
 
 
 class EmbeddingProvider(Protocol):
     def embed(self, text: str) -> Vector: ...
+
+
+def _scorable(vector: Vector) -> bool:
+    """Non-empty, at most 2**23 components, none beyond 2**500 in magnitude (so none
+    NaN or inf); no component exceeds the norm, so a norm under half the bound passes."""
+    return 0 < len(vector) <= _MAX_DIMENSION and (
+        hypot(*vector) <= _MAX_COMPONENT / 2 or all(map(_MAX_COMPONENT.__ge__, map(abs, vector)))
+    )
 
 
 def cosine(a: Iterable[float], b: Iterable[float]) -> float:
@@ -75,8 +84,8 @@ def embed_texts(
 
     Each distinct text is looked up once; the misses go to the provider in
     one call, in first-seen order (embed_many, when the provider has it) and
-    are stored only if every vector is valid. Any provider exception becomes
-    ProviderError, without a retry.
+    are stored only if every vector is _scorable. Any provider exception
+    becomes ProviderError, without a retry.
     """
     vectors: dict[str, Vector | None] = dict.fromkeys(texts)
     if cache is not None:
@@ -97,8 +106,8 @@ def embed_texts(
         fresh = [tuple(map(float, raw)) for raw in raws]
         if len(fresh) != len(misses):
             raise ProviderError(f"{len(fresh)} vectors for {len(misses)} texts")
-        if not all(vector and all(map(isfinite, vector)) for vector in fresh):
-            raise EmbeddingError("provider returned a non-finite or empty vector")
+        if not all(map(_scorable, fresh)):
+            raise EmbeddingError(f"provider returned {_UNSCORABLE}")
         if cache is not None:
             cache.put_many(zip(misses, fresh))
         vectors.update(zip(misses, fresh))
@@ -165,7 +174,7 @@ class DeterministicEmbedder:
     joined digests with one unpack; the fsum norm and division are IEEE-exact.
     """
 
-    def __init__(self, seed: int = 0, dimension: int = 64) -> None:
+    def __init__(self, seed: int, dimension: int) -> None:
         if dimension < 2:
             raise ValueError("dimension must be >= 2")
         if not -(2**63) <= seed < 2**63:
@@ -184,12 +193,8 @@ class DeterministicEmbedder:
             keyed = state.copy()
             keyed.update(data)
             digests.append(keyed.digest())
-        components = list(map(float, self._unpack(b"".join(digests))))
-        norm = _norm(components)
-        if norm == 0.0:  # unreachable in practice; keep the contract total
-            components[0] = 1.0
-            norm = 1.0
-        return tuple(map(truediv, components, repeat(norm)))
+        components = tuple(map(float, self._unpack(b"".join(digests))))
+        return tuple(map(truediv, components, repeat(_norm(components))))
 
 
 class HttpEmbedder:
@@ -242,14 +247,10 @@ class HttpEmbedder:
         return [self._vector(raw) for raw in raws]
 
     def _vector(self, raw) -> Vector:
-        # exact types: a JSON true or false parses to a bool, which is an int
-        if not isinstance(raw, list) or not {*map(type, raw)} <= {int, float}:
-            raise ProviderError("embedding is not a list of numbers")
+        # exact types (a JSON true is a bool, an int); no empty reply may fix the dimension at 0
+        if not isinstance(raw, list) or not raw or not {*map(type, raw)} <= {int, float}:
+            raise ProviderError("embedding is empty or not a list of numbers")
         vector = tuple(map(float, raw))
-        if not vector:  # before the dimension is learned, so one bad reply cannot fix it at 0
-            raise ProviderError("embedding is empty")
-        if len(vector) > _MAX_DIMENSION or not all(map(_MAX_COMPONENT.__ge__, map(abs, vector))):
-            raise ProviderError("embedding has a component beyond 2**500 or over 2**23 of them")
         if self._dimension is None:
             self._dimension = len(vector)
         elif len(vector) != self._dimension:
@@ -292,7 +293,9 @@ class EmbeddingCache:
             record_end = text_end + 4 + 8 * dimension
             if record_end > len(blob):
                 break
-            self._entries[text] = blob[text_end + 4 : record_end]
+            packed = self._entries[text] = blob[text_end + 4 : record_end]
+            if not _scorable(struct.unpack(f"<{dimension}d", packed)):
+                raise EmbeddingError(f"the record at byte {offset} in {path} holds {_UNSCORABLE}")
             offset = record_end
         if offset < len(blob):  # a torn last record, as from a write cut short: cut it off
             logger.warning("dropped a truncated cache record at byte %d in %s", offset, path)

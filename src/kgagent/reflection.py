@@ -45,7 +45,7 @@ def build_reflection_prompt(
     kg: KnowledgeGraph,
     observation: ObservationSubgraph,
     memory: Memory,
-    k_max: int = 15,
+    k_max: int,
 ) -> str:
     """Fill the reflection template; see templates/reflection.txt.
 

@@ -13,6 +13,7 @@ from kgagent.action import (
     build_answer_prompt,
     choose_action,
     execute_action,
+    fill_template,
     parse_action,
     parse_answer,
     render_action,
@@ -178,25 +179,26 @@ class TestParseAction:
 class TestExecuteAction:
     def test_leaf_entity_empty_outcome(self):
         kg = make_kg([("A", "r", "B")])
-        assert execute_action(kg, NeighborExploration("B")) == []
+        assert execute_action(kg, NeighborExploration("B"), path_max_len=3) == []
 
     def test_path_single_edge(self):
         kg = make_kg([("A", "r", "B")])
-        assert execute_action(kg, PathDiscovery("A", "B")) == [("A", "r", "B")]
+        assert execute_action(kg, PathDiscovery("A", "B"), path_max_len=3) == [("A", "r", "B")]
 
     def test_answer_not_executable(self):
         with pytest.raises(ValueError):
-            execute_action(make_kg([]), Answer())
+            execute_action(make_kg([]), Answer(), path_max_len=3)
 
     def test_neighbor_limit_applies(self):
         kg = make_kg([("A", "r", f"B{i}") for i in range(10)])
-        assert len(execute_action(kg, NeighborExploration("A"), neighbor_limit=4)) == 4
+        outcome = execute_action(kg, NeighborExploration("A"), path_max_len=3, neighbor_limit=4)
+        assert len(outcome) == 4
 
     def test_outcome_matches_oracles_on_random_graph(self):
         rng = random.Random(53)
         kg = random_kg(rng, n_entities=10, n_triples=45)
         for entity in list(kg.adjacency)[:5]:
-            assert execute_action(kg, NeighborExploration(entity)) == [
+            assert execute_action(kg, NeighborExploration(entity), path_max_len=3) == [
                 t for t in edges(kg) if t[0] == entity
             ]
         entities = sorted({t[0] for t in edge_set(kg)})
@@ -223,7 +225,7 @@ class TestExecuteAction:
     def test_outcome_subset_of_kg(self):
         rng = random.Random(59)
         kg = random_kg(rng, n_entities=8, n_triples=30)
-        outcome = execute_action(kg, NeighborExploration("Q0"))
+        outcome = execute_action(kg, NeighborExploration("Q0"), path_max_len=3)
         assert set(outcome) <= edge_set(kg)
 
 
@@ -240,6 +242,9 @@ class TestAnswerPrompt:
             TOKYO_QUESTION, Memory(facts=["Tokyo is the capital of Japan"]), tokyo_kg
         )
         assert "Tokyo is the capital of Japan" in prompt
+
+    def test_unknown_slot_names_are_left_as_they_are(self):
+        assert fill_template("[Question] [Unknown] [", {"Question": "q"}) == "q [Unknown] ["
 
     def test_slot_names_in_values_render_verbatim(self):
         kg = make_kg([("A", "r", "B")], labels={"B": "see [Question] here"})
@@ -272,6 +277,11 @@ class TestParseAnswer:
     def test_newline_separated(self):
         assert parse_answer("Canada\nYukon\n") == ["Canada", "Yukon"]
 
+    def test_outer_brackets_go_before_quotes(self):
+        # the space after "[" stops each piece's own bracket and quote strips,
+        # so only the outer bracket strip gets Paris out of '[ "Paris"'
+        assert parse_answer('Answer: [ "Paris", "Lyon" ]') == ["Paris", "Lyon"]
+
 
 class TestChooseAction:
     def test_valid_first_try(self, tokyo_kg, tokyo_observation):
@@ -281,7 +291,7 @@ class TestChooseAction:
         )
         action, attempts, fallback = choose_action(
             complete_with(provider), TOKYO_QUESTION, Memory(), ["Q1490"], tokyo_observation,
-            tokyo_kg, [],
+            tokyo_kg, [], max_retries=2,
         )
         assert action == NeighborExploration("Q1490")
         assert len(attempts) == 1
@@ -299,7 +309,7 @@ class TestChooseAction:
         )
         action, attempts, fallback = choose_action(
             complete_with(provider), TOKYO_QUESTION, Memory(), ["Q1490", "Q17"], tokyo_observation,
-            tokyo_kg, history,
+            tokyo_kg, history, max_retries=2,
         )
         assert action == NeighborExploration("Q17")
         assert len(attempts) == 2

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -266,6 +267,13 @@ class TestErrors:
         time.sleep(0.001)
         with pytest.raises(AgentError, match="timed out"):
             run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, make_providers(TOKYO_SCRIPT), config)
+
+    def test_a_zero_timeout_sets_no_deadline(self, tokyo_kg, monkeypatch):
+        clock = iter(range(0, 10**9, 1000))  # each reading 1000 s after the last
+        monkeypatch.setattr(agent, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        config = AgentConfig(question_timeout=0)
+        result = run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, make_providers(TOKYO_SCRIPT), config)
+        assert result.answers == ["Shinjuku"]
 
 
 class TestTraceAndConfig:
@@ -582,7 +590,7 @@ class TestPartialTraces:
         self._assert_unanswered(trace)
 
     @pytest.mark.parametrize(
-        "value, message", [(0.0, "zero-norm vector"), (float("nan"), "non-finite")]
+        "value, message", [(0.0, "zero-norm vector"), (float("nan"), "component beyond 2**500")]
     )
     def test_degenerate_embedding_is_agent_error(self, tokyo_kg, value, message):
         providers = Providers(

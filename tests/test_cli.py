@@ -292,6 +292,7 @@ class TestAsk:
             ({"path_max_len": True}, [], "path_max_len must be an integer, got True"),
             ({}, ["--timeout", "nan"], "question_timeout must be >= 0"),
             ({"temperature": float("nan")}, [], "temperature must be >= 0 and finite"),
+            ({"temperature": float("inf")}, [], "temperature must be >= 0 and finite"),
             ({"random_seed": [1]}, [], r"random_seed must be an integer, got \[1\]"),
             ({"temperature": True}, [], "temperature must be a number, got True"),
             ({"question_timeout": True}, [], "question_timeout must be a number, got True"),
@@ -723,6 +724,33 @@ class TestInputErrors:
         assert caplog.messages == [f"dropped a truncated cache record at byte 0 in {cache}"]
         with EmbeddingCache(cache) as reloaded:  # the torn record is gone; this run's records load
             assert reloaded.get(TOKYO_QUESTION) is not None
+
+    def test_embedding_cache_record_outside_the_bound(
+        self, kg_dir, tokyo_script_file, tmp_path, capsys
+    ):
+        cache = tmp_path / "cache.bin"
+        with EmbeddingCache(cache) as writer:
+            writer.put_many([("r a", (1.0, 0.0)), ("r b", (float("nan"), 1.0))])
+        whole = cache.read_bytes()
+        code = main(
+            [
+                "ask",
+                "--kg", str(kg_dir),
+                "--question", TOKYO_QUESTION,
+                "--entities", "Q1490",
+                "--provider", "scripted",
+                "--script", str(tokyo_script_file),
+                "--embed-cache", str(cache),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: the record at byte 27 in {cache} holds a vector that is empty, "
+            "over 2**23 long or has a component beyond 2**500\n"
+        )
+        assert captured.out == ""
+        assert cache.read_bytes() == whole
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one(self, kg_dir, tokyo_script_file, dataset_file, capsys, workers):

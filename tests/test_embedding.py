@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import string
 import struct
 import sys
@@ -23,6 +24,9 @@ from kgagent.embedding import (
     score_candidate,
 )
 from kgagent.llm import ProviderError
+
+# what embed_texts and a cache load say of a vector that no score may take
+UNSCORABLE = "a vector that is empty, over 2**23 long or has a component beyond 2**500"
 
 
 def mp_cosine(a, b) -> float:
@@ -105,10 +109,10 @@ class TestDeterministicProvider:
 
     def test_seed_must_fit_a_signed_64_bit_integer(self):
         for seed in (-(2**63), 2**63 - 1):
-            DeterministicEmbedder(seed=seed)
+            DeterministicEmbedder(seed=seed, dimension=64)
         for seed in (-(2**63) - 1, 2**63):
             with pytest.raises(ValueError, match="seed must fit a signed 64-bit integer"):
-                DeterministicEmbedder(seed=seed)
+                DeterministicEmbedder(seed=seed, dimension=64)
 
     def test_pairwise_cosines_concentrate_near_zero(self):
         # thresholds frozen from an oracle run over this exact configuration
@@ -242,9 +246,9 @@ class TestHttpEmbedder:
 
         session = FakeEmbeddingSession([vector, [2.0**500, -(2.0**500)]])
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
-        with pytest.raises(ProviderError, match="component beyond 2\\*\\*500"):
-            provider.embed("a")
-        assert provider.embed("b") == (2.0**500, -(2.0**500))  # the bound itself passes
+        with pytest.raises(EmbeddingError, match="component beyond 2\\*\\*500"):
+            embed_texts(["a"], provider)
+        assert embed_texts(["b"], provider) == [(2.0**500, -(2.0**500))]  # the bound passes
 
     def test_more_components_than_a_score_can_sum_are_refused(self, monkeypatch):
         from kgagent import embedding
@@ -252,9 +256,11 @@ class TestHttpEmbedder:
         monkeypatch.setattr(embedding, "_MAX_DIMENSION", 2)
         session = FakeEmbeddingSession([[1.0, 0.0, 0.0], [1.0, 0.0]])
         provider = embedding.HttpEmbedder("http://fake", "embed-x", session=session)
-        with pytest.raises(ProviderError, match="over 2\\*\\*23 of them"):
-            provider.embed("a")
-        assert provider.embed("b") == (1.0, 0.0)
+        with pytest.raises(EmbeddingError, match="over 2\\*\\*23 long"):
+            embed_texts(["a"], provider)
+        # the refusal comes after the reply fixed the provider's dimension
+        with pytest.raises(ProviderError, match="provider dimension changed: 2 != 3"):
+            embed_texts(["b"], provider)
 
 
 class QueuedResponse:
@@ -411,6 +417,22 @@ class TestCache:
         path.write_bytes(bytes(data))
         with pytest.raises(EmbeddingError, match=f"byte {second + 4} in .*cache.bin"):
             EmbeddingCache(path)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(float("nan"), 1.0), (1.0, float("-inf")), (1e300, 0.0), ()],
+        ids=["nan", "inf", "1e300", "dimension-0"],
+    )
+    def test_a_record_outside_the_bound_raises_and_leaves_the_file(self, tmp_path, bad):
+        path = tmp_path / "cache.bin"
+        with EmbeddingCache(path) as cache:
+            cache.put_many([("one", (1.0, 2.0)), ("bad", bad), ("two", (3.0, 4.0))])
+        whole = path.read_bytes()
+        offset = 4 + len("one") + 4 + 8 * 2  # the second record's first byte
+        message = f"the record at byte {offset} in {path} holds {UNSCORABLE}"
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+            EmbeddingCache(path)
+        assert path.read_bytes() == whole
 
     def test_unpersisted_cache_works(self, embedder):
         cache = EmbeddingCache()
@@ -693,7 +715,7 @@ class TestEmbedTexts:
         provider = BatchTableProvider({**self.VECTORS, "bad": bad})
         path = tmp_path / "cache.bin"
         with EmbeddingCache(path) as cache:
-            with pytest.raises(EmbeddingError, match="non-finite or empty"):
+            with pytest.raises(EmbeddingError, match=f"provider returned {re.escape(UNSCORABLE)}$"):
                 embed_texts(["a", "bad", "c"], provider, cache)
             assert len(cache) == 0
         assert path.read_bytes() == b""
@@ -754,9 +776,17 @@ class TestPackedCache:
             cache.put_many(items[:2])
             cache.put_many(items[:1] + items[2:] + items[3:4])  # repeats are skipped
         assert path.read_bytes() == expected.getvalue()
-        with EmbeddingCache(path) as reloaded:
-            assert len(reloaded) == len(self.ODD_VECTORS)
-            for text, vector in self.ODD_VECTORS.items():
+        # 1.797e308 is beyond 2**500, so the file refuses to load at that record
+        offset = expected.getvalue().index(b"extremes") - 4
+        with pytest.raises(EmbeddingError, match=f"record at byte {offset} in"):
+            EmbeddingCache(path)
+        assert path.read_bytes() == expected.getvalue()
+        scorable = {text: v for text, v in self.ODD_VECTORS.items() if text != "extremes"}
+        with EmbeddingCache(tmp_path / "scorable.bin") as cache:
+            cache.put_many(scorable.items())
+        with EmbeddingCache(tmp_path / "scorable.bin") as reloaded:
+            assert len(reloaded) == len(scorable)
+            for text, vector in scorable.items():
                 got = reloaded.get(text)
                 assert type(got) is tuple and self._bits(got) == self._bits(vector)
 

@@ -320,7 +320,7 @@ class TestMalformedProviderBody:
 
 class TestOutcomes:
     @pytest.mark.parametrize(
-        "value, message", [(0.0, "zero-norm vector"), (float("nan"), "non-finite")]
+        "value, message", [(0.0, "zero-norm vector"), (float("nan"), "component beyond 2**500")]
     )
     def test_degenerate_embedding_keeps_partial_trace(self, tokyo_kg, tmp_path, value, message):
         from kgagent.agent import Providers

@@ -681,6 +681,38 @@ class TestLoaderParityAcrossBlocks:
         assert min(held[hub] for hub in hubs) > 100
         assert set(hubs) < set(repeats) and len(repeats) < len(held) / 2
 
+    def test_valid_files_never_reach_the_line_by_line_check(self, tmp_path, monkeypatch):
+        """Every block of a valid triples or labels file, LF and CRLF line ends
+        mixed, passes _split_block's cheap test, so _checked_fields never runs."""
+        from kgagent import kg as kg_module
+
+        calls = []
+        checked = kg_module._checked_fields
+        monkeypatch.setattr(
+            kg_module, "_checked_fields", lambda *args: calls.append(args[1]) or checked(*args)
+        )
+        rng = random.Random(13)
+        ends = [b"\n", b"\r\n"]
+        triples = [
+            f"E{rng.randrange(400)}\tr{rng.randrange(5)}\tE{rng.randrange(400)}".encode()
+            + ends[rng.randrange(2)]
+            for _ in range(3000)
+        ]
+        labels = [f"E{i}\tlabel {i}".encode() + ends[rng.randrange(2)] for i in range(3000)]
+        for name, rows in [("triples.tsv", triples), ("labels.tsv", labels)]:
+            assert len(b"".join(rows)) > 2 * 16 * 1024  # several blocks at the default size
+            assert {row.endswith(b"\r\n") for row in rows} == {True, False}
+            (tmp_path / name).write_bytes(b"".join(rows))
+
+        def reference_load_kg(directory: Path) -> KnowledgeGraph:
+            return reference_load_labels(
+                reference_load_triples(directory / "triples.tsv"), directory / "labels.tsv"
+            )
+
+        got = _result(load_kg, tmp_path)
+        assert calls == []
+        assert got == _result(reference_load_kg, tmp_path)
+
     @settings(
         max_examples=100,
         deadline=None,

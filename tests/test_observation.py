@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
-from math import ceil
+from math import ceil, fsum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgagent.embedding import DeterministicEmbedder, QuestionScorer, cosine
 from kgagent.kg import KnowledgeGraph, Triple, extract_khop_subgraph
@@ -132,6 +134,7 @@ class TestObserveBasics:
         assert ObservationParams(refine_percent=10, top_n=50).refine_count == 5
         assert ObservationParams(refine_percent=10, top_n=1).refine_count == 1
         assert ObservationParams(refine_percent=34, top_n=10).refine_count == 4
+        assert ObservationParams(refine_percent=0.5, top_n=50).refine_count == 1
 
 
 class TestObserveOracle:
@@ -403,3 +406,28 @@ class TestRankScoredTriples:
         scorer = StubScorer({"rel X": 0.1, "q why": 0.2, "q Z": 0.3})
         rank_scored_triples(groups, kg, scorer)
         assert scorer.calls == [["rel X", "q why", "rel X", "q Z"]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_group_ranks_the_same_in_any_order(self, data):
+        """For every vector that embed_texts lets through, so every score is
+        a number: a NaN score would leave the sort ordering by position."""
+        component = st.floats(-(2.0**500), 2.0**500)  # the bound, NaN and inf excluded
+        vector = st.tuples(component, component, component).filter(
+            lambda v: fsum(x * x for x in v) > 0  # cosine refuses a zero norm
+        )
+        texts = ["question", "p x", "p y", "r z"]
+        vectors = data.draw(st.fixed_dictionaries(dict.fromkeys(texts, vector)))
+        triples = [(head, *text.split()) for head in "AB" for text in texts[1:]]
+        group = data.draw(st.lists(st.sampled_from(triples), unique=True))
+        reordered = data.draw(st.permutations(group))
+
+        class TableEmbedder:
+            def embed(self, text):
+                return vectors[text]
+
+        def ranking(group):
+            scorer = QuestionScorer("question", TableEmbedder())
+            return rank_scored_triples([group], make_kg([]), scorer)[0]
+
+        assert ranking(reordered) == ranking(group)

@@ -35,7 +35,7 @@ class TestBuildReflectionPrompt:
             tokyo_kg, QuestionScorer(TOKYO_QUESTION, embedder), ["Q1490"], ObservationParams()
         )
         prompt = build_reflection_prompt(
-            TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, observation, Memory()
+            TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, observation, Memory(), k_max=15
         )
         assert "(Tokyo, capital, Shinjuku)" in prompt
         assert "Q192724: Shinjuku" in prompt
@@ -44,7 +44,8 @@ class TestBuildReflectionPrompt:
 
     def test_empty_observation_omits_slot_entirely(self, tokyo_kg):
         prompt = build_reflection_prompt(
-            TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, ObservationSubgraph(), Memory()
+            TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, ObservationSubgraph(), Memory(),
+            k_max=15,
         )
         assert "observation" not in prompt.casefold()
 
@@ -52,7 +53,7 @@ class TestBuildReflectionPrompt:
         kg = make_kg([("A", "r", "B")], labels={"B": "see [Question] here"})
         memory = Memory(facts=["a fact"])
         prompt = build_reflection_prompt(
-            "Where is [Memory]?", [("A", "r", "B")], kg, ObservationSubgraph(), memory
+            "Where is [Memory]?", [("A", "r", "B")], kg, ObservationSubgraph(), memory, k_max=15
         )
         assert "triples (A, r, see [Question] here) from" in prompt
         assert "labels: A: A, r: r, B: see [Question] here from" in prompt
@@ -62,7 +63,7 @@ class TestBuildReflectionPrompt:
     def test_requires_candidates(self, tokyo_kg):
         with pytest.raises(ValueError):
             build_reflection_prompt(
-                TOKYO_QUESTION, [], tokyo_kg, ObservationSubgraph(), Memory()
+                TOKYO_QUESTION, [], tokyo_kg, ObservationSubgraph(), Memory(), k_max=15
             )
 
     def test_golden_render(self, tokyo_kg, embedder, datadir):
@@ -70,7 +71,7 @@ class TestBuildReflectionPrompt:
             tokyo_kg, QuestionScorer(TOKYO_QUESTION, embedder), ["Q1490"], ObservationParams()
         )
         prompt = build_reflection_prompt(
-            TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, observation, Memory()
+            TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, observation, Memory(), k_max=15
         )
         golden = (datadir / "golden" / "reflection_prompt_tokyo.txt").read_text(
             encoding="utf-8"
@@ -180,7 +181,9 @@ class TestReflectSimilarity:
         observe(kg, scorer, ["Q0", "Q1"], params, neighbor_limit)
         assert len(scorer.ranked) > 2
         for entity, ranking in scorer.ranked.items():
-            outcome = execute_action(kg, NeighborExploration(entity), neighbor_limit=neighbor_limit)
+            outcome = execute_action(
+                kg, NeighborExploration(entity), path_max_len=3, neighbor_limit=neighbor_limit
+            )
             kept = reflect_similarity(outcome, kg, ReflectionParams(k_max=3), scorer)
             assert kept == [triple for _, triple in ranking[:3]]
 
@@ -243,6 +246,7 @@ class TestReflectGeneratedFact:
 
 
 def test_params_validation():
+    assert ReflectionParams(k_max=1).k_max == 1
     with pytest.raises(ValueError):
         ReflectionParams(k_max=0)
     with pytest.raises(ValueError):
