@@ -95,7 +95,7 @@ class AgentConfig:
 class Providers:
     llm: LLMProvider
     embedder: EmbeddingProvider
-    cache: EmbeddingCache | None = None
+    cache: EmbeddingCache = field(default_factory=EmbeddingCache)
 
 
 @dataclass

@@ -76,21 +76,16 @@ def combined_text(relation_label: str, tail_label: str) -> str:
 
 
 def embed_texts(
-    texts: Sequence[str],
-    provider: EmbeddingProvider,
-    cache: "EmbeddingCache | None" = None,
+    texts: Sequence[str], provider: EmbeddingProvider, cache: "EmbeddingCache"
 ) -> list[Vector]:
     """Embed texts through the cache; cache hits return the stored vector bit-for-bit.
 
     Each distinct text is looked up once; the misses go to the provider in
-    one call, in first-seen order (embed_many, when the provider has it) and
-    are stored only if every vector is _scorable. Any provider exception
-    becomes ProviderError, without a retry.
+    one call, in first-seen order (embed_many, when the provider has it), and
+    the cache stores them or refuses them all. Any provider exception becomes
+    ProviderError, without a retry.
     """
-    vectors: dict[str, Vector | None] = dict.fromkeys(texts)
-    if cache is not None:
-        for text in vectors:
-            vectors[text] = cache.get(text)
+    vectors = {text: cache.get(text) for text in dict.fromkeys(texts)}
     misses = [text for text, vector in vectors.items() if vector is None]
     if misses:
         embed_many = getattr(provider, "embed_many", None)
@@ -106,10 +101,7 @@ def embed_texts(
         fresh = [tuple(map(float, raw)) for raw in raws]
         if len(fresh) != len(misses):
             raise ProviderError(f"{len(fresh)} vectors for {len(misses)} texts")
-        if not all(map(_scorable, fresh)):
-            raise EmbeddingError(f"provider returned {_UNSCORABLE}")
-        if cache is not None:
-            cache.put_many(zip(misses, fresh))
+        cache.put_many(zip(misses, fresh))
         vectors.update(zip(misses, fresh))
     return [vectors[text] for text in texts]
 
@@ -119,7 +111,7 @@ def score_candidate(
     relation_label: str,
     tail_label: str,
     provider: EmbeddingProvider,
-    cache: "EmbeddingCache | None" = None,
+    cache: "EmbeddingCache",
 ) -> float:
     """Cosine between the question vector and the embedded relation+tail text."""
     text = combined_text(relation_label, tail_label)
@@ -137,9 +129,7 @@ class QuestionScorer:
     per-entity rankings for that question.
     """
 
-    def __init__(
-        self, question: str, provider: EmbeddingProvider, cache: "EmbeddingCache | None" = None
-    ) -> None:
+    def __init__(self, question: str, provider: EmbeddingProvider, cache: "EmbeddingCache") -> None:
         self.question = question
         self.provider = provider
         self.cache = cache
@@ -202,7 +192,7 @@ class HttpEmbedder:
 
     Requests go through post_json: transient failures are tried 3 times,
     0.5 s and then 1.0 s apart; a rejected request or a malformed reply
-    raises ProviderError at once.
+    raises ProviderError at once. The cache alone checks the vectors.
     """
 
     def __init__(
@@ -217,7 +207,6 @@ class HttpEmbedder:
 
         self.config = HttpChatConfig(endpoint, model, api_key_env, timeout, backoff=0.5)
         self._session = session or requests.Session()
-        self._dimension: int | None = None
 
     def embed(self, text: str) -> Vector:
         return self._request([text])[0]
@@ -244,23 +233,17 @@ class HttpEmbedder:
             raws = [by_index[index] for index in range(len(inputs))]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed embedding body: {exc!r}") from exc
-        return [self._vector(raw) for raw in raws]
-
-    def _vector(self, raw) -> Vector:
-        # exact types (a JSON true is a bool, an int); no empty reply may fix the dimension at 0
-        if not isinstance(raw, list) or not raw or not {*map(type, raw)} <= {int, float}:
-            raise ProviderError("embedding is empty or not a list of numbers")
-        vector = tuple(map(float, raw))
-        if self._dimension is None:
-            self._dimension = len(vector)
-        elif len(vector) != self._dimension:
-            raise ProviderError(f"provider dimension changed: {len(vector)} != {self._dimension}")
-        return vector
+        # exact types: a JSON true is a bool, and a bool is an int
+        if not all(isinstance(raw, list) and {*map(type, raw)} <= {int, float} for raw in raws):
+            raise ProviderError("an embedding is not a list of numbers")
+        return [tuple(map(float, raw)) for raw in raws]
 
 
 class EmbeddingCache:
     """Text -> vector cache with optional append-only file persistence.
 
+    The one door for vectors: put_many refuses a batch, and _load a file,
+    holding a vector that is not _scorable or not of the cache's dimension.
     Record layout: u32 text length, UTF-8 text, u32 dimension, dimension
     little-endian float64 components. A vector is held as those component
     bytes and unpacked by get, so reload and get yield bit-identical vectors.
@@ -293,13 +276,24 @@ class EmbeddingCache:
             record_end = text_end + 4 + 8 * dimension
             if record_end > len(blob):
                 break
-            packed = self._entries[text] = blob[text_end + 4 : record_end]
-            if not _scorable(struct.unpack(f"<{dimension}d", packed)):
-                raise EmbeddingError(f"the record at byte {offset} in {path} holds {_UNSCORABLE}")
+            packed = blob[text_end + 4 : record_end]
+            if refusal := self._refusal(struct.unpack(f"<{dimension}d", packed), dimension):
+                raise EmbeddingError(f"the record at byte {offset} in {path} holds {refusal}")
+            self._entries[text] = packed
             offset = record_end
         if offset < len(blob):  # a torn last record, as from a write cut short: cut it off
             logger.warning("dropped a truncated cache record at byte %d in %s", offset, path)
             os.truncate(path, offset)
+
+    def _refusal(self, vector: Vector, first: int) -> str | None:
+        """Why the one rule refuses a vector, or None: a vector must be _scorable and
+        of the cache's dimension, that of its vectors or, when it has none, first."""
+        dimension = len(next(iter(self._entries.values()), b"")) >> 3 or first
+        if not _scorable(vector):
+            return _UNSCORABLE
+        if len(vector) != dimension:
+            return f"a vector of dimension {len(vector)}, not {dimension}"
+        return None
 
     def get(self, text: str) -> Vector | None:
         with self._lock:
@@ -310,9 +304,13 @@ class EmbeddingCache:
         self.put_many([(text, vector)])
 
     def put_many(self, items: Iterable[tuple[str, Vector]]) -> None:
-        """Store new texts in order, with one write and one flush for the batch."""
+        """Store new texts in order with one write and one flush, or refuse the whole batch."""
+        items = list(items)
         records = []
         with self._lock:
+            for _, vector in items:
+                if refusal := self._refusal(vector, len(items[0][1])):
+                    raise EmbeddingError(f"a batch to store holds {refusal}")
             for text, vector in items:
                 if text in self._entries:
                     continue  # identical by provider determinism

@@ -14,7 +14,9 @@ import pytest
 from scipy.stats import chisquare
 
 from kgagent.agent import run, trace_to_json
-from kgagent.embedding import DeterministicEmbedder, QuestionScorer, cosine, score_candidate
+from kgagent.embedding import (
+    DeterministicEmbedder, EmbeddingCache, QuestionScorer, cosine, score_candidate,
+)
 from kgagent.evaluation import DatasetRecord, run_eval, score_hit
 from kgagent.kg import extract_khop_subgraph, load_triples
 from kgagent.memory import Memory, integrate, render_memory
@@ -60,7 +62,7 @@ def test_c01_observation_oracle_equivalence():
         seeds = [f"Q{rng.randrange(60)}" for _ in range(rng.randrange(1, 4))]
         question = f"question number {trial}"
         params = ObservationParams(depth_limit=3, top_n=50, refine_percent=10.0)
-        result = observe(kg, QuestionScorer(question, embedder), seeds, params)
+        result = observe(kg, QuestionScorer(question, embedder, EmbeddingCache()), seeds, params)
         expected = brute_force_observe(kg, question, seeds, 3, 50, 10.0, embedder)
         assert entries_as_tuples(result) == expected  # order and content
     elapsed = time.monotonic() - started
@@ -77,7 +79,7 @@ def test_c02_coverage_cross_check():
         params = ObservationParams(
             depth_limit=3, top_n=len(edge_set(kg)) + 1, refine_percent=100.0
         )
-        result = observe(kg, QuestionScorer(f"q{trial}", embedder), seeds, params)
+        result = observe(kg, QuestionScorer(f"q{trial}", embedder, EmbeddingCache()), seeds, params)
         assert {e.triple for e in result.entries} == edge_set(extract_khop_subgraph(kg, seeds, 3))
 
 
@@ -97,10 +99,12 @@ def test_c03_cosine_properties():
     embedder = DeterministicEmbedder(seed=9, dimension=16)
     question_vector = embedder.embed("a question about rankings")
     labels = [(f"relation {i}", f"tail {i}") for i in range(30)]
-    scores = [score_candidate(question_vector, r, t, embedder) for r, t in labels]
+    scores = [score_candidate(question_vector, r, t, embedder, EmbeddingCache()) for r, t in labels]
     for alpha in (0.001, 0.5, 7.0, 4096.0):
         scaled_vector = tuple(alpha * x for x in question_vector)
-        scaled_scores = [score_candidate(scaled_vector, r, t, embedder) for r, t in labels]
+        scaled_scores = [
+            score_candidate(scaled_vector, r, t, embedder, EmbeddingCache()) for r, t in labels
+        ]
         argsort = sorted(range(30), key=lambda i: -scores[i])
         scaled_argsort = sorted(range(30), key=lambda i: -scaled_scores[i])
         assert argsort == scaled_argsort
@@ -204,7 +208,9 @@ def test_c08_reflection_strategies():
         candidates = sorted(edge_set(kg))
         rng.shuffle(candidates)
         params = ReflectionParams(k_max=15)
-        result = reflect_similarity(candidates, kg, params, QuestionScorer(f"q{trial}", embedder))
+        result = reflect_similarity(
+            candidates, kg, params, QuestionScorer(f"q{trial}", embedder, EmbeddingCache())
+        )
         question_vector = embedder.embed(f"q{trial}")
         expected = sorted(
             candidates,

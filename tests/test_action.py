@@ -18,7 +18,7 @@ from kgagent.action import (
     parse_answer,
     render_action,
 )
-from kgagent.embedding import QuestionScorer
+from kgagent.embedding import EmbeddingCache, QuestionScorer
 from kgagent.kg import dump_triples
 from kgagent.llm import ScriptedProvider, ScriptEntry
 from kgagent.memory import Memory, integrate
@@ -32,9 +32,8 @@ from test_kg import dfs_paths_oracle
 
 @pytest.fixture
 def tokyo_observation(tokyo_kg, embedder):
-    return observe(
-        tokyo_kg, QuestionScorer(TOKYO_QUESTION, embedder), ["Q1490"], ObservationParams()
-    )
+    scorer = QuestionScorer(TOKYO_QUESTION, embedder, EmbeddingCache())
+    return observe(tokyo_kg, scorer, ["Q1490"], ObservationParams())
 
 
 class TestBuildActionPrompt:

@@ -285,6 +285,14 @@ class TestTraceAndConfig:
     def test_render_case_empty_trace(self, tokyo_kg):
         assert render_case(AgentTrace(question="", seed_entities=[]), tokyo_kg) == ""
 
+    @pytest.mark.parametrize(
+        "name, minimum",
+        [("max_iterations", 1), ("path_max_len", 1), ("max_tokens", 1),
+         ("action_retries", 0), ("neighbor_limit", 0)],
+    )
+    def test_a_count_at_its_minimum_builds(self, name, minimum):
+        assert getattr(AgentConfig(**{name: minimum}), name) == minimum
+
     def test_config_round_trip(self):
         config = AgentConfig(max_iterations=4, random_seed=9)
         assert AgentConfig.from_dict(asdict(config)) == config
@@ -572,6 +580,16 @@ class TestPartialTraces:
         ]
         assert trace.iterations[-1].memory_snapshot != []
         self._assert_unanswered(trace)
+
+    def test_render_case_of_a_failed_run_shows_its_iterations_and_error(self, tokyo_kg):
+        providers = make_providers(TOKYO_SCRIPT[:-1])  # no answer entry
+        trace = self._failed_run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, providers)
+        lines = render_case(trace, tokyo_kg).splitlines()
+        assert [line for line in lines if line.startswith("--- Iteration")] == [
+            "--- Iteration 1 ---", "--- Iteration 2 ---",
+        ]
+        assert lines[-1] == f"Error: {trace.error}"
+        assert not any(line.startswith("Answer:") for line in lines)
 
     def test_failed_answer_at_iteration_cap_keeps_every_iteration(self):
         kg = make_kg([("A", "r", "B"), ("B", "r", "C"), ("C", "r", "A")])

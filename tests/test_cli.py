@@ -20,6 +20,7 @@ from conftest import (
     make_kg,
     save_script,
 )
+from test_embedding import frozen_put
 from kgagent.kg import save_kg
 from kgagent.llm import ScriptEntry
 
@@ -725,12 +726,20 @@ class TestInputErrors:
         with EmbeddingCache(cache) as reloaded:  # the torn record is gone; this run's records load
             assert reloaded.get(TOKYO_QUESTION) is not None
 
+    @pytest.mark.parametrize(
+        "bad, refusal",
+        [((float("nan"), 1.0),
+          "a vector that is empty, over 2**23 long or has a component beyond 2**500"),
+         ((1.0, 0.0, 0.0), "a vector of dimension 3, not 2")],
+        ids=["nan", "another-dimension"],
+    )
     def test_embedding_cache_record_outside_the_bound(
-        self, kg_dir, tokyo_script_file, tmp_path, capsys
+        self, kg_dir, tokyo_script_file, tmp_path, capsys, bad, refusal
     ):
         cache = tmp_path / "cache.bin"
-        with EmbeddingCache(cache) as writer:
-            writer.put_many([("r a", (1.0, 0.0)), ("r b", (float("nan"), 1.0))])
+        with open(cache, "wb") as handle:  # put_many would refuse the second record
+            frozen_put(handle, "r a", (1.0, 0.0))
+            frozen_put(handle, "r b", bad)
         whole = cache.read_bytes()
         code = main(
             [
@@ -745,10 +754,7 @@ class TestInputErrors:
         )
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            f"error: the record at byte 27 in {cache} holds a vector that is empty, "
-            "over 2**23 long or has a component beyond 2**500\n"
-        )
+        assert captured.err == f"error: the record at byte 27 in {cache} holds {refusal}\n"
         assert captured.out == ""
         assert cache.read_bytes() == whole
 

@@ -25,7 +25,7 @@ from kgagent.embedding import (
 )
 from kgagent.llm import ProviderError
 
-# what embed_texts and a cache load say of a vector that no score may take
+# what the cache says of a vector that no score may take, at put_many and at load
 UNSCORABLE = "a vector that is empty, over 2**23 long or has a component beyond 2**500"
 
 
@@ -152,7 +152,7 @@ class TestEmbedTextProviderFailure:
 
         provider = FailingProvider()
         with pytest.raises(ProviderError, match="boom"):
-            embed_texts(["x"], provider)
+            embed_texts(["x"], provider, EmbeddingCache())
         assert provider.calls == 1
 
 
@@ -162,7 +162,7 @@ class TestScoreCandidate:
 
     def test_reproducible_against_recomputation(self, embedder):
         question_vector = embedder.embed("What is the capital of the prefecture Tokyo ?")
-        score = score_candidate(question_vector, "capital", "Shinjuku", embedder)
+        score = score_candidate(question_vector, "capital", "Shinjuku", embedder, EmbeddingCache())
         recomputed = cosine(question_vector, embedder.embed("capital Shinjuku"))
         assert score == recomputed
 
@@ -175,9 +175,10 @@ class TestScoreCandidate:
 
     def test_swapped_labels_change_score(self, embedder):
         question_vector = embedder.embed("q")
+        cache = EmbeddingCache()
         assert score_candidate(
-            question_vector, "capital", "Shinjuku", embedder
-        ) != score_candidate(question_vector, "Shinjuku", "capital", embedder)
+            question_vector, "capital", "Shinjuku", embedder, cache
+        ) != score_candidate(question_vector, "Shinjuku", "capital", embedder, cache)
 
 
 class FakeEmbeddingSession:
@@ -204,35 +205,43 @@ class FakeEmbeddingSession:
 
 
 class TestHttpEmbedder:
-    def test_embeds_and_learns_dimension(self):
+    @pytest.mark.parametrize(
+        "reply, vector",
+        [([1.0, 2.0, 3.0], (1.0, 2.0, 3.0)), ([1, 2.5], (1.0, 2.5))],
+        ids=["floats", "mixed-int-and-float"],
+    )
+    def test_embeds_a_reply_as_floats_and_keeps_no_dimension(self, reply, vector):
         from kgagent.embedding import HttpEmbedder
 
-        session = FakeEmbeddingSession([[1.0, 2.0, 3.0], [1.0, 2.0]])
+        session = FakeEmbeddingSession([reply, [1.0, 2.0, 3.0, 4.0]])
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
-        assert provider.embed("text") == (1.0, 2.0, 3.0)
+        got = provider.embed("text")
+        assert got == vector and {*map(type, got)} == {float}
         assert session.calls[0]["json"] == {"model": "embed-x", "input": ["text"]}
-        with pytest.raises(ProviderError, match="provider dimension changed: 2 != 3"):
-            provider.embed("other")
+        assert provider.embed("other") == (1.0, 2.0, 3.0, 4.0)  # the cache decides dimensions
 
     def test_dimension_change_rejected(self):
         from kgagent.embedding import HttpEmbedder
 
         session = FakeEmbeddingSession([[1.0, 2.0], [1.0, 2.0, 3.0]])
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
-        provider.embed("a")
-        with pytest.raises(ProviderError, match="provider dimension changed: 3 != 2"):
-            provider.embed("b")
+        cache = EmbeddingCache()
+        embed_texts(["a"], provider, cache)
+        with pytest.raises(EmbeddingError, match="holds a vector of dimension 3, not 2$"):
+            embed_texts(["b"], provider, cache)
+        assert len(cache) == 1
 
     def test_empty_first_vector_does_not_fix_the_dimension(self):
         from kgagent.embedding import HttpEmbedder
 
         session = FakeEmbeddingSession([[], [1.0, 2.0], [1.0, 2.0, 3.0]])
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
-        with pytest.raises(ProviderError, match="empty"):
-            provider.embed("a")
-        assert provider.embed("b") == (1.0, 2.0)
-        with pytest.raises(ProviderError, match="provider dimension changed: 3 != 2"):
-            provider.embed("c")
+        cache = EmbeddingCache()
+        with pytest.raises(EmbeddingError, match=f"holds {re.escape(UNSCORABLE)}$"):
+            embed_texts(["a"], provider, cache)
+        assert embed_texts(["b"], provider, cache) == [(1.0, 2.0)]
+        with pytest.raises(EmbeddingError, match="holds a vector of dimension 3, not 2$"):
+            embed_texts(["c"], provider, cache)
 
 
     @pytest.mark.parametrize(
@@ -246,9 +255,10 @@ class TestHttpEmbedder:
 
         session = FakeEmbeddingSession([vector, [2.0**500, -(2.0**500)]])
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
+        cache = EmbeddingCache()
         with pytest.raises(EmbeddingError, match="component beyond 2\\*\\*500"):
-            embed_texts(["a"], provider)
-        assert embed_texts(["b"], provider) == [(2.0**500, -(2.0**500))]  # the bound passes
+            embed_texts(["a"], provider, cache)
+        assert embed_texts(["b"], provider, cache) == [(2.0**500, -(2.0**500))]  # the bound passes
 
     def test_more_components_than_a_score_can_sum_are_refused(self, monkeypatch):
         from kgagent import embedding
@@ -256,11 +266,11 @@ class TestHttpEmbedder:
         monkeypatch.setattr(embedding, "_MAX_DIMENSION", 2)
         session = FakeEmbeddingSession([[1.0, 0.0, 0.0], [1.0, 0.0]])
         provider = embedding.HttpEmbedder("http://fake", "embed-x", session=session)
+        cache = EmbeddingCache()
         with pytest.raises(EmbeddingError, match="over 2\\*\\*23 long"):
-            embed_texts(["a"], provider)
-        # the refusal comes after the reply fixed the provider's dimension
-        with pytest.raises(ProviderError, match="provider dimension changed: 2 != 3"):
-            embed_texts(["b"], provider)
+            embed_texts(["a"], provider, cache)
+        # a refused reply fixes no dimension, so the next correct one is taken
+        assert embed_texts(["b"], provider, cache) == [(1.0, 0.0)]
 
 
 class QueuedResponse:
@@ -300,7 +310,7 @@ class TestHttpEmbedderRequestPolicy:
 
         session = QueuedEmbeddingSession(outcomes)
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
-        return session, lambda: embed_texts(["text"], provider)[0]
+        return session, lambda: embed_texts(["text"], provider, EmbeddingCache())[0]
 
     def test_transient_500_is_retried(self, sleeps):
         body = {"data": [{"index": 0, "embedding": [1.0, 2.0, 2.0]}]}
@@ -419,17 +429,20 @@ class TestCache:
             EmbeddingCache(path)
 
     @pytest.mark.parametrize(
-        "bad",
-        [(float("nan"), 1.0), (1.0, float("-inf")), (1e300, 0.0), ()],
-        ids=["nan", "inf", "1e300", "dimension-0"],
+        "bad, refusal",
+        [((float("nan"), 1.0), UNSCORABLE), ((1.0, float("-inf")), UNSCORABLE),
+         ((1e300, 0.0), UNSCORABLE), ((), UNSCORABLE),
+         ((1.0, 2.0, 3.0), "a vector of dimension 3, not 2")],
+        ids=["nan", "inf", "1e300", "dimension-0", "another-dimension"],
     )
-    def test_a_record_outside_the_bound_raises_and_leaves_the_file(self, tmp_path, bad):
+    def test_a_record_outside_the_bound_raises_and_leaves_the_file(self, tmp_path, bad, refusal):
         path = tmp_path / "cache.bin"
-        with EmbeddingCache(path) as cache:
-            cache.put_many([("one", (1.0, 2.0)), ("bad", bad), ("two", (3.0, 4.0))])
+        with open(path, "wb") as handle:  # put_many would refuse the bad record
+            for text, vector in [("one", (1.0, 2.0)), ("bad", bad), ("two", (3.0, 4.0))]:
+                frozen_put(handle, text, vector)
         whole = path.read_bytes()
         offset = 4 + len("one") + 4 + 8 * 2  # the second record's first byte
-        message = f"the record at byte {offset} in {path} holds {UNSCORABLE}"
+        message = f"the record at byte {offset} in {path} holds {refusal}"
         with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
             EmbeddingCache(path)
         assert path.read_bytes() == whole
@@ -487,7 +500,7 @@ class TestQuestionScorer:
                 text: tuple(rng.uniform(-7, 7) for _ in range(dimension))
                 for text in ["question"] + [f"text {i}" for i in range(40)]
             }
-            scorer = QuestionScorer("question", TableProvider(vectors))
+            scorer = QuestionScorer("question", TableProvider(vectors), EmbeddingCache())
             for text in vectors:
                 assert scorer.score_many([text])[0] == cosine(vectors["question"], vectors[text])
 
@@ -499,7 +512,7 @@ class TestQuestionScorer:
         question_vector = embedder.embed(question)
         for relation, tail in [("capital", "Shinjuku"), ("country", "Japan"), ("a", "")]:
             assert scorer.score_many([combined_text(relation, tail)])[0] == score_candidate(
-                question_vector, relation, tail, embedder
+                question_vector, relation, tail, embedder, EmbeddingCache()
             )
 
     def test_each_text_embedded_once_question_first_and_lazily(self):
@@ -507,7 +520,7 @@ class TestQuestionScorer:
 
         vectors = {"q": (1.0, 2.0), "a": (3.0, -1.0), "b": (0.5, 0.5)}
         provider = TableProvider(vectors)
-        scorer = QuestionScorer("q", provider)
+        scorer = QuestionScorer("q", provider, EmbeddingCache())
         assert provider.calls == []
         first = [scorer.score_many([text])[0] for text in ("a", "b", "a", "b")]
         assert provider.calls == ["q", "a", "b"]
@@ -520,16 +533,16 @@ class TestQuestionScorer:
 
         provider = TableProvider({"q": (1.0, 2.0), "a": (1.0, 2.0, 3.0)})
         with pytest.raises(EmbeddingError):
-            QuestionScorer("q", provider).score_many(["a"])
+            QuestionScorer("q", provider, EmbeddingCache()).score_many(["a"])
 
     def test_zero_norm_raises(self):
         from kgagent.embedding import QuestionScorer
 
         provider = TableProvider({"q": (1.0, 2.0), "zero": (0.0, 0.0), "zq": (0.0, 0.0)})
         with pytest.raises(EmbeddingError):
-            QuestionScorer("q", provider).score_many(["zero"])
+            QuestionScorer("q", provider, EmbeddingCache()).score_many(["zero"])
         with pytest.raises(EmbeddingError):
-            QuestionScorer("zq", provider).score_many(["q"])
+            QuestionScorer("zq", provider, EmbeddingCache()).score_many(["q"])
 
 
 def frozen_texts() -> list[str]:
@@ -698,14 +711,14 @@ class TestEmbedTexts:
         from kgagent.embedding import embed_texts
 
         provider = BatchTableProvider(self.VECTORS)
-        assert embed_texts(["a", "a"], provider) == [self.VECTORS["a"]] * 2
+        assert embed_texts(["a", "a"], provider, EmbeddingCache()) == [self.VECTORS["a"]] * 2
         assert (provider.batches, provider.calls) == ([["a"]], [])
 
     def test_a_provider_without_embed_many_gets_one_call_per_miss(self):
         from kgagent.embedding import embed_texts
 
         provider = TableProvider(self.VECTORS)
-        embed_texts(["d", "a", "d", "b"], provider)
+        embed_texts(["d", "a", "d", "b"], provider, EmbeddingCache())
         assert provider.calls == ["d", "a", "b"]
 
     @pytest.mark.parametrize("bad", [(float("nan"), 1.0), (1.0, float("inf")), ()])
@@ -715,7 +728,7 @@ class TestEmbedTexts:
         provider = BatchTableProvider({**self.VECTORS, "bad": bad})
         path = tmp_path / "cache.bin"
         with EmbeddingCache(path) as cache:
-            with pytest.raises(EmbeddingError, match=f"provider returned {re.escape(UNSCORABLE)}$"):
+            with pytest.raises(EmbeddingError, match=f"holds {re.escape(UNSCORABLE)}$"):
                 embed_texts(["a", "bad", "c"], provider, cache)
             assert len(cache) == 0
         assert path.read_bytes() == b""
@@ -728,13 +741,13 @@ class TestEmbedTexts:
                 return super().embed_many(texts)[:-1]
 
         with pytest.raises(ProviderError, match="2 vectors for 3 texts"):
-            embed_texts(["a", "b", "c"], ShortBatch(self.VECTORS))
+            embed_texts(["a", "b", "c"], ShortBatch(self.VECTORS), EmbeddingCache())
 
     def test_score_many_embeds_the_question_then_one_batch(self):
         from kgagent.embedding import QuestionScorer
 
         provider = BatchTableProvider({"q": (1.0, 2.0), **self.VECTORS})
-        scorer = QuestionScorer("q", provider)
+        scorer = QuestionScorer("q", provider, EmbeddingCache())
         scores = scorer.score_many(["c", "a", "c", "d"])
         assert (provider.calls, provider.batches) == ([], [["q"], ["c", "a", "d"]])
         assert scores == [cosine((1.0, 2.0), self.VECTORS[t]) for t in ("c", "a", "c", "d")]
@@ -755,7 +768,7 @@ class TestPackedCache:
     ODD_VECTORS = {
         "zeros": (0.0, -0.0, 0.0),
         "subnormal": (5e-324, -2.2250738585072014e-308 / 3, 1.0),
-        "extremes": (1.7976931348623157e308, -1e-300, 0.1),
+        "extremes": (2.0**500, -1e-300, 0.1),  # the largest component a cache takes
         "münchen \t tab": (-1.5, 2.5, 1 / 3),
         "": (3.0, 4.0, 12.0),
     }
@@ -776,17 +789,9 @@ class TestPackedCache:
             cache.put_many(items[:2])
             cache.put_many(items[:1] + items[2:] + items[3:4])  # repeats are skipped
         assert path.read_bytes() == expected.getvalue()
-        # 1.797e308 is beyond 2**500, so the file refuses to load at that record
-        offset = expected.getvalue().index(b"extremes") - 4
-        with pytest.raises(EmbeddingError, match=f"record at byte {offset} in"):
-            EmbeddingCache(path)
-        assert path.read_bytes() == expected.getvalue()
-        scorable = {text: v for text, v in self.ODD_VECTORS.items() if text != "extremes"}
-        with EmbeddingCache(tmp_path / "scorable.bin") as cache:
-            cache.put_many(scorable.items())
-        with EmbeddingCache(tmp_path / "scorable.bin") as reloaded:
-            assert len(reloaded) == len(scorable)
-            for text, vector in scorable.items():
+        with EmbeddingCache(path) as reloaded:
+            assert len(reloaded) == len(self.ODD_VECTORS)
+            for text, vector in self.ODD_VECTORS.items():
                 got = reloaded.get(text)
                 assert type(got) is tuple and self._bits(got) == self._bits(vector)
 
@@ -819,3 +824,33 @@ class TestPackedCache:
             assert counts == {"write": 1, "flush": 1}
             cache.put_many(self.ODD_VECTORS.items())  # nothing new: no write at all
             assert counts == {"write": 1, "flush": 1}
+
+
+class TestOneRuleAtPutMany:
+    HELD = ("held", (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize(
+        "bad, refusal",
+        [((1.7976931348623157e308, 0.0, 0.1), re.escape(UNSCORABLE)),
+         ((float("nan"), 0.0, 1.0), re.escape(UNSCORABLE)),
+         ((1.0, 2.0), "a vector of dimension 2, not 3")],
+        ids=["1.797e308", "nan", "another-dimension"],
+    )
+    def test_a_batch_with_one_bad_vector_stores_and_appends_nothing(self, tmp_path, bad, refusal):
+        path = tmp_path / "cache.bin"
+        with EmbeddingCache(path) as cache:
+            cache.put(*self.HELD)
+            whole = path.read_bytes()
+            batch = [("a", (3.0, 4.0, 12.0)), ("bad", bad), ("b", (1.0, 0.0, 0.0))]
+            with pytest.raises(EmbeddingError, match=f"^a batch to store holds {refusal}$"):
+                cache.put_many(batch)
+            assert len(cache) == 1 and cache.get("a") is None
+        assert path.read_bytes() == whole
+
+    def test_an_empty_cache_takes_the_dimension_of_the_batchs_first_vector(self):
+        cache = EmbeddingCache()
+        with pytest.raises(EmbeddingError, match="a vector of dimension 3, not 2$"):
+            cache.put_many([("a", (1.0, 2.0)), self.HELD])
+        assert len(cache) == 0
+        cache.put_many([self.HELD])  # the refused batch fixed no dimension
+        assert cache.get("held") == self.HELD[1]

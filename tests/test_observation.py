@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgagent.embedding import DeterministicEmbedder, QuestionScorer, cosine
+from kgagent.embedding import DeterministicEmbedder, EmbeddingCache, QuestionScorer, cosine
 from kgagent.kg import KnowledgeGraph, Triple, extract_khop_subgraph
 from kgagent.observation import (
     ObservationParams,
@@ -90,18 +90,21 @@ def entries_as_tuples(subgraph: ObservationSubgraph):
 class TestObserveBasics:
     def test_seed_without_edges_yields_empty_subgraph(self, embedder):
         kg = make_kg([("A", "r", "B")])
-        result = observe(kg, QuestionScorer("q", embedder), ["B"], ObservationParams())
+        result = observe(
+            kg, QuestionScorer("q", embedder, EmbeddingCache()), ["B"], ObservationParams()
+        )
         assert result.entries == []
 
     def test_unknown_seed_contributes_nothing(self, embedder):
         kg = make_kg([("A", "r", "B")])
-        result = observe(kg, QuestionScorer("q", embedder), ["Zmissing", "A"], ObservationParams())
+        scorer = QuestionScorer("q", embedder, EmbeddingCache())
+        result = observe(kg, scorer, ["Zmissing", "A"], ObservationParams())
         assert [entry.triple for entry in result.entries] == [("A", "r", "B")]
 
     def test_star_graph_top_n_selection(self, embedder):
         kg = make_kg([("S", f"r{i}", f"T{i}") for i in range(7)])
         params = ObservationParams(depth_limit=1, top_n=5, refine_percent=20.0)
-        result = observe(kg, QuestionScorer("which tee", embedder), ["S"], params)
+        result = observe(kg, QuestionScorer("which tee", embedder, EmbeddingCache()), ["S"], params)
         # oracle: score all 7 candidates exhaustively, sort, take 5
         question_vector = embedder.embed("which tee")
         ranked = sorted(
@@ -117,7 +120,9 @@ class TestObserveBasics:
 
     def test_chain_is_fully_covered_under_caps(self, embedder):
         kg = make_kg([("A", "r", "B"), ("B", "r", "C"), ("C", "r", "D")])
-        result = observe(kg, QuestionScorer("q", embedder), ["A"], ObservationParams())
+        result = observe(
+            kg, QuestionScorer("q", embedder, EmbeddingCache()), ["A"], ObservationParams()
+        )
         assert {entry.triple for entry in result.entries} == edge_set(kg)
 
     def test_validation(self):
@@ -144,7 +149,9 @@ class TestObserveOracle:
             kg = random_kg(rng, n_entities=24, n_triples=300)
             seeds = [f"Q{rng.randrange(24)}" for _ in range(rng.randrange(1, 4))]
             params = ObservationParams(depth_limit=3, top_n=50, refine_percent=10.0)
-            result = observe(kg, QuestionScorer("some question", embedder), seeds, params)
+            result = observe(
+                kg, QuestionScorer("some question", embedder, EmbeddingCache()), seeds, params
+            )
             expected = brute_force_observe(
                 kg, "some question", seeds, 3, 50, 10.0, embedder
             )
@@ -156,7 +163,9 @@ class TestObserveOracle:
             kg = random_kg(rng, n_entities=15, n_triples=120)
             seeds = [f"Q{rng.randrange(15)}"]
             params = ObservationParams(depth_limit=3, top_n=4, refine_percent=30.0)
-            result = observe(kg, QuestionScorer("another question", embedder), seeds, params)
+            result = observe(
+                kg, QuestionScorer("another question", embedder, EmbeddingCache()), seeds, params
+            )
             expected = brute_force_observe(
                 kg, "another question", seeds, 3, 4, 30.0, embedder
             )
@@ -196,7 +205,7 @@ class TestRankedOncePerQuestion:
         rng = random.Random(71)
         kg = random_kg(rng, n_entities=24, n_triples=300)
         provider = RecordingEmbedder()
-        scorer = QuestionScorer("a question", provider)
+        scorer = QuestionScorer("a question", provider, EmbeddingCache())
         params = ObservationParams(depth_limit=3, top_n=6, refine_percent=50.0)
         neighbors = self._counting_neighbors(kg, monkeypatch)
         first = observe(kg, scorer, ["Q1", "Q2"], params)
@@ -214,7 +223,7 @@ class TestRankedOncePerQuestion:
         rng = random.Random(73)
         kg = random_kg(rng, n_entities=20, n_triples=160)
         params = ObservationParams(depth_limit=3, top_n=5, refine_percent=60.0)
-        result = observe(kg, QuestionScorer("q", embedder), ["Q0", "Q5"], params)
+        result = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), ["Q0", "Q5"], params)
         frontier: dict[str, list[str]] = {}
         for turn in result.turns:
             current = frontier.get(turn.seed, [turn.seed]) if turn.depth else [turn.seed]
@@ -225,7 +234,7 @@ class TestRankedOncePerQuestion:
         rng = random.Random(79)
         for _ in range(10):
             kg = random_kg(rng, n_entities=18, n_triples=200)
-            scorer = QuestionScorer("shared", embedder)
+            scorer = QuestionScorer("shared", embedder, EmbeddingCache())
             for _ in range(3):
                 seeds = [f"Q{rng.randrange(18)}" for _ in range(rng.randrange(1, 4))]
                 params = ObservationParams(depth_limit=3, top_n=rng.randrange(1, 12))
@@ -242,7 +251,7 @@ class TestObserveProperties:
         kg = random_kg(rng, n_entities=20, n_triples=250)
         seeds = ["Q0", "Q1", "Q2"]
         params = ObservationParams(depth_limit=3, top_n=10, refine_percent=50.0)
-        result = observe(kg, QuestionScorer("q", embedder), seeds, params)
+        result = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), seeds, params)
         assert len(result.entries) <= len(seeds) * params.depth_limit * params.top_n
 
     def test_frontier_provenance_single_seed(self, embedder):
@@ -250,7 +259,7 @@ class TestObserveProperties:
         for _ in range(10):
             kg = random_kg(rng, n_entities=18, n_triples=150)
             params = ObservationParams(depth_limit=3, top_n=8, refine_percent=25.0)
-            result = observe(kg, QuestionScorer("q", embedder), ["Q0"], params)
+            result = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), ["Q0"], params)
             refine = params.refine_count
             by_depth: dict[int, list[ScoredTriple]] = {}
             for entry in result.entries:
@@ -266,8 +275,8 @@ class TestObserveProperties:
         rng = random.Random(79)
         kg = random_kg(rng, n_entities=20, n_triples=200)
         params = ObservationParams()
-        first = observe(kg, QuestionScorer("q", embedder), ["Q0", "Q5"], params)
-        second = observe(kg, QuestionScorer("q", embedder), ["Q0", "Q5"], params)
+        first = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), ["Q0", "Q5"], params)
+        second = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), ["Q0", "Q5"], params)
         assert first.turns == second.turns
         assert entries_as_tuples(first) == entries_as_tuples(second)
 
@@ -279,7 +288,7 @@ class TestObserveProperties:
             params = ObservationParams(
                 depth_limit=3, top_n=len(edge_set(kg)) + 1, refine_percent=100.0
             )
-            result = observe(kg, QuestionScorer("q", embedder), seeds, params)
+            result = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), seeds, params)
             expected = edge_set(extract_khop_subgraph(kg, seeds, 3))
             assert {entry.triple for entry in result.entries} == expected
 
@@ -288,10 +297,12 @@ class TestObserveProperties:
         kg = random_kg(rng, n_entities=12, n_triples=120)
         seeds = ["Q0", "Q1"]
         small = observe(
-            kg, QuestionScorer("q", embedder), seeds, ObservationParams(depth_limit=1, top_n=5)
+            kg, QuestionScorer("q", embedder, EmbeddingCache()), seeds,
+            ObservationParams(depth_limit=1, top_n=5),
         )
         large = observe(
-            kg, QuestionScorer("q", embedder), seeds, ObservationParams(depth_limit=1, top_n=9)
+            kg, QuestionScorer("q", embedder, EmbeddingCache()), seeds,
+            ObservationParams(depth_limit=1, top_n=9),
         )
         assert {e.triple for e in small.entries} <= {e.triple for e in large.entries}
 
@@ -309,7 +320,8 @@ class TestNeighborLimit:
                 return super().score_many(texts)
 
         params = ObservationParams(depth_limit=1, top_n=limit + 7)
-        result = observe(kg, SpyScorer("q", embedder), ["H"], params, neighbor_limit=limit)
+        scorer = SpyScorer("q", embedder, EmbeddingCache())
+        result = observe(kg, scorer, ["H"], params, neighbor_limit=limit)
         first = kg.get_neighbors("H")[:limit]
         assert [turn.candidate_count for turn in result.turns] == [limit]
         assert scored == [f"{t[1]} {t[2]}" for t in first]
@@ -331,8 +343,6 @@ class TestConcurrency:
     def test_parallel_observe_calls_share_one_cache(self, embedder):
         from concurrent.futures import ThreadPoolExecutor
 
-        from kgagent.embedding import EmbeddingCache
-
         rng = random.Random(97)
         kg = random_kg(rng, n_entities=20, n_triples=200)
         cache = EmbeddingCache()
@@ -351,7 +361,8 @@ class TestConcurrency:
 
 class TestRendering:
     def test_render_uses_labels(self, tokyo_kg, embedder):
-        result = observe(tokyo_kg, QuestionScorer("q", embedder), ["Q1490"], ObservationParams())
+        scorer = QuestionScorer("q", embedder, EmbeddingCache())
+        result = observe(tokyo_kg, scorer, ["Q1490"], ObservationParams())
         text = render_observation(result, tokyo_kg)
         assert "(Tokyo, capital, Shinjuku)" in text
 
@@ -427,7 +438,7 @@ class TestRankScoredTriples:
                 return vectors[text]
 
         def ranking(group):
-            scorer = QuestionScorer("question", TableEmbedder())
+            scorer = QuestionScorer("question", TableEmbedder(), EmbeddingCache())
             return rank_scored_triples([group], make_kg([]), scorer)[0]
 
         assert ranking(reordered) == ranking(group)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from kgagent.action import NeighborExploration, execute_action
-from kgagent.embedding import QuestionScorer, cosine
+from kgagent.embedding import EmbeddingCache, QuestionScorer, cosine
 from kgagent.kg import Triple
 from kgagent.llm import ScriptedProvider, ScriptEntry
 from kgagent.memory import Memory
@@ -31,9 +31,8 @@ TOKYO_CANDIDATES = [
 
 class TestBuildReflectionPrompt:
     def test_tokyo_candidates_rendered_with_labels(self, tokyo_kg, embedder):
-        observation = observe(
-            tokyo_kg, QuestionScorer(TOKYO_QUESTION, embedder), ["Q1490"], ObservationParams()
-        )
+        scorer = QuestionScorer(TOKYO_QUESTION, embedder, EmbeddingCache())
+        observation = observe(tokyo_kg, scorer, ["Q1490"], ObservationParams())
         prompt = build_reflection_prompt(
             TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, observation, Memory(), k_max=15
         )
@@ -67,9 +66,8 @@ class TestBuildReflectionPrompt:
             )
 
     def test_golden_render(self, tokyo_kg, embedder, datadir):
-        observation = observe(
-            tokyo_kg, QuestionScorer(TOKYO_QUESTION, embedder), ["Q1490"], ObservationParams()
-        )
+        scorer = QuestionScorer(TOKYO_QUESTION, embedder, EmbeddingCache())
+        observation = observe(tokyo_kg, scorer, ["Q1490"], ObservationParams())
         prompt = build_reflection_prompt(
             TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, observation, Memory(), k_max=15
         )
@@ -130,9 +128,8 @@ class TestParseReflected:
 
 class TestReflectSimilarity:
     def test_under_cap_keeps_all_sorted(self, tokyo_kg, embedder):
-        result = reflect_similarity(
-            TOKYO_CANDIDATES, tokyo_kg, ReflectionParams(), QuestionScorer(TOKYO_QUESTION, embedder)
-        )
+        scorer = QuestionScorer(TOKYO_QUESTION, embedder, EmbeddingCache())
+        result = reflect_similarity(TOKYO_CANDIDATES, tokyo_kg, ReflectionParams(), scorer)
         assert set(result) == set(TOKYO_CANDIDATES)
         question_vector = embedder.embed(TOKYO_QUESTION)
 
@@ -152,7 +149,7 @@ class TestReflectSimilarity:
         rng.shuffle(candidates)
         params = ReflectionParams(k_max=15)
         result = reflect_similarity(
-            candidates, kg, params, QuestionScorer("some question", embedder)
+            candidates, kg, params, QuestionScorer("some question", embedder, EmbeddingCache())
         )
         question_vector = embedder.embed("some question")
         expected = sorted(
@@ -167,16 +164,15 @@ class TestReflectSimilarity:
     def test_equal_scores_break_lexicographically(self, embedder):
         # identical relation+tail text means identical score
         candidates = [("B", "P1", "X"), ("A", "P1", "X")]
-        result = reflect_similarity(
-            candidates, make_kg([]), ReflectionParams(), QuestionScorer("q", embedder)
-        )
+        scorer = QuestionScorer("q", embedder, EmbeddingCache())
+        result = reflect_similarity(candidates, make_kg([]), ReflectionParams(), scorer)
         assert result == [("A", "P1", "X"), ("B", "P1", "X")]
 
     @pytest.mark.parametrize("neighbor_limit", [None, 4])
     def test_a_get_neighbor_outcome_keeps_observations_ranking(self, embedder, neighbor_limit):
         rng = random.Random(107)
         kg = random_kg(rng, n_entities=15, n_triples=120)
-        scorer = QuestionScorer("one ranking", embedder)
+        scorer = QuestionScorer("one ranking", embedder, EmbeddingCache())
         params = ObservationParams(depth_limit=3, top_n=6, refine_percent=50.0)
         observe(kg, scorer, ["Q0", "Q1"], params, neighbor_limit)
         assert len(scorer.ranked) > 2
@@ -188,13 +184,13 @@ class TestReflectSimilarity:
             assert kept == [triple for _, triple in ranking[:3]]
 
     def test_empty_candidates(self, embedder):
-        scorer = QuestionScorer("q", embedder)
+        scorer = QuestionScorer("q", embedder, EmbeddingCache())
         result = reflect_similarity([], make_kg([]), ReflectionParams(), scorer)
         assert result == []
 
     def test_empty_candidates_send_no_text(self):
         provider = RecordingEmbedder()
-        scorer = QuestionScorer("q", provider)
+        scorer = QuestionScorer("q", provider, EmbeddingCache())
         result = reflect_similarity([], make_kg([]), ReflectionParams(), scorer)
         assert result == []
         assert provider.requests == []  # not even the question
