@@ -128,16 +128,13 @@ def _resolve_entity(
 
 
 def parse_action(
-    response: str,
-    candidates: Sequence[EntityId],
-    labels: Mapping[str, str] | None = None,
+    response: str, candidates: Sequence[EntityId], labels: Mapping[str, str]
 ) -> Action:
     """Extract the Action/Entity_id lines and resolve entities.
 
     Entities may be given as candidate ids or their labels
     (case-insensitive).
     """
-    labels = labels or {}
     match = _ACTION_RE.search(response)
     if match is None:
         raise ActionError("response contains no 'Action:' line")
@@ -166,7 +163,7 @@ def parse_action(
 
 
 def execute_action(
-    kg: KnowledgeGraph, action: Action, path_max_len: int, neighbor_limit: int | None = None
+    kg: KnowledgeGraph, action: Action, path_max_len: int, neighbor_limit: int | None
 ) -> list[Triple]:
     """Run a KG action and return its triples.
 

@@ -26,9 +26,7 @@ from .action import (
 )
 from .embedding import EmbeddingCache, EmbeddingError, EmbeddingProvider, QuestionScorer
 from .kg import EntityId, KnowledgeGraph, Triple, json_object
-from .llm import (
-    DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, CompletionRequest, LLMProvider, ProviderError,
-)
+from .llm import CompletionRequest, LLMProvider, ProviderError
 from .memory import Memory, integrate
 from .observation import (
     ObservationParams, ObservationSubgraph, ScoredTriple, check_count, check_not_bool, observe,
@@ -43,10 +41,12 @@ from .reflection import (
 
 
 class AgentError(RuntimeError):
-    """Provider failure, degenerate embedding or timeout; carries the partial trace."""
+    """Provider failure, degenerate embedding or timeout; carries the partial
+    trace, whose error it sets to its message."""
 
     def __init__(self, message: str, trace: "AgentTrace") -> None:
         super().__init__(message)
+        trace.error = message
         self.trace = trace
 
 
@@ -56,8 +56,8 @@ class AgentConfig:
     observation: ObservationParams = field(default_factory=ObservationParams)
     reflection: ReflectionParams = field(default_factory=ReflectionParams)
     path_max_len: int = 3
-    temperature: float = DEFAULT_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
+    temperature: float = 0.4
+    max_tokens: int = 500
     neighbor_limit: int | None = 5000
     action_retries: int = 2
     question_timeout: float | None = 300.0
@@ -262,7 +262,6 @@ def run(
         trace.halted_by = "answer_action" if answered else "iteration_cap"
         return AgentResult(answers, trace.halted_by, trace)
     except (ProviderError, EmbeddingError) as exc:
-        trace.error = str(exc)
         raise AgentError(str(exc), trace) from exc
 
 

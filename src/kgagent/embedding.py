@@ -196,16 +196,11 @@ class HttpEmbedder:
     """
 
     def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key_env: str = "OPENAI_API_KEY",
-        timeout: float = 60.0,
-        session=None,
+        self, endpoint: str, model: str, api_key_env: str = "OPENAI_API_KEY", session=None
     ) -> None:
         import requests
 
-        self.config = HttpChatConfig(endpoint, model, api_key_env, timeout, backoff=0.5)
+        self.config = HttpChatConfig(endpoint, model, api_key_env, backoff=0.5)
         self._session = session or requests.Session()
 
     def embed(self, text: str) -> Vector:

@@ -7,7 +7,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .agent import AgentConfig, AgentError, Providers, run, trace_to_json
 from .kg import EntityId, KnowledgeGraph, load_json_records
@@ -110,19 +110,17 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, ensure_ascii=True, indent=2) + "\n"
 
 
-ProvidersFactory = Callable[[DatasetRecord, int], Providers]
-
-
 def run_eval(
     dataset: Sequence[DatasetRecord],
     kg: KnowledgeGraph,
-    providers: Providers | ProvidersFactory,
+    providers: Providers,
     config: AgentConfig | None = None,
     workers: int = 1,
     out_dir: str | Path | None = None,
     match_mode: str = "normalized",
 ) -> EvalReport:
-    """Run the agent on every record and aggregate Hits@1.
+    """Run the agent on every record, all with the one providers, and
+    aggregate Hits@1.
 
     Per-question failures are recorded as misses with their error message;
     the batch never aborts. Traces are persisted under out_dir/traces when an
@@ -138,12 +136,9 @@ def run_eval(
     def evaluate(indexed: tuple[int, DatasetRecord]) -> QuestionOutcome:
         index, record = indexed
         started = time.monotonic()
-        question_providers = (
-            providers(record, index) if callable(providers) else providers
-        )
         answers, halted_by, hit, trace, error = [], None, 0, None, None
         try:
-            result = run(record.question, record.seed_entities, kg, question_providers, config)
+            result = run(record.question, record.seed_entities, kg, providers, config)
             trace = result.trace
             hit = score_hit(result.answers, record.gold_answers, mode=match_mode)
             answers, halted_by = result.answers, result.halted_by

@@ -117,9 +117,7 @@ class KnowledgeGraph:
                 in_edges.setdefault(tail, []).extend((head, relation))
         return in_edges
 
-    def find_paths(
-        self, start: EntityId, goal: EntityId, max_len: int = 3
-    ) -> list[list[Triple]]:
+    def find_paths(self, start: EntityId, goal: EntityId, max_len: int) -> list[list[Triple]]:
         """All directed simple paths from start to goal up to max_len edges.
 
         Intermediate entities never repeat and never revisit either

@@ -13,9 +13,6 @@ from typing import Iterable, Protocol
 
 from .kg import load_json_records
 
-DEFAULT_TEMPERATURE = 0.4
-DEFAULT_MAX_TOKENS = 500
-
 
 class ProviderError(RuntimeError):
     """A model or embedding provider failed: a live request was rejected or
@@ -25,11 +22,12 @@ class ProviderError(RuntimeError):
 
 @dataclass
 class CompletionRequest:
-    """One flat user prompt; prompts are never split across roles."""
+    """One flat user prompt, with every sampling setting; prompts are never
+    split across roles."""
 
     prompt: str
-    temperature: float = DEFAULT_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
+    temperature: float
+    max_tokens: int
 
     def __post_init__(self) -> None:
         if not self.prompt:

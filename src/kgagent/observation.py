@@ -107,7 +107,7 @@ def observe(
     scorer: QuestionScorer,
     entities: Iterable[EntityId],
     params: ObservationParams,
-    neighbor_limit: int | None = None,
+    neighbor_limit: int | None,
 ) -> ObservationSubgraph:
     """Run the depth-bounded update/refine walk from every seed entity.
 

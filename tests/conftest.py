@@ -315,11 +315,18 @@ def save_dataset(records, path: str | Path) -> None:
             handle.write(json.dumps(data, sort_keys=True, ensure_ascii=True) + "\n")
 
 
-def complete_with(provider):
-    """A step's complete(prompt), sending the default sampling settings to provider."""
+def make_request(prompt: str):
+    """A CompletionRequest with AgentConfig's default sampling settings."""
+    from kgagent.agent import AgentConfig
     from kgagent.llm import CompletionRequest
 
-    return lambda prompt: provider.complete(CompletionRequest(prompt))
+    config = AgentConfig()
+    return CompletionRequest(prompt, config.temperature, config.max_tokens)
+
+
+def complete_with(provider):
+    """A step's complete(prompt), sending make_request's requests to provider."""
+    return lambda prompt: provider.complete(make_request(prompt))
 
 
 def make_providers(script: list[tuple[str, str, str]], sequential: bool = True, seed: int = 7):
@@ -329,6 +336,51 @@ def make_providers(script: list[tuple[str, str, str]], sequential: bool = True, 
         llm=make_script_provider(script, sequential=sequential),
         embedder=DeterministicEmbedder(seed=seed, dimension=32),
     )
+
+
+class QuestionRoutedLLM:
+    """One sequential ScriptedProvider per question: each request goes to the
+    script of the question that its prompt contains (every template fills
+    [Question]), so one Providers serves a whole eval, in any order and on any
+    number of workers."""
+
+    def __init__(self, scripts: dict[str, list[tuple[str, str, str]]]) -> None:
+        self.providers = {
+            question: make_script_provider(script) for question, script in scripts.items()
+        }
+
+    def complete(self, request) -> str:
+        from kgagent.llm import ProviderError
+
+        for question, provider in self.providers.items():
+            if question in request.prompt:
+                return provider.complete(request)
+        raise ProviderError(f"no script for the question of request:\n{request.prompt[:400]}")
+
+
+def make_routed_providers(scripts: dict[str, list[tuple[str, str, str]]]):
+    """Providers whose LLM is a fresh QuestionRoutedLLM over scripts."""
+    from kgagent.agent import Providers
+
+    return Providers(
+        llm=QuestionRoutedLLM(scripts), embedder=DeterministicEmbedder(seed=7, dimension=32)
+    )
+
+
+class QueuedSession:
+    """A requests session that yields queued responses (or raises queued
+    exceptions), one per post call, and records each call."""
+
+    def __init__(self, outcomes) -> None:
+        self.outcomes = list(outcomes)
+        self.calls: list[dict] = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
 
 class ConstantEmbedder:

@@ -39,6 +39,7 @@ from conftest import (
     edge_set,
     make_kg,
     make_providers,
+    make_routed_providers,
     random_kg,
 )
 from test_agent import RING_SCRIPT
@@ -62,7 +63,9 @@ def test_c01_observation_oracle_equivalence():
         seeds = [f"Q{rng.randrange(60)}" for _ in range(rng.randrange(1, 4))]
         question = f"question number {trial}"
         params = ObservationParams(depth_limit=3, top_n=50, refine_percent=10.0)
-        result = observe(kg, QuestionScorer(question, embedder, EmbeddingCache()), seeds, params)
+        result = observe(
+            kg, QuestionScorer(question, embedder, EmbeddingCache()), seeds, params, None
+        )
         expected = brute_force_observe(kg, question, seeds, 3, 50, 10.0, embedder)
         assert entries_as_tuples(result) == expected  # order and content
     elapsed = time.monotonic() - started
@@ -79,7 +82,9 @@ def test_c02_coverage_cross_check():
         params = ObservationParams(
             depth_limit=3, top_n=len(edge_set(kg)) + 1, refine_percent=100.0
         )
-        result = observe(kg, QuestionScorer(f"q{trial}", embedder, EmbeddingCache()), seeds, params)
+        result = observe(
+            kg, QuestionScorer(f"q{trial}", embedder, EmbeddingCache()), seeds, params, None
+        )
         assert {e.triple for e in result.entries} == edge_set(extract_khop_subgraph(kg, seeds, 3))
 
 
@@ -304,16 +309,14 @@ def test_c09_metric_hand_scored_table():
         ],
     }
 
-    def factory(record: DatasetRecord, index: int):
-        return make_providers(scripts[record.question])
-
     accuracies = set()
     for workers in (1, 4, 8):
         for order_seed in (None, 1, 2):
             ordered = list(records)
             if order_seed is not None:
                 random.Random(order_seed).shuffle(ordered)
-            accuracies.add(run_eval(ordered, kg, factory, workers=workers).accuracy)
+            providers = make_routed_providers(scripts)
+            accuracies.add(run_eval(ordered, kg, providers, workers=workers).accuracy)
     assert accuracies == {2 / 3}
 
 

@@ -33,7 +33,7 @@ from test_kg import dfs_paths_oracle
 @pytest.fixture
 def tokyo_observation(tokyo_kg, embedder):
     scorer = QuestionScorer(TOKYO_QUESTION, embedder, EmbeddingCache())
-    return observe(tokyo_kg, scorer, ["Q1490"], ObservationParams())
+    return observe(tokyo_kg, scorer, ["Q1490"], ObservationParams(), None)
 
 
 class TestBuildActionPrompt:
@@ -114,7 +114,7 @@ class TestBuildActionPrompt:
 class TestParseAction:
     def test_get_neighbor_by_id(self):
         response = "Thought: look around.\nAction: GetNeighbor\nEntity_id: Q1490"
-        assert parse_action(response, ["Q1490"]) == NeighborExploration("Q1490")
+        assert parse_action(response, ["Q1490"], {}) == NeighborExploration("Q1490")
 
     def test_get_neighbor_by_label_case_insensitive(self):
         response = "Action: GetNeighbor\nEntity_id: tokyo"
@@ -122,39 +122,39 @@ class TestParseAction:
         assert action == NeighborExploration("Q1490")
 
     def test_answer(self):
-        assert parse_action("Action: Answer", ["Q1490"]) == Answer()
+        assert parse_action("Action: Answer", ["Q1490"], {}) == Answer()
 
     def test_unknown_verb(self):
         with pytest.raises(ActionError, match="unknown action verb 'Teleport'"):
-            parse_action("Action: Teleport", ["Q1"])
+            parse_action("Action: Teleport", ["Q1"], {})
 
     def test_missing_action_line(self):
         with pytest.raises(ActionError, match="response contains no 'Action:' line"):
-            parse_action("Thought: no action here", ["Q1"])
+            parse_action("Thought: no action here", ["Q1"], {})
 
     def test_entity_outside_candidates(self):
         with pytest.raises(ActionError, match="entity 'Q999' is not among the candidate"):
-            parse_action("Action: GetNeighbor\nEntity_id: Q999", ["Q1"])
+            parse_action("Action: GetNeighbor\nEntity_id: Q999", ["Q1"], {})
 
     def test_get_path_two_lines(self):
         response = "Action: GetPath\nEntity_id1: Q1\nEntity_id2: Q2"
-        assert parse_action(response, ["Q1", "Q2"]) == PathDiscovery("Q1", "Q2")
+        assert parse_action(response, ["Q1", "Q2"], {}) == PathDiscovery("Q1", "Q2")
 
     def test_get_path_comma_separated(self):
         response = "Action: GetPath\nEntity_id: Q1, Q2"
-        assert parse_action(response, ["Q1", "Q2"]) == PathDiscovery("Q1", "Q2")
+        assert parse_action(response, ["Q1", "Q2"], {}) == PathDiscovery("Q1", "Q2")
 
     def test_get_path_single_candidate_rejected(self):
         with pytest.raises(ActionError, match="GetPath requires at least 2 candidate entities"):
-            parse_action("Action: GetPath\nEntity_id: Q1, Q1", ["Q1"])
+            parse_action("Action: GetPath\nEntity_id: Q1, Q1", ["Q1"], {})
 
     def test_get_path_identical_entities_rejected(self):
         with pytest.raises(ActionError, match="path discovery needs two distinct entities"):
-            parse_action("Action: GetPath\nEntity_id: Q1, Q1", ["Q1", "Q2"])
+            parse_action("Action: GetPath\nEntity_id: Q1, Q1", ["Q1", "Q2"], {})
 
     def test_quoted_and_bracketed_tokens(self):
         response = "Action: GetNeighbor\nEntity_id: 'Q1490'."
-        assert parse_action(response, ["Q1490"]) == NeighborExploration("Q1490")
+        assert parse_action(response, ["Q1490"], {}) == NeighborExploration("Q1490")
 
     def test_total_and_exact_on_all_fixture_transcripts(self):
         from conftest import FIXTURE_ACTION_TURNS
@@ -178,15 +178,17 @@ class TestParseAction:
 class TestExecuteAction:
     def test_leaf_entity_empty_outcome(self):
         kg = make_kg([("A", "r", "B")])
-        assert execute_action(kg, NeighborExploration("B"), path_max_len=3) == []
+        outcome = execute_action(kg, NeighborExploration("B"), path_max_len=3, neighbor_limit=None)
+        assert outcome == []
 
     def test_path_single_edge(self):
         kg = make_kg([("A", "r", "B")])
-        assert execute_action(kg, PathDiscovery("A", "B"), path_max_len=3) == [("A", "r", "B")]
+        outcome = execute_action(kg, PathDiscovery("A", "B"), path_max_len=3, neighbor_limit=None)
+        assert outcome == [("A", "r", "B")]
 
     def test_answer_not_executable(self):
         with pytest.raises(ValueError):
-            execute_action(make_kg([]), Answer(), path_max_len=3)
+            execute_action(make_kg([]), Answer(), path_max_len=3, neighbor_limit=None)
 
     def test_neighbor_limit_applies(self):
         kg = make_kg([("A", "r", f"B{i}") for i in range(10)])
@@ -197,7 +199,8 @@ class TestExecuteAction:
         rng = random.Random(53)
         kg = random_kg(rng, n_entities=10, n_triples=45)
         for entity in list(kg.adjacency)[:5]:
-            assert execute_action(kg, NeighborExploration(entity), path_max_len=3) == [
+            action = NeighborExploration(entity)
+            assert execute_action(kg, action, path_max_len=3, neighbor_limit=None) == [
                 t for t in edges(kg) if t[0] == entity
             ]
         entities = sorted({t[0] for t in edge_set(kg)})
@@ -219,12 +222,14 @@ class TestExecuteAction:
                 expected_paths = dfs_paths_oracle(graph, e1, e2, max_len)
                 expected = list(dict.fromkeys(t for path in expected_paths for t in path))
                 action = PathDiscovery(e1, e2)
-                assert execute_action(graph, action, path_max_len=max_len) == expected
+                outcome = execute_action(graph, action, path_max_len=max_len, neighbor_limit=None)
+                assert outcome == expected
 
     def test_outcome_subset_of_kg(self):
         rng = random.Random(59)
         kg = random_kg(rng, n_entities=8, n_triples=30)
-        outcome = execute_action(kg, NeighborExploration("Q0"), path_max_len=3)
+        action = NeighborExploration("Q0")
+        outcome = execute_action(kg, action, path_max_len=3, neighbor_limit=None)
         assert set(outcome) <= edge_set(kg)
 
 

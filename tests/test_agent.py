@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from dataclasses import asdict, replace
+from pathlib import Path
+from random import Random
 from types import SimpleNamespace
 
 import pytest
@@ -154,6 +157,14 @@ GENERATED_FACT_SCRIPT = [
 ]
 
 
+# explores Tokyo once, then answers: for strategies that reflect without the model
+EXPLORE_THEN_ANSWER_SCRIPT = [
+    ("substring", "Candidate EntityIDs: Q1490", "Action: GetNeighbor\nEntity_id: Q1490"),
+    ("substring", "Candidate EntityIDs:", "Action: Answer"),
+    ("substring", "reference memory", "Shinjuku"),
+]
+
+
 class TestStrategies:
     def test_no_observation_skips_observe(self, tokyo_kg):
         script = [
@@ -172,31 +183,28 @@ class TestStrategies:
         assert "observation" not in (result.trace.iterations[0].reflection_prompt or "").casefold()
 
     def test_similarity_strategy_reflects_without_llm(self, tokyo_kg):
-        script = [
-            ("substring", "Candidate EntityIDs: Q1490",
-             "Action: GetNeighbor\nEntity_id: Q1490"),
-            ("substring", "Candidate EntityIDs:", "Action: Answer"),
-            ("substring", "reference memory", "Shinjuku"),
-        ]
         config = AgentConfig(reflection=ReflectionParams(strategy="similarity"))
-        result = run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, make_providers(script), config)
+        providers = make_providers(EXPLORE_THEN_ANSWER_SCRIPT)
+        result = run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, providers, config)
         record = result.trace.iterations[0]
         assert record.reflection_prompt is None
         assert set(record.reflected) == set(tokyo_kg.get_neighbors("Q1490"))
 
     def test_random_strategy_is_seed_deterministic(self, tokyo_kg):
-        script = [
-            ("substring", "Candidate EntityIDs: Q1490",
-             "Action: GetNeighbor\nEntity_id: Q1490"),
-            ("substring", "Candidate EntityIDs:", "Action: Answer"),
-            ("substring", "reference memory", "Shinjuku"),
-        ]
         config = AgentConfig(
             reflection=ReflectionParams(strategy="random"), random_seed=5
         )
+        script = EXPLORE_THEN_ANSWER_SCRIPT
         first = run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, make_providers(script), config)
         second = run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, make_providers(script), config)
         assert first.trace.iterations[0].reflected == second.trace.iterations[0].reflected
+
+    def test_random_strategy_draws_from_seed_zero_by_default(self, tokyo_kg):
+        config = AgentConfig(reflection=ReflectionParams(strategy="random"))
+        providers = make_providers(EXPLORE_THEN_ANSWER_SCRIPT)
+        result = run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, providers, config)
+        outcome = tokyo_kg.get_neighbors("Q1490")
+        assert result.trace.iterations[0].reflected == Random(0).sample(outcome, len(outcome))
 
     def test_generated_fact_keeps_entities_and_collects_facts(self, tokyo_kg):
         config = AgentConfig(reflection=ReflectionParams(strategy="generated_fact"))
@@ -275,6 +283,16 @@ class TestErrors:
         result = run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, make_providers(TOKYO_SCRIPT), config)
         assert result.answers == ["Shinjuku"]
 
+    def test_a_timed_out_question_says_why_in_its_trace(self, tokyo_kg, monkeypatch):
+        clock = iter([0, 0, 1000])  # the default 300 s deadline passes after iteration 1
+        monkeypatch.setattr(agent, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        with pytest.raises(AgentError) as excinfo:
+            run(TOKYO_QUESTION, ["Q1490"], tokyo_kg, make_providers(TOKYO_SCRIPT))
+        trace = excinfo.value.trace
+        assert str(excinfo.value) == trace.error == "question timed out after 300s"
+        assert (len(trace.iterations), trace.halted_by) == (1, None)
+        assert render_case(trace, tokyo_kg).endswith("\nError: question timed out after 300s\n")
+
 
 class TestTraceAndConfig:
     def test_trace_json_stable_across_runs(self, tokyo_kg):
@@ -307,6 +325,11 @@ class TestTraceAndConfig:
         assert config.path_max_len == 3
         assert config.temperature == 0.4
         assert config.max_tokens == 500
+
+    def test_the_readme_config_block_is_the_default_config(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"^```json\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+        assert AgentConfig.from_dict(json.loads(block)) == AgentConfig()
 
 
 class RecordingProvider:

@@ -23,7 +23,9 @@ from kgagent.embedding import (
     embed_texts,
     score_candidate,
 )
-from kgagent.llm import ProviderError
+from kgagent.llm import HttpChatConfig, ProviderError
+
+from conftest import QueuedSession
 
 # what the cache says of a vector that no score may take, at put_many and at load
 UNSCORABLE = "a vector that is empty, over 2**23 long or has a component beyond 2**500"
@@ -283,21 +285,6 @@ class QueuedResponse:
         return self._body
 
 
-class QueuedEmbeddingSession:
-    """Yields queued responses (or raises queued exceptions) per post call."""
-
-    def __init__(self, outcomes) -> None:
-        self.outcomes = list(outcomes)
-        self.calls = 0
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls += 1
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
 class TestHttpEmbedderRequestPolicy:
     @pytest.fixture
     def sleeps(self, monkeypatch):
@@ -308,7 +295,7 @@ class TestHttpEmbedderRequestPolicy:
     def _embed(self, outcomes):
         from kgagent.embedding import HttpEmbedder
 
-        session = QueuedEmbeddingSession(outcomes)
+        session = QueuedSession(outcomes)
         provider = HttpEmbedder("http://fake", "embed-x", session=session)
         return session, lambda: embed_texts(["text"], provider, EmbeddingCache())[0]
 
@@ -316,7 +303,9 @@ class TestHttpEmbedderRequestPolicy:
         body = {"data": [{"index": 0, "embedding": [1.0, 2.0, 2.0]}]}
         session, embed = self._embed([QueuedResponse(500), QueuedResponse(200, body)])
         assert embed() == (1.0, 2.0, 2.0)
-        assert (session.calls, sleeps) == (2, [0.5])
+        assert (len(session.calls), sleeps) == (2, [0.5])
+        # the embedder has no timeout of its own: each post takes HttpChatConfig's
+        assert {call["timeout"] for call in session.calls} == {HttpChatConfig.timeout}
 
     def test_connection_errors_exhaust_attempts_on_schedule(self, sleeps):
         import requests
@@ -324,13 +313,13 @@ class TestHttpEmbedderRequestPolicy:
         session, embed = self._embed([requests.ConnectionError("down")] * 3)
         with pytest.raises(ProviderError, match="after 3 attempts"):
             embed()
-        assert (session.calls, sleeps) == (3, [0.5, 1.0])
+        assert (len(session.calls), sleeps) == (3, [0.5, 1.0])
 
     def test_rejected_request_is_not_retried(self, sleeps):
         session, embed = self._embed([QueuedResponse(401)] * 3)
         with pytest.raises(ProviderError, match="rejected with status 401"):
             embed()
-        assert (session.calls, sleeps) == (1, [])
+        assert (len(session.calls), sleeps) == (1, [])
 
     @pytest.mark.parametrize(
         "body",
@@ -342,7 +331,7 @@ class TestHttpEmbedderRequestPolicy:
         session, embed = self._embed([QueuedResponse(200, body)] * 3)
         with pytest.raises(ProviderError, match="malformed embedding body|not a list of numbers"):
             embed()
-        assert (session.calls, sleeps) == (1, [])
+        assert (len(session.calls), sleeps) == (1, [])
 
     def test_body_that_is_not_json_is_not_retried(self, sleeps):
         import requests
@@ -354,7 +343,7 @@ class TestHttpEmbedderRequestPolicy:
         session, embed = self._embed([NotJsonResponse(200)] * 3)
         with pytest.raises(ProviderError, match="malformed embedding body"):
             embed()
-        assert (session.calls, sleeps) == (1, [])
+        assert (len(session.calls), sleeps) == (1, [])
 
 
 class TestCache:
@@ -666,15 +655,15 @@ class TestHttpEmbedderBatch:
     def test_malformed_indexes_cost_one_request(self, monkeypatch, data):
         waits: list[float] = []
         monkeypatch.setattr("kgagent.llm.time.sleep", waits.append)
-        session = QueuedEmbeddingSession([QueuedResponse(200, {"data": data})] * 3)
+        session = QueuedSession([QueuedResponse(200, {"data": data})] * 3)
         with pytest.raises(ProviderError, match="malformed embedding body"):
             self._provider(session).embed_many(["a", "b"])
-        assert (session.calls, waits) == (1, [])
+        assert (len(session.calls), waits) == (1, [])
 
     def test_a_number_that_is_not_int_or_float_is_rejected(self):
         data = [{"index": 0, "embedding": [1.0, 2]}, {"index": 1, "embedding": [1.0, None]}]
         body = {"data": data}
-        session = QueuedEmbeddingSession([QueuedResponse(200, body)])
+        session = QueuedSession([QueuedResponse(200, body)])
         with pytest.raises(ProviderError, match="not a list of numbers"):
             self._provider(session).embed_many(["a", "b"])
 

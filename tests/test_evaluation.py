@@ -31,6 +31,7 @@ from conftest import (
     ConstantEmbedder,
     make_kg,
     make_providers,
+    make_routed_providers,
     save_dataset,
     write_lines,
 )
@@ -180,11 +181,13 @@ def _merged_fixture():
             ("substring", "reference memory", "wrong answer"),
         ],
     }
+    return kg, records, scripts
 
-    def providers_factory(record: DatasetRecord, index: int):
-        return make_providers(scripts[record.question])
 
-    return kg, records, providers_factory
+def _accuracy(report) -> float:
+    """The report's accuracy, once no question in it has failed."""
+    assert [outcome.error for outcome in report.outcomes] == [None] * report.total
+    return report.accuracy
 
 
 class TestRunEval:
@@ -195,27 +198,28 @@ class TestRunEval:
         assert report.note == "empty dataset"
 
     def test_two_of_three_hit(self):
-        kg, records, factory = _merged_fixture()
-        report = run_eval(records, kg, factory)
+        kg, records, scripts = _merged_fixture()
+        report = run_eval(records, kg, make_routed_providers(scripts))
         assert report.total == 3
         assert report.hits == 2
         assert report.accuracy == pytest.approx(2 / 3)
         assert [outcome.hit for outcome in report.outcomes] == [1, 1, 0]
 
     def test_accuracy_invariant_under_permutation(self):
-        kg, records, factory = _merged_fixture()
-        baseline = run_eval(records, kg, factory).accuracy
+        kg, records, scripts = _merged_fixture()
+        baseline = _accuracy(run_eval(records, kg, make_routed_providers(scripts)))
+        assert baseline == 2 / 3
         shuffled = list(records)
         random.Random(3).shuffle(shuffled)
-        assert run_eval(shuffled, kg, factory).accuracy == baseline
+        assert _accuracy(run_eval(shuffled, kg, make_routed_providers(scripts))) == baseline
 
     def test_accuracy_invariant_under_workers(self):
-        kg, records, factory = _merged_fixture()
+        kg, records, scripts = _merged_fixture()
         accuracies = {
-            run_eval(records, kg, factory, workers=workers).accuracy
+            _accuracy(run_eval(records, kg, make_routed_providers(scripts), workers=workers))
             for workers in (1, 4, 8)
         }
-        assert len(accuracies) == 1
+        assert accuracies == {2 / 3}
 
     def test_errors_recorded_as_misses(self, tokyo_kg):
         records = [
@@ -223,17 +227,15 @@ class TestRunEval:
             DatasetRecord("no script for this", ["Q1490"], ["x"]),
         ]
 
-        def factory(record: DatasetRecord, index: int):
-            return make_providers(TOKYO_SCRIPT if record.question == TOKYO_QUESTION else [])
-
-        report = run_eval(records, tokyo_kg, factory)
+        providers = make_routed_providers({TOKYO_QUESTION: TOKYO_SCRIPT})
+        report = run_eval(records, tokyo_kg, providers)
         assert report.hits == 1
         assert report.outcomes[1].error is not None
         assert report.outcomes[1].hit == 0
 
     def test_traces_and_report_persisted(self, tmp_path):
-        kg, records, factory = _merged_fixture()
-        report = run_eval(records, kg, factory, out_dir=tmp_path)
+        kg, records, scripts = _merged_fixture()
+        report = run_eval(records, kg, make_routed_providers(scripts), out_dir=tmp_path)
         assert (tmp_path / "report.json").exists()
         for index in range(3):
             assert (tmp_path / "traces" / f"q{index:05d}.json").exists()
@@ -241,8 +243,8 @@ class TestRunEval:
         assert reloaded["accuracy"] == report.accuracy
 
     def test_timing_percentiles_present(self):
-        kg, records, factory = _merged_fixture()
-        report = run_eval(records, kg, factory)
+        kg, records, scripts = _merged_fixture()
+        report = run_eval(records, kg, make_routed_providers(scripts))
         assert {"wall_seconds", "mean", "p50", "p90", "p99", "max"} <= set(report.timing)
 
 

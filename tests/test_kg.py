@@ -230,6 +230,21 @@ class TestFindPaths:
                 assert found == dfs_paths_oracle(kg, start, goal, max_len)
                 assert found == recursive_walk_paths(kg, start, goal, max_len)
 
+    def test_the_backward_half_takes_max_len_halved(self, monkeypatch):
+        kg = random_kg(random.Random(17), n_entities=8, n_triples=40)
+        suffixes = KnowledgeGraph._suffixes
+        hops: list[int] = []
+
+        def spy(self, goal, backward_hops):
+            hops.append(backward_hops)
+            return suffixes(self, goal, backward_hops)
+
+        monkeypatch.setattr(KnowledgeGraph, "_suffixes", spy)
+        for max_len in range(1, 6):
+            hops.clear()
+            assert kg.find_paths("Q0", "Q1", max_len) == dfs_paths_oracle(kg, "Q0", "Q1", max_len)
+            assert hops == ([max_len // 2] if max_len > 1 else [])
+
     def test_index_leaves_equality_and_repr_alone(self):
         triples = [("A", "r", "B"), ("B", "r", "C"), ("C", "r", "A")]
         searched, fresh = make_kg(triples, {"A": "a"}), make_kg(triples, {"A": "a"})

@@ -13,18 +13,17 @@ from kgagent.llm import (
     load_script,
 )
 
-from conftest import save_script
+from conftest import QueuedSession, make_request, save_script
 
 
 class TestCompletionRequest:
-    def test_defaults_are_pinned(self):
-        request = CompletionRequest("hi")
-        assert request.temperature == 0.4
-        assert request.max_tokens == 500
+    def test_every_setting_is_required(self):
+        with pytest.raises(TypeError, match="temperature.*max_tokens"):
+            CompletionRequest("hi")
 
     def test_validation(self):
         with pytest.raises(ValueError, match="prompt must be non-empty"):
-            CompletionRequest("")
+            make_request("")
 
 
 class TestScriptedProvider:
@@ -33,39 +32,39 @@ class TestScriptedProvider:
             [ScriptEntry("substring", "capital of the prefecture", "Action: Answer")],
             sequential=False,
         )
-        request = CompletionRequest("What is the capital of the prefecture Tokyo ?")
+        request = make_request("What is the capital of the prefecture Tokyo ?")
         assert provider.complete(request) == "Action: Answer"
 
     def test_lookup_is_not_consuming(self):
         provider = ScriptedProvider(
             [ScriptEntry("substring", "x", "same")], sequential=False
         )
-        request = CompletionRequest("xyz")
+        request = make_request("xyz")
         assert provider.complete(request) == provider.complete(request) == "same"
 
     def test_lookup_unmatched_raises(self):
         provider = ScriptedProvider([ScriptEntry("exact", "a", "r")], sequential=False)
         with pytest.raises(ProviderError, match="no script entry matches request:\nb"):
-            provider.complete(CompletionRequest("b"))
+            provider.complete(make_request("b"))
 
     def test_sequential_consumes_in_order(self):
         provider = ScriptedProvider(
             [ScriptEntry("substring", "one", "1"), ScriptEntry("substring", "two", "2")]
         )
-        assert provider.complete(CompletionRequest("one")) == "1"
-        assert provider.complete(CompletionRequest("two")) == "2"
+        assert provider.complete(make_request("one")) == "1"
+        assert provider.complete(make_request("two")) == "2"
         with pytest.raises(ProviderError, match="script exhausted"):
-            provider.complete(CompletionRequest("two"))
+            provider.complete(make_request("two"))
 
     def test_sequential_mismatch_raises(self):
         provider = ScriptedProvider([ScriptEntry("substring", "one", "1")])
         with pytest.raises(ProviderError, match=r"script entry 0 \(substring 'one'\) does not"):
-            provider.complete(CompletionRequest("other"))
+            provider.complete(make_request("other"))
 
     def test_sequential_exhausted_raises(self):
         provider = ScriptedProvider([])
         with pytest.raises(ProviderError, match="script exhausted"):
-            provider.complete(CompletionRequest("x"))
+            provider.complete(make_request("x"))
 
     def test_unknown_match_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -139,26 +138,11 @@ class FakeResponse:
         return {"choices": [{"message": {"content": self._content}}]}
 
 
-class FakeSession:
-    """Yields queued responses (or raises queued exceptions) per post call."""
-
-    def __init__(self, outcomes) -> None:
-        self.outcomes = list(outcomes)
-        self.calls: list[dict] = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
 class TestHttpChatProvider:
     def _provider(self, outcomes, retries: int = 3):
         from kgagent.llm import HttpChatConfig, HttpChatProvider
 
-        session = FakeSession(outcomes)
+        session = QueuedSession(outcomes)
         provider = HttpChatProvider(
             HttpChatConfig("http://fake", "model-x", retries=retries, backoff=0.0),
             session=session,
@@ -167,14 +151,14 @@ class TestHttpChatProvider:
 
     def test_success_returns_content(self):
         provider, session = self._provider([FakeResponse(200, "hello")])
-        assert provider.complete(CompletionRequest("hi")) == "hello"
+        assert provider.complete(make_request("hi")) == "hello"
         assert session.calls[0]["json"]["model"] == "model-x"
         assert session.calls[0]["json"]["temperature"] == 0.4
         assert session.calls[0]["json"]["max_tokens"] == 500
 
     def test_posts_one_user_message(self):
         provider, session = self._provider([FakeResponse(200, "hello")])
-        provider.complete(CompletionRequest("the prompt", temperature=0.7, max_tokens=32))
+        provider.complete(CompletionRequest("the prompt", 0.7, 32))
         assert session.calls[0]["json"] == {
             "model": "model-x",
             "messages": [{"role": "user", "content": "the prompt"}],
@@ -184,13 +168,13 @@ class TestHttpChatProvider:
 
     def test_transient_500_is_retried(self):
         provider, session = self._provider([FakeResponse(500), FakeResponse(200, "after retry")])
-        assert provider.complete(CompletionRequest("hi")) == "after retry"
+        assert provider.complete(make_request("hi")) == "after retry"
         assert len(session.calls) == 2
 
     def test_auth_failure_is_not_retried(self):
         provider, session = self._provider([FakeResponse(401)])
         with pytest.raises(ProviderError, match="401"):
-            provider.complete(CompletionRequest("hi"))
+            provider.complete(make_request("hi"))
         assert len(session.calls) == 1
 
     def test_connection_errors_exhaust_retries(self):
@@ -199,13 +183,13 @@ class TestHttpChatProvider:
         outcomes = [requests.ConnectionError("down")] * 3
         provider, session = self._provider(outcomes, retries=3)
         with pytest.raises(ProviderError, match="after 3 attempts"):
-            provider.complete(CompletionRequest("hi"))
+            provider.complete(make_request("hi"))
         assert len(session.calls) == 3
 
     def test_api_key_header_from_env(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
         provider, session = self._provider([FakeResponse(200)])
-        provider.complete(CompletionRequest("hi"))
+        provider.complete(make_request("hi"))
         assert session.calls[0]["headers"] == {"Authorization": "Bearer sk-test"}
 
 
@@ -229,12 +213,12 @@ class TestMalformedCompletionBody:
     def test_maps_to_provider_error_without_retry(self, body):
         from kgagent.llm import HttpChatConfig, HttpChatProvider
 
-        session = FakeSession([BodyResponse(body)] * 3)
+        session = QueuedSession([BodyResponse(body)] * 3)
         provider = HttpChatProvider(
             HttpChatConfig("http://fake", "model-x", retries=3, backoff=0.0), session=session
         )
         with pytest.raises(ProviderError, match="malformed completion body|content is"):
-            provider.complete(CompletionRequest("hi"))
+            provider.complete(make_request("hi"))
         assert len(session.calls) == 1
 
     def test_body_that_is_not_json_is_not_retried(self, monkeypatch):
@@ -248,10 +232,10 @@ class TestMalformedCompletionBody:
 
         sleeps: list[float] = []
         monkeypatch.setattr("kgagent.llm.time.sleep", sleeps.append)
-        session = FakeSession([NotJsonResponse(200)] * 3)
+        session = QueuedSession([NotJsonResponse(200)] * 3)
         provider = HttpChatProvider(HttpChatConfig("http://fake", "model-x"), session=session)
         with pytest.raises(ProviderError, match="malformed completion body"):
-            provider.complete(CompletionRequest("hi"))
+            provider.complete(make_request("hi"))
         assert (len(session.calls), sleeps) == (1, [])
 
 
@@ -268,5 +252,5 @@ def test_live_provider_smoke():
             model=os.environ.get("KGAGENT_LIVE_LLM_MODEL", "gpt-4"),
         )
     )
-    response = provider.complete(CompletionRequest("Reply with one word."))
+    response = provider.complete(make_request("Reply with one word."))
     assert response.strip()

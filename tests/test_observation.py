@@ -91,20 +91,22 @@ class TestObserveBasics:
     def test_seed_without_edges_yields_empty_subgraph(self, embedder):
         kg = make_kg([("A", "r", "B")])
         result = observe(
-            kg, QuestionScorer("q", embedder, EmbeddingCache()), ["B"], ObservationParams()
+            kg, QuestionScorer("q", embedder, EmbeddingCache()), ["B"], ObservationParams(), None
         )
         assert result.entries == []
 
     def test_unknown_seed_contributes_nothing(self, embedder):
         kg = make_kg([("A", "r", "B")])
         scorer = QuestionScorer("q", embedder, EmbeddingCache())
-        result = observe(kg, scorer, ["Zmissing", "A"], ObservationParams())
+        result = observe(kg, scorer, ["Zmissing", "A"], ObservationParams(), None)
         assert [entry.triple for entry in result.entries] == [("A", "r", "B")]
 
     def test_star_graph_top_n_selection(self, embedder):
         kg = make_kg([("S", f"r{i}", f"T{i}") for i in range(7)])
         params = ObservationParams(depth_limit=1, top_n=5, refine_percent=20.0)
-        result = observe(kg, QuestionScorer("which tee", embedder, EmbeddingCache()), ["S"], params)
+        result = observe(
+            kg, QuestionScorer("which tee", embedder, EmbeddingCache()), ["S"], params, None
+        )
         # oracle: score all 7 candidates exhaustively, sort, take 5
         question_vector = embedder.embed("which tee")
         ranked = sorted(
@@ -121,7 +123,7 @@ class TestObserveBasics:
     def test_chain_is_fully_covered_under_caps(self, embedder):
         kg = make_kg([("A", "r", "B"), ("B", "r", "C"), ("C", "r", "D")])
         result = observe(
-            kg, QuestionScorer("q", embedder, EmbeddingCache()), ["A"], ObservationParams()
+            kg, QuestionScorer("q", embedder, EmbeddingCache()), ["A"], ObservationParams(), None
         )
         assert {entry.triple for entry in result.entries} == edge_set(kg)
 
@@ -150,7 +152,8 @@ class TestObserveOracle:
             seeds = [f"Q{rng.randrange(24)}" for _ in range(rng.randrange(1, 4))]
             params = ObservationParams(depth_limit=3, top_n=50, refine_percent=10.0)
             result = observe(
-                kg, QuestionScorer("some question", embedder, EmbeddingCache()), seeds, params
+                kg, QuestionScorer("some question", embedder, EmbeddingCache()), seeds, params,
+                None,
             )
             expected = brute_force_observe(
                 kg, "some question", seeds, 3, 50, 10.0, embedder
@@ -164,7 +167,8 @@ class TestObserveOracle:
             seeds = [f"Q{rng.randrange(15)}"]
             params = ObservationParams(depth_limit=3, top_n=4, refine_percent=30.0)
             result = observe(
-                kg, QuestionScorer("another question", embedder, EmbeddingCache()), seeds, params
+                kg, QuestionScorer("another question", embedder, EmbeddingCache()), seeds, params,
+                None,
             )
             expected = brute_force_observe(
                 kg, "another question", seeds, 3, 4, 30.0, embedder
@@ -208,13 +212,13 @@ class TestRankedOncePerQuestion:
         scorer = QuestionScorer("a question", provider, EmbeddingCache())
         params = ObservationParams(depth_limit=3, top_n=6, refine_percent=50.0)
         neighbors = self._counting_neighbors(kg, monkeypatch)
-        first = observe(kg, scorer, ["Q1", "Q2"], params)
+        first = observe(kg, scorer, ["Q1", "Q2"], params, None)
         assert len(neighbors) == len(set(neighbors))  # each entity fetched once
         requests = list(provider.requests)
         # one request for the question, then at most one per turn
         assert len(requests) <= 1 + len(first.turns)
         neighbors.clear()
-        second = observe(kg, scorer, ["Q1", "Q2"], params)
+        second = observe(kg, scorer, ["Q1", "Q2"], params, None)
         assert provider.requests == requests
         assert neighbors == []
         assert second.entries == first.entries and second.turns == first.turns
@@ -223,7 +227,9 @@ class TestRankedOncePerQuestion:
         rng = random.Random(73)
         kg = random_kg(rng, n_entities=20, n_triples=160)
         params = ObservationParams(depth_limit=3, top_n=5, refine_percent=60.0)
-        result = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), ["Q0", "Q5"], params)
+        result = observe(
+            kg, QuestionScorer("q", embedder, EmbeddingCache()), ["Q0", "Q5"], params, None
+        )
         frontier: dict[str, list[str]] = {}
         for turn in result.turns:
             current = frontier.get(turn.seed, [turn.seed]) if turn.depth else [turn.seed]
@@ -238,7 +244,7 @@ class TestRankedOncePerQuestion:
             for _ in range(3):
                 seeds = [f"Q{rng.randrange(18)}" for _ in range(rng.randrange(1, 4))]
                 params = ObservationParams(depth_limit=3, top_n=rng.randrange(1, 12))
-                result = observe(kg, scorer, seeds, params)
+                result = observe(kg, scorer, seeds, params, None)
                 expected = brute_force_observe(
                     kg, "shared", seeds, 3, params.top_n, 10.0, embedder
                 )
@@ -251,7 +257,7 @@ class TestObserveProperties:
         kg = random_kg(rng, n_entities=20, n_triples=250)
         seeds = ["Q0", "Q1", "Q2"]
         params = ObservationParams(depth_limit=3, top_n=10, refine_percent=50.0)
-        result = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), seeds, params)
+        result = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), seeds, params, None)
         assert len(result.entries) <= len(seeds) * params.depth_limit * params.top_n
 
     def test_frontier_provenance_single_seed(self, embedder):
@@ -259,7 +265,9 @@ class TestObserveProperties:
         for _ in range(10):
             kg = random_kg(rng, n_entities=18, n_triples=150)
             params = ObservationParams(depth_limit=3, top_n=8, refine_percent=25.0)
-            result = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), ["Q0"], params)
+            result = observe(
+                kg, QuestionScorer("q", embedder, EmbeddingCache()), ["Q0"], params, None
+            )
             refine = params.refine_count
             by_depth: dict[int, list[ScoredTriple]] = {}
             for entry in result.entries:
@@ -275,8 +283,12 @@ class TestObserveProperties:
         rng = random.Random(79)
         kg = random_kg(rng, n_entities=20, n_triples=200)
         params = ObservationParams()
-        first = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), ["Q0", "Q5"], params)
-        second = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), ["Q0", "Q5"], params)
+        first = observe(
+            kg, QuestionScorer("q", embedder, EmbeddingCache()), ["Q0", "Q5"], params, None
+        )
+        second = observe(
+            kg, QuestionScorer("q", embedder, EmbeddingCache()), ["Q0", "Q5"], params, None
+        )
         assert first.turns == second.turns
         assert entries_as_tuples(first) == entries_as_tuples(second)
 
@@ -288,7 +300,9 @@ class TestObserveProperties:
             params = ObservationParams(
                 depth_limit=3, top_n=len(edge_set(kg)) + 1, refine_percent=100.0
             )
-            result = observe(kg, QuestionScorer("q", embedder, EmbeddingCache()), seeds, params)
+            result = observe(
+                kg, QuestionScorer("q", embedder, EmbeddingCache()), seeds, params, None
+            )
             expected = edge_set(extract_khop_subgraph(kg, seeds, 3))
             assert {entry.triple for entry in result.entries} == expected
 
@@ -298,11 +312,11 @@ class TestObserveProperties:
         seeds = ["Q0", "Q1"]
         small = observe(
             kg, QuestionScorer("q", embedder, EmbeddingCache()), seeds,
-            ObservationParams(depth_limit=1, top_n=5),
+            ObservationParams(depth_limit=1, top_n=5), None,
         )
         large = observe(
             kg, QuestionScorer("q", embedder, EmbeddingCache()), seeds,
-            ObservationParams(depth_limit=1, top_n=9),
+            ObservationParams(depth_limit=1, top_n=9), None,
         )
         assert {e.triple for e in small.entries} <= {e.triple for e in large.entries}
 
@@ -350,7 +364,7 @@ class TestConcurrency:
 
         def worker(_: int):
             scorer = QuestionScorer("shared question", embedder, cache)
-            result = observe(kg, scorer, ["Q0", "Q3"], params)
+            result = observe(kg, scorer, ["Q0", "Q3"], params, None)
             return entries_as_tuples(result)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -362,7 +376,7 @@ class TestConcurrency:
 class TestRendering:
     def test_render_uses_labels(self, tokyo_kg, embedder):
         scorer = QuestionScorer("q", embedder, EmbeddingCache())
-        result = observe(tokyo_kg, scorer, ["Q1490"], ObservationParams())
+        result = observe(tokyo_kg, scorer, ["Q1490"], ObservationParams(), None)
         text = render_observation(result, tokyo_kg)
         assert "(Tokyo, capital, Shinjuku)" in text
 

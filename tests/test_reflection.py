@@ -32,7 +32,7 @@ TOKYO_CANDIDATES = [
 class TestBuildReflectionPrompt:
     def test_tokyo_candidates_rendered_with_labels(self, tokyo_kg, embedder):
         scorer = QuestionScorer(TOKYO_QUESTION, embedder, EmbeddingCache())
-        observation = observe(tokyo_kg, scorer, ["Q1490"], ObservationParams())
+        observation = observe(tokyo_kg, scorer, ["Q1490"], ObservationParams(), None)
         prompt = build_reflection_prompt(
             TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, observation, Memory(), k_max=15
         )
@@ -67,7 +67,7 @@ class TestBuildReflectionPrompt:
 
     def test_golden_render(self, tokyo_kg, embedder, datadir):
         scorer = QuestionScorer(TOKYO_QUESTION, embedder, EmbeddingCache())
-        observation = observe(tokyo_kg, scorer, ["Q1490"], ObservationParams())
+        observation = observe(tokyo_kg, scorer, ["Q1490"], ObservationParams(), None)
         prompt = build_reflection_prompt(
             TOKYO_QUESTION, TOKYO_CANDIDATES, tokyo_kg, observation, Memory(), k_max=15
         )
