@@ -20,7 +20,7 @@ from operator import mul, truediv
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
-from .llm import HttpChatConfig, ProviderError, post_json
+from .llm import HttpChatConfig, HttpSession, ProviderError, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -198,10 +198,8 @@ class HttpEmbedder:
     def __init__(
         self, endpoint: str, model: str, api_key_env: str = "OPENAI_API_KEY", session=None
     ) -> None:
-        import requests
-
         self.config = HttpChatConfig(endpoint, model, api_key_env, backoff=0.5)
-        self._session = session or requests.Session()
+        self._session = session or HttpSession()
 
     def embed(self, text: str) -> Vector:
         return self._request([text])[0]

@@ -102,8 +102,8 @@ class EvalReport:
 def _percentile(sorted_values: list[float], q: float) -> float:
     if not sorted_values:
         return 0.0
-    rank = max(0, min(len(sorted_values) - 1, int(q * len(sorted_values) + 0.999999) - 1))
-    return sorted_values[rank]
+    # the nearest rank, ceil(q * n): an index in range for n >= 1 and 1e-6 <= q <= 1
+    return sorted_values[int(q * len(sorted_values) + 0.999999) - 1]
 
 
 def report_to_json(report: EvalReport) -> str:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import http.server
 import json
 import random
 import tempfile
+import threading
 from pathlib import Path
 from typing import Iterable
 
@@ -368,8 +370,8 @@ def make_routed_providers(scripts: dict[str, list[tuple[str, str, str]]]):
 
 
 class QueuedSession:
-    """A requests session that yields queued responses (or raises queued
-    exceptions), one per post call, and records each call."""
+    """A stand-in for HttpSession that yields queued responses (or raises
+    queued exceptions), one per post call, and records each call."""
 
     def __init__(self, outcomes) -> None:
         self.outcomes = list(outcomes)
@@ -381,6 +383,102 @@ class QueuedSession:
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
+
+
+class _LoopbackHandler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # connections stay open between requests
+    timeout = 10  # bounds how long an idle connection keeps its thread
+
+    def do_POST(self) -> None:
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.seen.append((self.client_address, self.path, dict(self.headers), body))
+        reply = self.server.respond(self, body)
+        if reply is None:  # hang up without a reply
+            self.close_connection = True
+            return
+        status, content, headers = reply
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(content)))
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(content)
+
+    def log_message(self, format, *args) -> None:
+        pass
+
+
+class LoopbackServer(http.server.ThreadingHTTPServer):
+    """An HTTP/1.1 server on 127.0.0.1, one thread per connection.
+
+    respond(handler, body) gets each POST's decoded JSON body and returns
+    (status, content bytes, extra headers), or None to hang up without a
+    reply; setting handler.close_connection closes the connection after the
+    reply, unannounced. seen records (client address, path, headers, body)
+    per request, so requests with one client address shared a connection.
+    """
+
+    daemon_threads = False  # server_close joins every connection's thread
+
+    def __init__(self, respond) -> None:
+        super().__init__(("127.0.0.1", 0), _LoopbackHandler)
+        self.respond = respond
+        self.seen: list[tuple] = []
+        self.hung_up = threading.Semaphore(0)  # released as each connection closes
+        self.release = threading.Event()  # ends a respond that stalls on it
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
+        self._thread.start()
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}/v1"
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        self.hung_up.release()
+
+    def stop(self) -> None:
+        self.release.set()
+        self.shutdown()
+        self.server_close()
+        self._thread.join(10)
+
+
+@pytest.fixture
+def loopback():
+    """Starts LoopbackServer(respond) on each call; stops them all afterwards."""
+    servers: list[LoopbackServer] = []
+
+    def start(respond) -> LoopbackServer:
+        servers.append(LoopbackServer(respond))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The backoff sleeps of post_json, recorded instead of slept."""
+    waits: list[float] = []
+    monkeypatch.setattr("kgagent.llm.time.sleep", waits.append)
+    return waits
+
+
+@pytest.fixture
+def http_session(loopback):
+    """An HttpSession, closed before the loopback servers stop."""
+    from kgagent.llm import HttpSession
+
+    session = HttpSession()
+    yield session
+    session.close()
+
+
+def json_reply(body):
+    """A LoopbackServer reply: status 200 with body as JSON."""
+    return 200, json.dumps(body).encode("utf-8"), {}
 
 
 class ConstantEmbedder:

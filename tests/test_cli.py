@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from kgagent.cli import main
-from kgagent.embedding import EmbeddingCache
+from kgagent.embedding import DeterministicEmbedder, EmbeddingCache
 from kgagent.kg import load_kg
 
 from conftest import (
@@ -42,7 +42,8 @@ def tokyo_script_file(tmp_path):
 
 
 class TestBuildSubgraph:
-    def test_builds_and_reloads(self, tmp_path, capsys):
+    @pytest.mark.parametrize("k_flags", [["--k", "3"], []], ids=["k3", "default_k"])
+    def test_builds_and_reloads(self, tmp_path, capsys, k_flags):
         triples = tmp_path / "dump.tsv"
         triples.write_text(
             "Q1\tP1\tQ2\nQ2\tP1\tQ3\nQ3\tP1\tQ4\nQ4\tP1\tQ5\nQ9\tP1\tQ1\n",
@@ -59,7 +60,7 @@ class TestBuildSubgraph:
                 "--triples", str(triples),
                 "--labels", str(labels),
                 "--seeds", str(seeds),
-                "--k", "3",
+                *k_flags,
                 "--out", str(out),
             ]
         )
@@ -232,6 +233,9 @@ class TestAsk:
             ("--embed-dim", "1", "must be >= 2, got 1"),
             ("--embed-seed", "99999999999999999999",
              "must be <= 9223372036854775807, got 99999999999999999999"),
+            ("--embed-seed", str(2**63), "must be <= 9223372036854775807, got 9223372036854775808"),
+            ("--embed-seed", str(-(2**63) - 1),
+             "must be >= -9223372036854775808, got -9223372036854775809"),
         ],
     )
     def test_embedder_flag_out_of_range_is_a_usage_error(
@@ -252,6 +256,23 @@ class TestAsk:
         captured = capsys.readouterr()
         assert f"argument {flag}: {message}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
+    def test_embed_seed_takes_every_signed_64_bit_value(
+        self, kg_dir, tokyo_script_file, capsys, seed
+    ):
+        code = main(
+            [
+                "ask",
+                "--kg", str(kg_dir),
+                "--question", TOKYO_QUESTION,
+                "--entities", "Q1490",
+                "--script", str(tokyo_script_file),
+                f"--embed-seed={seed}",
+            ]
+        )
+        assert code == 0
+        assert "halted_by: answer_action" in capsys.readouterr().out
 
     @pytest.mark.parametrize("entities", [" , ", ",", "  "])
     def test_no_entity_is_a_usage_error_before_any_provider(
@@ -369,6 +390,10 @@ def test_embedding_cache_file_is_closed(
     assert code == 0
     assert cache.stat().st_size > 0
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    # --embed-seed is 0 and --embed-dim 64 unless given
+    with EmbeddingCache(cache) as reloaded:
+        expected = DeterministicEmbedder(seed=0, dimension=64).embed(TOKYO_QUESTION)
+        assert reloaded.get(TOKYO_QUESTION) == expected
 
 
 def test_embedding_cache_file_is_closed_when_the_graph_fails_to_load(

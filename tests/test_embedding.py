@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import re
 import string
@@ -286,12 +287,6 @@ class QueuedResponse:
 
 
 class TestHttpEmbedderRequestPolicy:
-    @pytest.fixture
-    def sleeps(self, monkeypatch):
-        waits: list[float] = []
-        monkeypatch.setattr("kgagent.llm.time.sleep", waits.append)
-        return waits
-
     def _embed(self, outcomes):
         from kgagent.embedding import HttpEmbedder
 
@@ -308,9 +303,7 @@ class TestHttpEmbedderRequestPolicy:
         assert {call["timeout"] for call in session.calls} == {HttpChatConfig.timeout}
 
     def test_connection_errors_exhaust_attempts_on_schedule(self, sleeps):
-        import requests
-
-        session, embed = self._embed([requests.ConnectionError("down")] * 3)
+        session, embed = self._embed([ConnectionError("down")] * 3)
         with pytest.raises(ProviderError, match="after 3 attempts"):
             embed()
         assert (len(session.calls), sleeps) == (3, [0.5, 1.0])
@@ -334,11 +327,9 @@ class TestHttpEmbedderRequestPolicy:
         assert (len(session.calls), sleeps) == (1, [])
 
     def test_body_that_is_not_json_is_not_retried(self, sleeps):
-        import requests
-
         class NotJsonResponse(QueuedResponse):
             def json(self):
-                raise requests.JSONDecodeError("Expecting value", "<html>", 0)
+                raise json.JSONDecodeError("Expecting value", "<html>", 0)
 
         session, embed = self._embed([NotJsonResponse(200)] * 3)
         with pytest.raises(ProviderError, match="malformed embedding body"):

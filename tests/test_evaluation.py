@@ -3,10 +3,16 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from kgagent import evaluation
+from kgagent.agent import AgentConfig, Providers
+from kgagent.embedding import DeterministicEmbedder, HttpEmbedder
 from kgagent.evaluation import (
     DatasetRecord,
     EvalReport,
@@ -18,6 +24,7 @@ from kgagent.evaluation import (
     score_hit,
 )
 from kgagent.kg import InputError
+from kgagent.llm import CompletionRequest, HttpChatConfig, HttpChatProvider, HttpSession
 
 from conftest import (
     GOETHE_QUESTION,
@@ -29,6 +36,8 @@ from conftest import (
     TOKYO_TRIPLES,
     TOKYO_LABELS,
     ConstantEmbedder,
+    QuestionRoutedLLM,
+    json_reply,
     make_kg,
     make_providers,
     make_routed_providers,
@@ -246,6 +255,110 @@ class TestRunEval:
         kg, records, scripts = _merged_fixture()
         report = run_eval(records, kg, make_routed_providers(scripts))
         assert {"wall_seconds", "mean", "p50", "p90", "p99", "max"} <= set(report.timing)
+
+    def test_elapsed_and_timing_come_from_the_monotonic_clock(self, tokyo_kg, monkeypatch):
+        # eleven questions, so that p50, p90 and p99 are three different ranks;
+        # each time is 0.37 us over a round figure, which rounding drops
+        durations = [0.5, 3.0, 0.25, 1.5, 2.0, 0.125, 4.0, 1.0, 0.75, 2.5, 0.375]
+        ticks, now = [1000.0], 1001.0  # the batch starts, then each question
+        for duration in durations:
+            ticks += [now, now + duration + 3.7e-7]
+            now += duration + 1.0
+        ticks.append(now + 6.0 + 3.7e-7)  # the batch ends, 34 s after it started
+        monkeypatch.setattr(evaluation, "time", SimpleNamespace(monotonic=iter(ticks).__next__))
+        records = [DatasetRecord(TOKYO_QUESTION, ["Q1490"], ["Shinjuku"])] + [
+            DatasetRecord(f"Unscripted question {n}?", ["Q1490"], ["x"]) for n in range(10)
+        ]
+        report = run_eval(records, tokyo_kg, make_routed_providers({TOKYO_QUESTION: TOKYO_SCRIPT}))
+        elapsed = [outcome.elapsed for outcome in report.outcomes]
+        assert elapsed == pytest.approx([duration + 3.7e-7 for duration in durations], abs=1e-9)
+        assert report.timing == {
+            "wall_seconds": 34.0, "mean": 1.454546,  # (16 + 11 * 3.7e-7) / 11
+            "p50": 1.0, "p90": 3.0, "p99": 4.0, "max": 4.0,
+        }
+
+    def test_the_config_reaches_every_run(self, tmp_path):
+        kg, records, scripts = _merged_fixture()
+        config = AgentConfig(max_iterations=1)
+        run_eval(records, kg, make_routed_providers(scripts), config, out_dir=tmp_path)
+        traces = [
+            json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted((tmp_path / "traces").glob("*.json"))
+        ]
+        assert [len(trace["iterations"]) for trace in traces] == [1, 1, 1]
+
+
+class ExclusiveSession(HttpSession):
+    """An HttpSession that records every connection two threads held at once.
+
+    Each take waits a random few milliseconds first, so that a thread often
+    takes a connection that another thread gave back.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.held: set = set()
+        self.shared: list = []
+        self._watch = threading.Lock()
+        self._jitter = random.Random(0)
+        self._never = threading.Event()
+
+    def _take(self, scheme, host, timeout):
+        self._never.wait(self._jitter.uniform(0, 0.005))
+        connection = super()._take(scheme, host, timeout)
+        with self._watch:
+            if connection in self.held:
+                self.shared.append(connection)
+            self.held.add(connection)
+        return connection
+
+    def _give(self, scheme, host, connection) -> None:
+        with self._watch:
+            self.held.discard(connection)
+        super()._give(scheme, host, connection)
+
+
+class TestRunEvalOverHttp:
+    def test_four_workers_answer_every_question_on_unshared_connections(
+        self, loopback, sleeps
+    ):
+        kg, records, scripts = _merged_fixture()
+        llm, embedder = QuestionRoutedLLM(scripts), DeterministicEmbedder(seed=7, dimension=32)
+
+        def respond(handler, body):
+            if handler.path.endswith("/embeddings"):
+                vectors = map(embedder.embed, body["input"])
+                return json_reply({"data": [
+                    {"index": index, "embedding": list(vector)}
+                    for index, vector in enumerate(vectors)
+                ]})
+            request = CompletionRequest(
+                body["messages"][0]["content"], body["temperature"], body["max_tokens"]
+            )
+            return json_reply({"choices": [{"message": {"content": llm.complete(request)}}]})
+
+        server = loopback(respond)
+        session = ExclusiveSession()  # both clients draw on its one pool
+        providers = Providers(
+            llm=HttpChatProvider(HttpChatConfig(server.url, "chat-x"), session=session),
+            embedder=HttpEmbedder(server.url, "embed-x", session=session),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_eval(records, kg, providers, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+            session.close()
+
+        def summary(report):
+            return [(o.answers, o.hit, o.halted_by, o.error) for o in report.outcomes]
+
+        assert _accuracy(report) == 2 / 3
+        assert summary(report) == summary(run_eval(records, kg, make_routed_providers(scripts)))
+        assert (session.shared, sleeps) == ([], [])  # and so no request was sent twice
+        # a thread reuses its connection: no more connections than questions at once
+        assert len({address for address, *_ in server.seen}) <= len(records)
 
 
 class TestMalformedProviderBody:

@@ -1,19 +1,31 @@
 from __future__ import annotations
 
+import gc
+import gzip
+import json
 import os
+import resource
+import socket
+import ssl
+import time
+import warnings
 
 import pytest
 
 from kgagent.kg import InputError
 from kgagent.llm import (
     CompletionRequest,
+    HttpChatConfig,
+    HttpChatProvider,
+    HttpSession,
     ScriptedProvider,
     ProviderError,
     ScriptEntry,
+    _tls_context,
     load_script,
 )
 
-from conftest import QueuedSession, make_request, save_script
+from conftest import QueuedSession, json_reply, make_request, save_script
 
 
 class TestCompletionRequest:
@@ -128,20 +140,12 @@ class FakeResponse:
         self.text = "error body"
         self._content = content
 
-    def raise_for_status(self) -> None:
-        import requests
-
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"status {self.status_code}")
-
     def json(self) -> dict:
         return {"choices": [{"message": {"content": self._content}}]}
 
 
 class TestHttpChatProvider:
     def _provider(self, outcomes, retries: int = 3):
-        from kgagent.llm import HttpChatConfig, HttpChatProvider
-
         session = QueuedSession(outcomes)
         provider = HttpChatProvider(
             HttpChatConfig("http://fake", "model-x", retries=retries, backoff=0.0),
@@ -166,21 +170,21 @@ class TestHttpChatProvider:
             "max_tokens": 32,
         }
 
-    def test_transient_500_is_retried(self):
-        provider, session = self._provider([FakeResponse(500), FakeResponse(200, "after retry")])
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
+    def test_transient_status_is_retried(self, status):
+        provider, session = self._provider([FakeResponse(status), FakeResponse(200, "after retry")])
         assert provider.complete(make_request("hi")) == "after retry"
         assert len(session.calls) == 2
 
-    def test_auth_failure_is_not_retried(self):
-        provider, session = self._provider([FakeResponse(401)])
-        with pytest.raises(ProviderError, match="401"):
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_rejected_status_is_sent_once(self, status):
+        provider, session = self._provider([FakeResponse(status)] * 3)
+        with pytest.raises(ProviderError, match=f"completion rejected with status {status}"):
             provider.complete(make_request("hi"))
         assert len(session.calls) == 1
 
     def test_connection_errors_exhaust_retries(self):
-        import requests
-
-        outcomes = [requests.ConnectionError("down")] * 3
+        outcomes = [ConnectionError("down")] * 3
         provider, session = self._provider(outcomes, retries=3)
         with pytest.raises(ProviderError, match="after 3 attempts"):
             provider.complete(make_request("hi"))
@@ -211,8 +215,6 @@ class TestMalformedCompletionBody:
          {"choices": [{"message": {"content": None}}]}, ["choices"]],
     )
     def test_maps_to_provider_error_without_retry(self, body):
-        from kgagent.llm import HttpChatConfig, HttpChatProvider
-
         session = QueuedSession([BodyResponse(body)] * 3)
         provider = HttpChatProvider(
             HttpChatConfig("http://fake", "model-x", retries=3, backoff=0.0), session=session
@@ -221,17 +223,11 @@ class TestMalformedCompletionBody:
             provider.complete(make_request("hi"))
         assert len(session.calls) == 1
 
-    def test_body_that_is_not_json_is_not_retried(self, monkeypatch):
-        import requests
-
-        from kgagent.llm import HttpChatConfig, HttpChatProvider
-
+    def test_body_that_is_not_json_is_not_retried(self, sleeps):
         class NotJsonResponse(FakeResponse):
             def json(self):
-                raise requests.JSONDecodeError("Expecting value", "<html>", 0)
+                raise json.JSONDecodeError("Expecting value", "<html>", 0)
 
-        sleeps: list[float] = []
-        monkeypatch.setattr("kgagent.llm.time.sleep", sleeps.append)
         session = QueuedSession([NotJsonResponse(200)] * 3)
         provider = HttpChatProvider(HttpChatConfig("http://fake", "model-x"), session=session)
         with pytest.raises(ProviderError, match="malformed completion body"):
@@ -239,13 +235,143 @@ class TestMalformedCompletionBody:
         assert (len(session.calls), sleeps) == (1, [])
 
 
+def completion(content: str = "ok"):
+    """A LoopbackServer reply holding one chat completion."""
+    return json_reply({"choices": [{"message": {"content": content}}]})
+
+
+class TestHttpSession:
+    """The live clients' transport, against a server on 127.0.0.1."""
+
+    def test_requests_share_one_kept_alive_connection(self, loopback, http_session, monkeypatch):
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+        server = loopback(lambda handler, body: completion(body["messages"][0]["content"]))
+        provider = HttpChatProvider(HttpChatConfig(server.url, "model-x"), session=http_session)
+        assert provider.complete(make_request("one")) == "one"
+        started = time.monotonic()
+        assert provider.complete(make_request("two")) == "two"
+        assert time.monotonic() - started < 0.5  # the check before reuse does not wait
+        (first, path, headers, body), (second, *_) = server.seen
+        assert first == second
+        assert path == "/v1/chat/completions"
+        assert body["model"] == "model-x"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Accept-Encoding"] == "gzip"
+        assert headers["Authorization"] == "Bearer sk-test"
+
+    def test_a_connection_the_server_closed_is_replaced_without_a_retry(
+        self, loopback, http_session, sleeps
+    ):
+        def respond(handler, body):
+            handler.close_connection = True  # after the reply, without saying so
+            return completion(body["messages"][0]["content"])
+
+        server = loopback(respond)
+        provider = HttpChatProvider(HttpChatConfig(server.url, "model-x"), session=http_session)
+        assert provider.complete(make_request("one")) == "one"
+        assert server.hung_up.acquire(timeout=10)
+        assert provider.complete(make_request("two")) == "two"
+        (first, *_), (second, *_) = server.seen
+        assert (first != second, sleeps) == (True, [])
+
+    def test_a_connection_on_a_descriptor_past_1023_is_reused(self, loopback, http_session):
+        # select() cannot watch a descriptor >= FD_SETSIZE (1024); the check before reuse must
+        limit = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+        free = [fd for fd in range(1024, min(limit, 4096)) if not _is_open(fd)]
+        if not free:
+            pytest.skip(f"no free descriptor above 1023 under a limit of {limit}")
+        server = loopback(lambda handler, body: completion(body["messages"][0]["content"]))
+        provider = HttpChatProvider(HttpChatConfig(server.url, "model-x"), session=http_session)
+        assert provider.complete(make_request("one")) == "one"
+        [[connection]] = http_session._idle.values()
+        os.dup2(connection.sock.fileno(), free[0])
+        connection.sock.close()
+        connection.sock = socket.socket(fileno=free[0])
+        assert provider.complete(make_request("two")) == "two"
+        (first, *_), (second, *_) = server.seen
+        assert first == second
+
+    def test_the_trust_store_is_loaded_once_and_for_https_only(self, loopback, monkeypatch):
+        contexts = []
+        create = ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", lambda: contexts.append(create()) or contexts[-1])
+        _tls_context.cache_clear()
+        server = loopback(lambda handler, body: completion())
+        plain, secure = HttpSession(), HttpSession()
+        try:
+            provider = HttpChatProvider(HttpChatConfig(server.url, "model-x"), session=plain)
+            assert provider.complete(make_request("hi")) == "ok"
+            assert contexts == []
+            https = server.url.replace("http:", "https:")
+            for session in (plain, secure):  # the server speaks no TLS: the handshake fails
+                config = HttpChatConfig(https, "model-x", retries=1)
+                with pytest.raises(ProviderError, match="after 1 attempts: POST .*SSL"):
+                    HttpChatProvider(config, session=session).complete(make_request("hi"))
+            assert len(contexts) == 1
+        finally:
+            plain.close()
+            secure.close()
+
+    def test_a_gzip_reply_is_decoded(self, loopback, http_session):
+        content = gzip.compress(b'{"choices": [{"message": {"content": "unzipped"}}]}')
+        server = loopback(lambda handler, body: (200, content, {"Content-Encoding": "gzip"}))
+        provider = HttpChatProvider(HttpChatConfig(server.url, "model-x"), session=http_session)
+        assert provider.complete(make_request("hi")) == "unzipped"
+
+    def test_a_read_timeout_is_retried(self, loopback, http_session, sleeps):
+        def respond(handler, body):
+            if len(handler.server.seen) == 1:
+                handler.server.release.wait(10)  # stalls until the server stops
+                return None
+            return completion("second attempt")
+
+        server = loopback(respond)
+        config = HttpChatConfig(server.url, "model-x", timeout=0.2, backoff=0.125)
+        provider = HttpChatProvider(config, session=http_session)
+        assert provider.complete(make_request("hi")) == "second attempt"
+        assert (len(server.seen), sleeps) == (2, [0.125])
+
+    def test_a_refused_port_fails_after_every_attempt_on_schedule(self, http_session, sleeps):
+        with socket.socket() as unused:  # bound, never listening
+            unused.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{unused.getsockname()[1]}/v1"
+            config = HttpChatConfig(url, "model-x", retries=3, backoff=0.25)
+            provider = HttpChatProvider(config, session=http_session)
+            with pytest.raises(ProviderError, match="after 3 attempts: POST .*ConnectionRefused"):
+                provider.complete(make_request("hi"))
+        assert sleeps == [0.25, 0.5]
+
+    def test_a_client_dropped_unclosed_closes_its_connection(self, loopback):
+        server = loopback(lambda handler, body: completion())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            provider = HttpChatProvider(HttpChatConfig(server.url, "model-x"))  # its own session
+            assert provider.complete(make_request("hi")) == "ok"
+            del provider
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert server.hung_up.acquire(timeout=10)
+
+    def test_a_url_that_is_not_http_is_a_provider_error(self, http_session):
+        config = HttpChatConfig("ftp://127.0.0.1/v1", "model-x", retries=2, backoff=0.0)
+        provider = HttpChatProvider(config, session=http_session)
+        with pytest.raises(ProviderError, match="after 2 attempts: .* not an http or https URL"):
+            provider.complete(make_request("hi"))
+
+
+def _is_open(fd: int) -> bool:
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
 @pytest.mark.skipif(
     "KGAGENT_LIVE_LLM_ENDPOINT" not in os.environ,
     reason="live smoke test needs KGAGENT_LIVE_LLM_ENDPOINT / KGAGENT_LIVE_LLM_MODEL",
 )
 def test_live_provider_smoke():
-    from kgagent.llm import HttpChatConfig, HttpChatProvider
-
     provider = HttpChatProvider(
         HttpChatConfig(
             endpoint=os.environ["KGAGENT_LIVE_LLM_ENDPOINT"],

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -28,14 +29,37 @@ def test_root_binds_only_the_version():
     assert isinstance(kgagent.__version__, str)
 
 
-def test_version_matches_pyproject():
-    # a regex, not tomllib: tomllib is 3.11+ and requires-python is >= 3.10
+def _project_table() -> str:
+    """pyproject's [project] table; a regex, not tomllib: tomllib is 3.11+
+    and requires-python is >= 3.10."""
     text = PYPROJECT.read_text(encoding="utf-8")
     project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.MULTILINE | re.DOTALL)
     assert project is not None
-    version = re.search(r'^version\s*=\s*"([^"]+)"\s*$', project.group(1), re.MULTILINE)
+    return project.group(1)
+
+
+def test_version_matches_pyproject():
+    version = re.search(r'^version\s*=\s*"([^"]+)"\s*$', _project_table(), re.MULTILINE)
     assert version is not None
     assert kgagent.__version__ == version.group(1)
+
+
+def test_the_package_needs_only_the_standard_library():
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}" for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names | {"kgagent"}
+            ]
+    assert outside == []
+    assert re.search(r"^dependencies\s*=\s*\[\s*\]\s*$", _project_table(), re.MULTILINE)
 
 
 def test_exception_classes_are_the_six_that_callers_tell_apart():
